@@ -11,7 +11,7 @@ for progress logging.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import logging
 import os
 import sys
@@ -22,11 +22,11 @@ import numpy as np
 
 from . import engine
 from .data import (
-    ConceptSpec,
     SyntheticSpec,
     default_stream_spec,
     generate,
     load_csv,
+    spec_from_dict,
     write_labels_csv,
     write_series_csv,
 )
@@ -36,18 +36,22 @@ from .errors import (
     RowParseError,
     ValidationError,
 )
+from .forecasters import FORECASTER_KINDS
 from .manifest import (
+    CONFIG_TYPES,
+    NORMALIZE_MODES,
     RunManifest,
     build_bundle,
     load_manifest,
+    manifest_from_settings,
     parse_config_file,
     read_bundle,
+    read_json,
     resolve_series,
     save_manifest,
-    split_cep_settings,
     write_bundle,
 )
-from .pool import CepConfig
+from .pool import RETRIEVAL_SCORES
 
 log = logging.getLogger("driftpool.cli")
 
@@ -63,8 +67,8 @@ def cmd_run(manifest: RunManifest, out_dir: str | None = None,
             log_forecasts: bool = False) -> dict:
     """Execute one manifest; write the bundle when an output dir is known."""
     source, labels = resolve_series(manifest)
-    config = manifest.engine_config(log_forecasts=log_forecasts)
-    log.info("running %s on %s (%d points)", manifest.forecaster, source.origin, source.n)
+    config = dataclasses.replace(manifest.engine, log_forecasts=log_forecasts)
+    log.info("running %s on %s (%d points)", config.forecaster, source.origin, source.n)
     result = engine.run(source.values, config)
     bundle = build_bundle(manifest, result, source.n)
     target = out_dir if out_dir is not None else manifest.out_dir
@@ -83,57 +87,9 @@ def cmd_run(manifest: RunManifest, out_dir: str | None = None,
 
 def _manifest_from_args(args) -> RunManifest:
     settings = parse_config_file(args.config) if args.config else {}
-    cep_kwargs, other = split_cep_settings(settings)
-
-    # CLI flags override config-file values.
-    if args.no_evolution:
-        cep_kwargs["evolution"] = False
-    if args.no_elimination:
-        cep_kwargs["elimination"] = False
-    if args.no_abandonment:
-        cep_kwargs["gradient_abandonment"] = False
-    if args.no_lr_adjust:
-        cep_kwargs["optimizer_adjustment"] = False
-    if args.local_only:
-        cep_kwargs["use_global_gene"] = False
-    if args.global_only:
-        cep_kwargs["use_local_gene"] = False
-    if args.max_pool is not None:
-        cep_kwargs["max_pool_size"] = args.max_pool
-    if args.score is not None:
-        cep_kwargs["retrieval_score"] = args.score
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return other.get(key, default)
-
-    lookback = pick(args.lookback, "lookback", None)
-    horizon = pick(args.horizon, "horizon", None)
-    if lookback is None or horizon is None:
-        raise ValidationError("--lookback and --horizon are required (flag or config file)")
-    data_path = args.data if args.data else other.get("data")
-    if data_path is None:
-        raise ValidationError("--data is required unless --manifest is given")
-
-    return RunManifest(
-        data={
-            "kind": "csv",
-            "path": str(data_path),
-            "column": str(pick(args.column, "column", "0")),
-            "has_header": False if args.no_header else other.get("has_header", True),
-        },
-        lookback=int(lookback),
-        horizon=int(horizon),
-        forecaster=pick(args.forecaster, "forecaster", "linear"),
-        hidden=int(pick(args.hidden, "hidden", 32)),
-        cep=CepConfig(**cep_kwargs),
-        lr_raw=pick(args.lr, "lr_raw", None),
-        warm_epochs=int(pick(args.warm_epochs, "warm_epochs", 5)),
-        seed=int(pick(args.seed, "seed", 0)),
-        normalize=pick(args.normalize, "normalize", "off"),
-        out_dir=args.out,
-    )
+    # Flags override config-file values; a flag left unset is None and sets nothing.
+    settings.update((k, v) for k, v in vars(args).items() if k in CONFIG_TYPES and v is not None)
+    return manifest_from_settings(settings, out_dir=args.out)
 
 
 def _run_command(args) -> int:
@@ -154,7 +110,8 @@ def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
         raise ValidationError("compare needs at least 2 manifests")
     head = manifests[0]
     for i, m in enumerate(manifests[1:], start=2):
-        if m.data != head.data or m.lookback != head.lookback or m.horizon != head.horizon:
+        if (m.data, m.engine.lookback, m.engine.horizon) != (
+                head.data, head.engine.lookback, head.engine.horizon):
             raise ValidationError(
                 f"manifest #{i} differs from the baseline in data/lookback/horizon"
             )
@@ -162,16 +119,19 @@ def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
     rows = []
     for name, m in zip(names, manifests):
         source, _ = resolve_series(m)
-        result = engine.run(source.values, m.engine_config())
+        result = engine.run(source.values, m.engine)
         rows.append({"name": name, "mean_mse": result.mean_mse})
     base = rows[0]["mean_mse"]
-    for row in rows:
-        row["delta_pct"] = (row["mean_mse"] - base) / base * 100.0
+    for row in rows:  # no relative delta exists against a zero-error baseline
+        row["delta_pct"] = (row["mean_mse"] - base) / base * 100.0 if base else None
 
     width = max(len(r["name"]) for r in rows)
     print(f"{'manifest':<{width}}  {'mean_mse':>12}  {'delta':>9}")
     for i, row in enumerate(rows):
-        delta = "-" if i == 0 else f"{row['delta_pct']:+.2f}%"
+        if i == 0:
+            delta = "-"
+        else:
+            delta = "n/a" if row["delta_pct"] is None else f"{row['delta_pct']:+.2f}%"
         print(f"{row['name']:<{width}}  {row['mean_mse']:>12.6f}  {delta:>9}")
 
     if out_dir is not None:
@@ -180,7 +140,8 @@ def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
         with open(out / "compare.csv", "w", encoding="utf-8") as fh:
             fh.write("manifest,mean_mse,delta_pct\n")
             for row in rows:
-                fh.write(f"{row['name']},{row['mean_mse']:.17g},{row['delta_pct']:.2f}\n")
+                pct = "" if row["delta_pct"] is None else f"{row['delta_pct']:.2f}"
+                fh.write(f"{row['name']},{row['mean_mse']:.17g},{pct}\n")
     return rows
 
 
@@ -194,21 +155,6 @@ def _compare_command(args) -> int:
 
 
 # --- generate -----------------------------------------------------------------
-
-def _spec_from_json(path: str | Path, seed: int | None) -> SyntheticSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        concepts = tuple(ConceptSpec(**c) for c in d["concepts"])
-        schedule = tuple((int(i), int(n)) for i, n in d["schedule"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: bad synthetic spec: {exc}") from exc
-    use_seed = seed if seed is not None else int(d.get("seed", 0))
-    return SyntheticSpec(concepts=concepts, schedule=schedule, seed=use_seed)
-
 
 def cmd_generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
     """Write values.csv and labels.csv for a synthetic spec; print a summary."""
@@ -234,7 +180,9 @@ def cmd_generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
 
 def _generate_command(args) -> int:
     if args.spec:
-        spec = _spec_from_json(args.spec, args.seed)
+        spec = spec_from_dict(read_json(args.spec))
+        if args.seed is not None:
+            spec = dataclasses.replace(spec, seed=args.seed)
     else:
         spec = default_stream_spec(
             noise_sigma=args.noise, seed=args.seed if args.seed is not None else 0
@@ -357,27 +305,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one run and write a results bundle")
     p_run.add_argument("--manifest", help="JSON manifest pinning the whole run")
+    # Every dest below that names a config-file key sets that key (None: unset).
     p_run.add_argument("--data", help="CSV file with the input series")
     p_run.add_argument("--column", help="column name or zero-based index")
-    p_run.add_argument("--no-header", action="store_true", help="file has no header row")
+    p_run.add_argument("--no-header", dest="has_header", action="store_false", default=None,
+                       help="file has no header row")
     p_run.add_argument("--lookback", type=int)
     p_run.add_argument("--horizon", type=int)
-    p_run.add_argument("--forecaster", choices=("naive", "linear", "mlp"))
+    p_run.add_argument("--forecaster", choices=FORECASTER_KINDS)
     p_run.add_argument("--hidden", type=int, help="MLP hidden width")
     p_run.add_argument("--config", help="flat key = value config file")
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--lr", type=float, help="raw learning rate")
+    p_run.add_argument("--lr", dest="lr_raw", metavar="LR", type=float,
+                       help="raw learning rate")
     p_run.add_argument("--warm-epochs", type=int, dest="warm_epochs")
-    p_run.add_argument("--normalize", choices=("off", "warm_segment", "whole"))
+    p_run.add_argument("--normalize", choices=NORMALIZE_MODES)
     p_run.add_argument("--out", help="output directory for the results bundle")
-    p_run.add_argument("--no-evolution", action="store_true")
-    p_run.add_argument("--no-elimination", action="store_true")
-    p_run.add_argument("--no-abandonment", action="store_true")
-    p_run.add_argument("--no-lr-adjust", action="store_true")
-    p_run.add_argument("--local-only", action="store_true", help="disable the global gene")
-    p_run.add_argument("--global-only", action="store_true", help="disable the local gene")
-    p_run.add_argument("--max-pool", type=int, help="FIFO cap on pool size")
-    p_run.add_argument("--score", choices=("euclidean", "mle"), help="retrieval score")
+    p_run.add_argument("--no-evolution", dest="evolution", action="store_false", default=None)
+    p_run.add_argument("--no-elimination", dest="elimination", action="store_false",
+                       default=None)
+    p_run.add_argument("--no-abandonment", dest="gradient_abandonment", action="store_false",
+                       default=None)
+    p_run.add_argument("--no-lr-adjust", dest="optimizer_adjustment", action="store_false",
+                       default=None)
+    p_run.add_argument("--local-only", dest="use_global_gene", action="store_false",
+                       default=None, help="disable the global gene")
+    p_run.add_argument("--global-only", dest="use_local_gene", action="store_false",
+                       default=None, help="disable the local gene")
+    p_run.add_argument("--max-pool", dest="max_pool_size", metavar="MAX_POOL", type=int,
+                       help="FIFO cap on pool size")
+    p_run.add_argument("--score", dest="retrieval_score", choices=RETRIEVAL_SCORES,
+                       help="retrieval score")
     p_run.add_argument("--log-forecasts", action="store_true",
                        help="store full forecasts in the bundle")
     p_run.set_defaults(func=_run_command)

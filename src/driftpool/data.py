@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ColumnNotFoundError, RowParseError, ValidationError
-from .engine import warm_split_index
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,9 @@ class SyntheticSpec:
         if not self.concepts:
             raise ValidationError("at least one concept is required")
         for c in self.concepts:
+            for name, v in vars(c).items():
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                    raise ValidationError(f"concept {name} must be a finite number, got {v!r}")
             if c.period < 1:
                 raise ValidationError(f"period must be >= 1, got {c.period}")
             if c.noise_sigma < 0:
@@ -81,6 +84,22 @@ class LabeledStream:
     def source(self, name: str = "synthetic", seed: int | None = None) -> SeriesSource:
         origin = f"synthetic(seed={seed})" if seed is not None else "synthetic"
         return SeriesSource(values=self.values, name=name, origin=origin)
+
+
+def spec_from_dict(d: dict) -> SyntheticSpec:
+    """Parse the JSON form of a spec: concept objects, [index, duration] pairs, a seed."""
+    try:
+        concepts = tuple(ConceptSpec(**c) for c in d["concepts"])
+        schedule = tuple((int(i), int(n)) for i, n in d["schedule"])
+        seed = int(d.get("seed", 0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad synthetic spec: {exc}") from exc
+    return SyntheticSpec(concepts=concepts, schedule=schedule, seed=seed)
+
+
+def warm_split_index(n: int) -> int:
+    """Number of leading points reserved for the warm-up stage (a 25:75 split)."""
+    return n // 4
 
 
 def default_stream_spec(noise_sigma: float = 0.25, seed: int = 0,

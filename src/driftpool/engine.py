@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import warm_split_index
 from .errors import NumericError, SizingError, ValidationError
-from .forecasters import make_forecaster, mse
+from .forecasters import FORECASTER_KINDS, make_forecaster, mse
 from .gene import GeneState, GeneVector, compute_gene, ema_update, global_update
 from .pool import (
     CepConfig,
@@ -61,6 +62,10 @@ class EngineConfig:
             raise ValidationError(f"lookback must be >= 1, got {self.lookback}")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        if self.forecaster not in FORECASTER_KINDS:
+            raise ValidationError(
+                f"forecaster must be one of {FORECASTER_KINDS}, got {self.forecaster!r}"
+            )
         if self.warm_epochs < 0:
             raise ValidationError(f"warm_epochs must be >= 0, got {self.warm_epochs}")
         if self.lr_raw is not None and self.lr_raw <= 0:
@@ -100,11 +105,6 @@ class RunResult:
     total_evolutions: int
     total_eliminations: int
     pool: Pool | None = field(default=None, compare=False, repr=False)
-
-
-def warm_split_index(n: int) -> int:
-    """Number of leading points reserved for the warm-up stage (a 25:75 split)."""
-    return n // 4
 
 
 def make_instances(series: np.ndarray, start: int, stop: int, stride: int,

@@ -12,19 +12,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .data import (
-    ConceptSpec,
     SeriesSource,
-    SyntheticSpec,
     generate,
     load_csv,
     normalize,
+    spec_from_dict,
     write_labels_csv,
 )
 from .engine import EngineConfig, RunResult
@@ -38,17 +38,14 @@ NORMALIZE_MODES = ("off", "warm_segment", "whole")
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Fully serializable description of one run."""
+    """Fully serializable description of one run.
+
+    The JSON form is flat: the engine settings sit beside data and
+    normalize, with the CepConfig fields nested under "cep".
+    """
 
     data: dict
-    lookback: int
-    horizon: int
-    forecaster: str = "linear"
-    hidden: int = 32
-    cep: CepConfig = field(default_factory=CepConfig)
-    lr_raw: float | None = None
-    warm_epochs: int = 5
-    seed: int = 0
+    engine: EngineConfig
     normalize: str = "off"
     out_dir: str | None = None
 
@@ -64,57 +61,30 @@ class RunManifest:
             if "path" not in self.data or "column" not in self.data:
                 raise ValidationError("data.kind=csv requires data.path and data.column")
         elif kind == "synthetic":
-            self.synthetic_spec()  # validates
+            spec_from_dict(self.data)  # validates
         else:
             raise ValidationError(f"data.kind must be csv or synthetic, got {kind!r}")
 
-    def synthetic_spec(self) -> SyntheticSpec:
-        if self.data.get("kind") != "synthetic":
-            raise ValidationError("manifest data is not synthetic")
-        try:
-            concepts = tuple(ConceptSpec(**c) for c in self.data["concepts"])
-            schedule = tuple((int(i), int(d)) for i, d in self.data["schedule"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad synthetic data spec: {exc}") from exc
-        return SyntheticSpec(concepts=concepts, schedule=schedule,
-                             seed=int(self.data.get("seed", 0)))
-
     def to_dict(self) -> dict:
-        d = {
-            "data": self.data,
-            "lookback": self.lookback,
-            "horizon": self.horizon,
-            "forecaster": self.forecaster,
-            "hidden": self.hidden,
-            "cep": dataclasses.asdict(self.cep),
-            "lr_raw": self.lr_raw,
-            "warm_epochs": self.warm_epochs,
-            "seed": self.seed,
-            "normalize": self.normalize,
-        }
+        d = {"data": self.data, **dataclasses.asdict(self.engine), "normalize": self.normalize}
+        del d["log_forecasts"]
         if self.out_dir is not None:
             d["out_dir"] = self.out_dir
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown manifest fields: {sorted(unknown)}")
-        for key in ("data", "lookback", "horizon"):
+        top = {k: v for k, v in d.items() if k not in ("data", "cep")}
+        _check_fields(top, _MANIFEST_TYPES, "manifest")
+        for key in ("data", *_REQUIRED):
             if key not in d:
                 raise ValidationError(f"manifest is missing required field {key!r}")
-        cep_dict = d.get("cep", {})
-        if not isinstance(cep_dict, dict):
+        cep = d.get("cep", {})
+        if not isinstance(cep, dict):
             raise ValidationError("cep must be an object of threshold/switch fields")
-        cep_known = {f.name for f in dataclasses.fields(CepConfig)}
-        cep_unknown = set(cep_dict) - cep_known
-        if cep_unknown:
-            raise ValidationError(f"unknown cep fields: {sorted(cep_unknown)}")
-        cep = CepConfig(**cep_dict)
-        kwargs = {k: v for k, v in d.items() if k != "cep"}
-        return cls(cep=cep, **kwargs)
+        _check_fields(cep, _CEP_TYPES, "cep")
+        run = {k: v for k, v in top.items() if k not in _ENGINE_TYPES}
+        return cls(data=d["data"], engine=_engine(top, cep), **run)
 
     def config_hash(self) -> str:
         """Hash of everything that affects the result (the output dir does not)."""
@@ -123,18 +93,61 @@ class RunManifest:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def engine_config(self, log_forecasts: bool = False) -> EngineConfig:
-        return EngineConfig(
-            lookback=self.lookback,
-            horizon=self.horizon,
-            cep=self.cep,
-            forecaster=self.forecaster,
-            hidden=self.hidden,
-            lr_raw=self.lr_raw,
-            warm_epochs=self.warm_epochs,
-            seed=self.seed,
-            log_forecasts=log_forecasts,
-        )
+
+# --- the one key schema, read off the config dataclasses --------------------
+
+def _field_types(cls, *skip: str) -> dict[str, tuple[type, bool]]:
+    """(type, accepts None) of each field of a dataclass, except the skipped ones."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in skip:
+            hint = hints[f.name]
+            optional = type(None) in typing.get_args(hint)  # `X | None` is the only union
+            out[f.name] = (typing.get_args(hint)[0] if optional else hint, optional)
+    return out
+
+
+_CEP_TYPES = _field_types(CepConfig)
+# log_forecasts only sets what a bundle stores, never a result, so no manifest holds it.
+_ENGINE_TYPES = _field_types(EngineConfig, "cep", "log_forecasts")
+_RUN_TYPES = _field_types(RunManifest, "data", "engine", "out_dir")  # normalize
+_MANIFEST_TYPES = {**_ENGINE_TYPES, **_field_types(RunManifest, "data", "engine")}
+_REQUIRED = tuple(f.name for f in dataclasses.fields(EngineConfig)
+                  if f.default is dataclasses.MISSING
+                  and f.default_factory is dataclasses.MISSING)
+# Config files name a CSV source in place of a manifest's "data" object; the
+# output directory comes from --out.
+CONFIG_TYPES = {
+    **_CEP_TYPES, **_ENGINE_TYPES, **_RUN_TYPES,
+    "data": (str, False), "column": (str, False), "has_header": (bool, False),
+}
+
+
+def _check_fields(d: dict, types: dict, what: str) -> None:
+    """Reject unknown keys and mistyped values; convert nothing, so an int stays an int."""
+    unknown = set(d) - set(types)
+    if unknown:
+        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
+    for key, value in d.items():
+        base, optional = types[key]
+        if value is None:
+            ok = optional
+        elif isinstance(value, bool):
+            ok = base is bool
+        else:
+            ok = isinstance(value, (int, float) if base is float else base)
+        if not ok:
+            expected = f"{base.__name__} or null" if optional else base.__name__
+            raise ValidationError(f"{what} field {key} must be {expected}, got {value!r}")
+
+
+def _pick(settings: dict, types: dict) -> dict:
+    return {k: v for k, v in settings.items() if k in types}
+
+
+def _engine(settings: dict, cep: dict) -> EngineConfig:
+    return EngineConfig(cep=CepConfig(**cep), **_pick(settings, _ENGINE_TYPES))
 
 
 def save_manifest(manifest: RunManifest, path: str | Path) -> None:
@@ -143,12 +156,16 @@ def save_manifest(manifest: RunManifest, path: str | Path) -> None:
         fh.write("\n")
 
 
-def load_manifest(path: str | Path) -> RunManifest:
+def read_json(path: str | Path) -> Any:
     with open(path, encoding="utf-8") as fh:
         try:
-            d = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_manifest(path: str | Path) -> RunManifest:
+    d = read_json(path)
     if not isinstance(d, dict):
         raise ValidationError(f"{path}: manifest must be a JSON object")
     return RunManifest.from_dict(d)
@@ -164,7 +181,7 @@ def resolve_series(manifest: RunManifest) -> tuple[SeriesSource, np.ndarray | No
         )
         labels = None
     else:
-        spec = manifest.synthetic_spec()
+        spec = spec_from_dict(manifest.data)
         stream = generate(spec)
         source = stream.source(seed=spec.seed)
         labels = stream.labels
@@ -174,25 +191,6 @@ def resolve_series(manifest: RunManifest) -> tuple[SeriesSource, np.ndarray | No
 
 
 # --- flat key = value config files -----------------------------------------
-
-_CONFIG_COERCERS: dict[str, Any] = {
-    "tau_mu": float, "tau_gene": float, "tau_l": float, "tau_safe": int,
-    "tau_e": float, "tau_lr": float, "t_lr": int, "scope_s": int,
-    "retrieval_score": str, "evolution": bool, "elimination": bool,
-    "gradient_abandonment": bool, "optimizer_adjustment": bool,
-    "use_local_gene": bool, "use_global_gene": bool, "max_pool_size": int,
-    "lookback": int, "horizon": int, "forecaster": str, "hidden": int,
-    "lr_raw": float, "warm_epochs": int, "seed": int, "normalize": str,
-    "data": str, "column": str, "has_header": bool,
-}
-
-_CEP_KEYS = {
-    "tau_mu", "tau_gene", "tau_l", "tau_safe", "tau_e", "tau_lr", "t_lr",
-    "scope_s", "retrieval_score", "evolution", "elimination",
-    "gradient_abandonment", "optimizer_adjustment", "use_local_gene",
-    "use_global_gene", "max_pool_size",
-}
-
 
 def _coerce_bool(raw: str, key: str) -> bool:
     low = raw.lower()
@@ -214,14 +212,18 @@ def parse_config_file(path: str | Path) -> dict:
             if "=" not in text:
                 raise ValidationError(f"{path} line {line_no}: expected key = value")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _CONFIG_COERCERS:
+            if key not in CONFIG_TYPES:
                 raise ValidationError(f"{path} line {line_no}: unknown key {key!r}")
-            if raw.lower() in ("none", ""):
+            base, optional = CONFIG_TYPES[key]
+            if raw.lower() in ("none", "null", ""):
+                if not optional:
+                    raise ValidationError(
+                        f"{path} line {line_no}: {key} must be {base.__name__}, got {raw!r}"
+                    )
                 settings[key] = None
                 continue
-            coerce = _CONFIG_COERCERS[key]
             try:
-                settings[key] = _coerce_bool(raw, key) if coerce is bool else coerce(raw)
+                settings[key] = _coerce_bool(raw, key) if base is bool else base(raw)
             except ValueError:
                 raise ValidationError(
                     f"{path} line {line_no}: cannot parse {raw!r} for {key}"
@@ -229,11 +231,23 @@ def parse_config_file(path: str | Path) -> dict:
     return settings
 
 
-def split_cep_settings(settings: dict) -> tuple[dict, dict]:
-    """Partition parsed settings into CepConfig kwargs and the rest."""
-    cep = {k: v for k, v in settings.items() if k in _CEP_KEYS}
-    other = {k: v for k, v in settings.items() if k not in _CEP_KEYS}
-    return cep, other
+def manifest_from_settings(settings: dict, out_dir: str | None = None) -> RunManifest:
+    """A CSV-source manifest from parsed config keys; absent keys take the defaults."""
+    missing = [k for k in ("data", *_REQUIRED) if k not in settings]
+    if missing:
+        raise ValidationError(
+            f"missing required setting(s) {', '.join(missing)}: set by flag or config file"
+        )
+    data = {
+        "kind": "csv",
+        "path": settings["data"],
+        "column": settings.get("column", "0"),
+        "has_header": settings.get("has_header", True),
+    }
+    return RunManifest(
+        data=data, engine=_engine(settings, _pick(settings, _CEP_TYPES)), out_dir=out_dir,
+        **_pick(settings, _RUN_TYPES),
+    )
 
 
 # --- results bundles --------------------------------------------------------
@@ -311,8 +325,7 @@ def write_bundle(bundle: dict, out_dir: str | Path, labels: np.ndarray | None = 
 
 
 def read_bundle(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        bundle = json.load(fh)
+    bundle = read_json(path)
     if not isinstance(bundle, dict) or "records" not in bundle:
         raise ValidationError(f"{path}: not a results bundle")
     return bundle

@@ -98,7 +98,6 @@ class PoolEntry:
     n_pred: int = 0
     n_wait: int = 0
     lr_current: float = 0.0
-    lr_warm_steps_remaining: int = 0
 
 
 def effective_gene(state: GeneState, config: CepConfig) -> GeneVector:
@@ -133,8 +132,6 @@ def lr_tick(entry: PoolEntry, lr_raw: float, config: CepConfig) -> float:
         raise ValidationError(f"tau_lr must be > 0, got {config.tau_lr}")
     factor = config.tau_lr ** (-1.0 / config.t_lr)
     entry.lr_current = min(lr_raw, factor * entry.lr_current)
-    if entry.lr_warm_steps_remaining > 0:
-        entry.lr_warm_steps_remaining -= 1
     return entry.lr_current
 
 
@@ -157,16 +154,12 @@ class Pool:
         self._next_id = 0
         self.last_selected_id: int | None = None
         self.entries: list[PoolEntry] = []
-        self._append(first, fresh_state(), lr_current=self.lr_raw, warm_steps=0)
+        self._append(first, fresh_state(), lr_current=self.lr_raw)
 
     def _append(self, forecaster: Forecaster, genes: GeneState,
-                lr_current: float, warm_steps: int) -> PoolEntry:
+                lr_current: float) -> PoolEntry:
         entry = PoolEntry(
-            forecaster=forecaster,
-            genes=genes,
-            id=self._next_id,
-            lr_current=lr_current,
-            lr_warm_steps_remaining=warm_steps,
+            forecaster=forecaster, genes=genes, id=self._next_id, lr_current=lr_current,
         )
         self._next_id += 1
         self.entries.append(entry)
@@ -174,12 +167,6 @@ class Pool:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def get(self, entry_id: int) -> PoolEntry | None:
-        for e in self.entries:
-            if e.id == entry_id:
-                return e
-        return None
 
     def nearest(self, sample_gene: GeneVector) -> PoolEntry:
         """Entry with minimal retrieval cost; ties go to the smallest id."""
@@ -201,16 +188,8 @@ class Pool:
         evicts the oldest entry other than the child (FIFO).
         """
         cfg = self.config
-        if cfg.optimizer_adjustment:
-            lr0 = cfg.tau_lr * self.lr_raw
-            warm = cfg.t_lr
-        else:
-            lr0 = self.lr_raw
-            warm = 0
-        child = self._append(
-            parent.forecaster.deep_clone(), fresh_state(sample_gene),
-            lr_current=lr0, warm_steps=warm,
-        )
+        lr0 = cfg.tau_lr * self.lr_raw if cfg.optimizer_adjustment else self.lr_raw
+        child = self._append(parent.forecaster.deep_clone(), fresh_state(sample_gene), lr0)
         if cfg.max_pool_size is not None and len(self.entries) > cfg.max_pool_size:
             oldest = min((e for e in self.entries if e.id != child.id), key=lambda e: e.id)
             self.entries.remove(oldest)

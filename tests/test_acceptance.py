@@ -214,10 +214,7 @@ def test_c07_identification_purity(tmp_path):
                 "schedule": [list(s) for s in spec.schedule],
                 "seed": 0,
             },
-            lookback=60,
-            horizon=30,
-            forecaster="naive",
-            warm_epochs=1,
+            engine=EngineConfig(lookback=60, horizon=30, forecaster="naive", warm_epochs=1),
             normalize="warm_segment",
         )
         cmd_run(manifest, out_dir=tmp_path)
@@ -330,13 +327,8 @@ def test_c11_determinism(tmp_path):
                 "schedule": [[0, 500], [1, 500], [0, 500], [1, 500]],
                 "seed": 11,
             },
-            lookback=20,
-            horizon=10,
-            forecaster="mlp",
-            hidden=8,
-            lr_raw=1e-3,
-            warm_epochs=2,
-            seed=7,
+            engine=EngineConfig(lookback=20, horizon=10, forecaster="mlp", hidden=8,
+                                lr_raw=1e-3, warm_epochs=2, seed=7),
         )
         a = cmd_run(manifest, out_dir=tmp_path / "a")
         b = cmd_run(manifest, out_dir=tmp_path / "b")

@@ -16,7 +16,8 @@ from driftpool.cli import (
     compute_purity,
     main,
 )
-from driftpool.data import default_stream_spec, generate, load_csv
+from driftpool.data import default_stream_spec, generate, load_csv, spec_from_dict
+from driftpool.engine import EngineConfig
 from driftpool.errors import ValidationError
 from driftpool.manifest import (
     RunManifest,
@@ -28,20 +29,20 @@ from driftpool.manifest import (
 from driftpool.pool import CepConfig
 
 
-def synthetic_manifest(**overrides):
+def synthetic_manifest(data=None, out_dir=None, **engine):
     """Small fast manifest over a two-concept recurring stream."""
-    data = {
-        "kind": "synthetic",
-        "concepts": [
-            {"level": 0.0, "amplitude": 1.0, "period": 24, "noise_sigma": 0.2},
-            {"level": 8.0, "amplitude": 1.0, "period": 24, "noise_sigma": 0.2},
-        ],
-        "schedule": [[0, 400], [1, 400], [0, 400], [1, 400]],
-        "seed": 3,
-    }
-    kwargs = dict(data=data, lookback=16, horizon=8, forecaster="naive", warm_epochs=1)
-    kwargs.update(overrides)
-    return RunManifest(**kwargs)
+    if data is None:
+        data = {
+            "kind": "synthetic",
+            "concepts": [
+                {"level": 0.0, "amplitude": 1.0, "period": 24, "noise_sigma": 0.2},
+                {"level": 8.0, "amplitude": 1.0, "period": 24, "noise_sigma": 0.2},
+            ],
+            "schedule": [[0, 400], [1, 400], [0, 400], [1, 400]],
+            "seed": 3,
+        }
+    engine = {"lookback": 16, "horizon": 8, "forecaster": "naive", "warm_epochs": 1, **engine}
+    return RunManifest(data=data, engine=EngineConfig(**engine), out_dir=out_dir)
 
 
 class TestManifest:
@@ -85,6 +86,13 @@ class TestManifest:
                     "cep": {"tau_q": 1},
                 }
             )
+
+    def test_json_numbers_keep_their_type(self):
+        d = synthetic_manifest().to_dict()
+        d["cep"]["tau_e"] = 2  # an int in a float field must not become 2.0
+        loaded = RunManifest.from_dict(d)
+        assert type(loaded.engine.cep.tau_e) is int
+        assert json.dumps(loaded.to_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
 
     def test_data_kind_required(self):
         with pytest.raises(ValidationError, match="kind"):
@@ -203,7 +211,7 @@ class TestCmdRun:
         )
         bundle = cmd_run(manifest, out_dir=None)
         source, _ = resolve_series(manifest)
-        bare = build_bundle(manifest, run_bare(source.values, manifest.engine_config()),
+        bare = build_bundle(manifest, run_bare(source.values, manifest.engine),
                             source.n)
         assert bundle["records"] == bare["records"]
         assert bundle["aggregate"] == bare["aggregate"]
@@ -245,6 +253,22 @@ class TestCmdCompare:
         b = synthetic_manifest(lookback=20)
         with pytest.raises(ValidationError, match="differs from the baseline"):
             cmd_compare([a, b])
+
+    def test_zero_mse_baseline(self, tmp_path, capsys):
+        from driftpool.data import write_series_csv
+
+        write_series_csv(tmp_path / "flat.csv", np.full(800, 2.0), "v")
+        data = {"kind": "csv", "path": str(tmp_path / "flat.csv"), "column": "v"}
+        paths = []
+        for name, seed in (("a", 0), ("b", 1)):
+            paths.append(tmp_path / f"{name}.json")
+            save_manifest(synthetic_manifest(data=data, seed=seed), paths[-1])
+        rc = main(["compare", *map(str, paths), "--out", str(tmp_path / "cmp")])
+        assert rc == EXIT_OK
+        assert "n/a" in capsys.readouterr().out
+        assert (tmp_path / "cmp" / "compare.csv").read_text().splitlines()[1:] == [
+            "a,0,", "b,0,",
+        ]
 
     def test_needs_two(self):
         with pytest.raises(ValidationError, match="at least 2"):
@@ -319,7 +343,7 @@ class TestPurity:
     def test_skip_safety_flag_excludes_early_serves(self, capsys):
         manifest = synthetic_manifest()
         records = self.run_records(manifest)
-        spec = manifest.synthetic_spec()
+        spec = spec_from_dict(manifest.data)
         labels = generate(spec).labels
         plain = compute_purity(records, labels, 16, 15, skip_safety=False)
         skipped = compute_purity(records, labels, 16, 15, skip_safety=True)
@@ -389,6 +413,32 @@ class TestMainExitCodes:
         assert rc == EXIT_RUNTIME
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, bad", [
+        ("config", "hidden = none"),
+        ("config", "tau_mu = none"),
+        ("config", "has_header = none"),
+        ("manifest", {"lookback": "10"}),
+        ("manifest", {"cep": {"tau_mu": "3"}}),
+        ("manifest", {"forecaster": "arima"}),
+        ("concept", {"level": float("nan")}),
+        ("concept", {"level": "abc"}),
+    ])
+    def test_bad_config_values(self, tmp_path, capsys, where, bad):
+        if where == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"data = x.csv\nlookback = 16\nhorizon = 8\n{bad}\n")
+            argv = ["run", "--config", str(cfg)]
+        else:
+            manifest = synthetic_manifest().to_dict()
+            if where == "manifest":
+                manifest.update(bad)
+            else:
+                manifest["data"]["concepts"][0].update(bad)
+            (tmp_path / "m.json").write_text(json.dumps(manifest))
+            argv = ["run", "--manifest", str(tmp_path / "m.json")]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_generate_spec(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
         bad.write_text(json.dumps({"concepts": [{"level": 0.0}], "schedule": [[0, 0]]}))
@@ -428,6 +478,20 @@ class TestAblationFlags:
         assert cep["use_global_gene"] is False
         assert cep["retrieval_score"] == "mle"
         assert cep["max_pool_size"] == 4
+
+    def test_flags_set_their_config_keys(self):
+        from driftpool.cli import _manifest_from_args, build_parser
+
+        args = build_parser().parse_args([
+            "run", "--data", "x.csv", "--lookback", "8", "--horizon", "4", "--no-header",
+            "--no-evolution", "--global-only", "--lr", "0.5",
+        ])
+        d = _manifest_from_args(args).to_dict()
+        assert d["data"]["has_header"] is False
+        assert d["lr_raw"] == 0.5
+        assert d["cep"]["evolution"] is False
+        assert d["cep"]["use_local_gene"] is False
+        assert d["cep"]["use_global_gene"] is True
 
     def test_both_gene_parts_off_rejected(self, tmp_path, capsys):
         rc, _ = self.run_flags(tmp_path, "--local-only", "--global-only")

@@ -187,7 +187,7 @@ class TestOnlineStep:
         for e in pool.entries:
             assert e.forecaster.parameter_checksum() == checksums[e.id]
             assert e.genes == genes[e.id]
-        selected = pool.get(record.selected_entry_id)
+        selected = next(e for e in pool.entries if e.id == record.selected_entry_id)
         assert selected.n_pred == preds[selected.id] + 1
 
     def test_records_are_time_ordered(self):

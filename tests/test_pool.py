@@ -177,13 +177,11 @@ class TestEvolve:
         pool = make_pool(CepConfig(tau_lr=0.5, t_lr=10), lr_raw=0.01)
         child = pool.evolve(pool.entries[0], GeneVector(1, 1))
         assert child.lr_current == pytest.approx(0.005)
-        assert child.lr_warm_steps_remaining == 10
 
     def test_no_lr_adjustment_when_switched_off(self):
         pool = make_pool(CepConfig(optimizer_adjustment=False), lr_raw=0.01)
         child = pool.evolve(pool.entries[0], GeneVector(1, 1))
         assert child.lr_current == 0.01
-        assert child.lr_warm_steps_remaining == 0
 
     def test_fifo_cap_evicts_oldest(self):
         pool = make_pool(CepConfig(max_pool_size=3))
@@ -210,7 +208,6 @@ class TestLrTick:
         for _ in range(10):
             lr_tick(child, pool.lr_raw, cfg)
         assert child.lr_current == pytest.approx(0.01, rel=1e-12)
-        assert child.lr_warm_steps_remaining == 0
 
     def test_capped_at_raw(self):
         cfg = CepConfig()
