@@ -12,6 +12,7 @@ shift, in which case the gradient is abandoned), and prunes the pool.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,14 @@ import numpy as np
 from .data import warm_split_index
 from .errors import NumericError, SizingError, ValidationError
 from .forecasters import FORECASTER_KINDS, make_forecaster, mse
-from .gene import GeneState, GeneVector, compute_gene, ema_update, global_update
+from .gene import (
+    GeneState,
+    GeneVector,
+    compute_gene,
+    ema_update,
+    global_update,
+    window_genes,
+)
 from .pool import (
     CepConfig,
     Pool,
@@ -36,11 +44,45 @@ DEFAULT_LR = {"naive": 0.01, "linear": 0.01, "mlp": 0.003}
 
 @dataclass(frozen=True)
 class Instance:
-    """Input window, its ground truth, and the stream index of the window start."""
+    """Input window, its ground truth, the stream index of the window start,
+    and both windows' signatures over their last ``scope`` values."""
 
     x: np.ndarray
     y: np.ndarray
     t: int
+    z_x: GeneVector
+    z_y: GeneVector
+    scope: int
+
+
+class InstanceSet(Sequence):
+    """Instance pairs over one series, every window's signature computed once.
+
+    Holds the window starts and the signature arrays rather than one object
+    per instance; indexing builds the ``Instance``.
+    """
+
+    def __init__(self, series: np.ndarray, starts: np.ndarray, lookback: int,
+                 horizon: int, scope: int):
+        self.series, self.starts = series, starts
+        self.lookback, self.horizon, self.scope = lookback, horizon, scope
+        self.x_mu, self.x_sigma = window_genes(series, starts, lookback, scope)
+        self.y_mu, self.y_sigma = window_genes(series, starts + lookback, horizon, scope)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i: int) -> Instance:
+        t = int(self.starts[i])
+        mid = t + self.lookback
+        return Instance(
+            x=self.series[t:mid],
+            y=self.series[mid:mid + self.horizon],
+            t=t,
+            z_x=GeneVector(float(self.x_mu[i]), float(self.x_sigma[i])),
+            z_y=GeneVector(float(self.y_mu[i]), float(self.y_sigma[i])),
+            scope=self.scope,
+        )
 
 
 @dataclass(frozen=True)
@@ -68,8 +110,8 @@ class EngineConfig:
             )
         if self.warm_epochs < 0:
             raise ValidationError(f"warm_epochs must be >= 0, got {self.warm_epochs}")
-        if self.lr_raw is not None and self.lr_raw <= 0:
-            raise ValidationError(f"lr_raw must be > 0, got {self.lr_raw}")
+        if self.lr_raw is not None and not 0 < self.lr_raw < float("inf"):
+            raise ValidationError(f"lr_raw must be finite and > 0, got {self.lr_raw}")
 
     def resolved_lr(self) -> float:
         return self.lr_raw if self.lr_raw is not None else DEFAULT_LR[self.forecaster]
@@ -108,25 +150,23 @@ class RunResult:
 
 
 def make_instances(series: np.ndarray, start: int, stop: int, stride: int,
-                   lookback: int, horizon: int) -> list[Instance]:
+                   lookback: int, horizon: int, scope: int) -> InstanceSet:
     """Instance pairs with window starts in [start, stop) at the given stride.
 
     An instance is kept only if its ground truth fits inside the series;
     the ground truth begins exactly at t + lookback, never overlapping
-    the input window.
+    the input window. Signatures are taken over the last ``scope`` values.
     """
-    out = []
-    span = lookback + horizon
-    limit = min(stop, len(series) - span + 1)
-    for t in range(start, limit, stride):
-        out.append(Instance(x=series[t:t + lookback], y=series[t + lookback:t + span], t=t))
-    return out
+    limit = min(stop, len(series) - (lookback + horizon) + 1)
+    return InstanceSet(series, np.arange(start, limit, stride), lookback, horizon, scope)
 
 
-def split_instances(series: np.ndarray, lookback: int, horizon: int
-                    ) -> tuple[list[Instance], list[Instance]]:
-    """Warm (stride 1) and online (stride = horizon) instance sets."""
+def split_instances(series: np.ndarray, config: EngineConfig
+                    ) -> tuple[InstanceSet, InstanceSet]:
+    """Warm (stride 1) and online (stride = horizon) instance sets for ``config``."""
+    series = np.asarray(series, dtype=float)
     n = len(series)
+    lookback, horizon, scope = config.lookback, config.horizon, config.scope()
     warm_len = warm_split_index(n)
     span = lookback + horizon
     minimum = 4 * span
@@ -135,12 +175,19 @@ def split_instances(series: np.ndarray, lookback: int, horizon: int
             f"series too short: {n} points; need at least {minimum} "
             f"for lookback {lookback} and horizon {horizon}"
         )
-    warm = make_instances(series, 0, warm_len - span + 1, 1, lookback, horizon)
-    online = make_instances(series, warm_len, n, horizon, lookback, horizon)
+    warm = make_instances(series, 0, warm_len - span + 1, 1, lookback, horizon, scope)
+    online = make_instances(series, warm_len, n, horizon, lookback, horizon, scope)
     return warm, online
 
 
-def warm_up(pool: Pool, warm_instances: list[Instance], epochs: int,
+def _check_scope(scope: int, config: EngineConfig) -> None:
+    if scope != config.scope():
+        raise ValidationError(
+            f"instance signatures were computed for scope {scope}, the run uses {config.scope()}"
+        )
+
+
+def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int,
             lr_raw: float, config: EngineConfig) -> list[float]:
     """Train the seed forecaster conventionally and let it absorb every window.
 
@@ -151,14 +198,18 @@ def warm_up(pool: Pool, warm_instances: list[Instance], epochs: int,
     """
     if len(pool.entries) != 1:
         raise ValidationError(f"warm-up expects a single-entry pool, got {len(pool.entries)}")
+    _check_scope(warm_instances.scope, config)
     entry = pool.entries[0]
-    scope = config.scope()
+    series, lookback = warm_instances.series, warm_instances.lookback
+    span = lookback + warm_instances.horizon
+    steps = list(zip(warm_instances.starts.tolist(), warm_instances.x_mu.tolist(),
+                     warm_instances.x_sigma.tolist()))
     losses: list[float] = []
     for _ in range(epochs):
-        for inst in warm_instances:
-            z = compute_gene(inst.x, scope)
-            losses.append(entry.forecaster.train_step(inst.x, inst.y, lr_raw))
-            absorb_instance(entry, z, config.cep)
+        for t, mu, sigma in steps:
+            x, y = series[t:t + lookback], series[t + lookback:t + span]
+            losses.append(entry.forecaster.train_step(x, y, lr_raw))
+            absorb_instance(entry, GeneVector(mu, sigma), config.cep)
             pool.mark_selected(entry)
     return losses
 
@@ -166,8 +217,8 @@ def warm_up(pool: Pool, warm_instances: list[Instance], epochs: int,
 def online_step(pool: Pool, instance: Instance, config: EngineConfig) -> StepRecord:
     """One delayed-feedback step: retrieve or split, forecast, maybe train, prune."""
     cep = config.cep
-    scope = config.scope()
-    z_x = compute_gene(instance.x, scope)
+    _check_scope(instance.scope, config)
+    z_x = instance.z_x
 
     near = pool.nearest(z_x)
     evolved = should_evolve(near, z_x, cep)
@@ -185,8 +236,7 @@ def online_step(pool: Pool, instance: Instance, config: EngineConfig) -> StepRec
         raise NumericError(f"non-finite forecast at t={instance.t}")
     err = mse(forecast, instance.y)
 
-    z_y = compute_gene(instance.y, scope)
-    abandoned = cep.gradient_abandonment and should_evolve(current, z_y, cep)
+    abandoned = cep.gradient_abandonment and should_evolve(current, instance.z_y, cep)
     if not abandoned:
         current.forecaster.train_step(instance.x, instance.y, current.lr_current)
         lr_tick(current, pool.lr_raw, cep)
@@ -227,8 +277,7 @@ def _aggregate(records: list[StepRecord], pool_size: int, pool: Pool | None) -> 
 
 def run(series: np.ndarray, config: EngineConfig) -> RunResult:
     """Full pipeline over one series: split, warm up, stream every online instance."""
-    series = np.asarray(series, dtype=float)
-    warm, online = split_instances(series, config.lookback, config.horizon)
+    warm, online = split_instances(series, config)
     lr_raw = config.resolved_lr()
     forecaster = make_forecaster(
         config.forecaster, config.lookback, config.horizon,
@@ -247,8 +296,7 @@ def run_bare(series: np.ndarray, config: EngineConfig) -> RunResult:
     Independent reference loop for ablation checks: a pool run with
     evolution disabled must reproduce this bit for bit.
     """
-    series = np.asarray(series, dtype=float)
-    warm, online = split_instances(series, config.lookback, config.horizon)
+    warm, online = split_instances(series, config)
     lr_raw = config.resolved_lr()
     forecaster = make_forecaster(
         config.forecaster, config.lookback, config.horizon,

@@ -23,7 +23,7 @@ def mse(pred: np.ndarray, truth: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
+        raise ValidationError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     return float(np.mean((pred - truth) ** 2))
 
 
@@ -58,14 +58,14 @@ class Forecaster(ABC):
     def _check_window(self, window: np.ndarray) -> np.ndarray:
         arr = np.asarray(window, dtype=float)
         if arr.shape != (self.lookback,):
-            raise ValueError(f"window shape {arr.shape} != ({self.lookback},)")
+            raise ValidationError(f"window shape {arr.shape} != ({self.lookback},)")
         return arr
 
     def _check_pair(self, window, truth) -> tuple[np.ndarray, np.ndarray]:
         x = self._check_window(window)
         y = np.asarray(truth, dtype=float)
         if y.shape != (self.horizon,):
-            raise ValueError(f"truth shape {y.shape} != ({self.horizon},)")
+            raise ValidationError(f"truth shape {y.shape} != ({self.horizon},)")
         return x, y
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ValidationError
 
@@ -21,6 +22,11 @@ from .errors import NumericError, ValidationError
 # the likelihood score divide by zero. Every sigma used as a divisor or
 # threshold is floored at this value.
 SIGMA_FLOOR = 1e-8
+
+# Windows per block of the vectorized signature pass. Its temporaries hold
+# at most this many tails (120 KB of 60-point tails), however long the
+# series; 4096-window blocks raised a short run's peak RSS by ~9%.
+GENE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -61,11 +67,43 @@ def compute_gene(window: Sequence[float] | np.ndarray, scope: int) -> GeneVector
         raise ValidationError(f"scope must be >= 1, got {scope}")
     arr = np.asarray(window, dtype=float)
     if arr.size == 0:
-        raise ValueError("empty window")
+        raise ValidationError("empty window")
     if not np.isfinite(arr).all():
-        raise ValueError("non-finite input")
+        raise NumericError("non-finite input")
     tail = arr[-scope:]
     return GeneVector(float(tail.mean()), float(tail.std()))
+
+
+def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``compute_gene(series[s:s + length], scope)`` for every s in ``starts``, as arrays.
+
+    Returns the means and the stds. The tails are gathered GENE_CHUNK at a
+    time and reduced row-wise, which matches the 1-D reductions of
+    compute_gene bit for bit. Like compute_gene, it rejects a window with a
+    non-finite value anywhere in it and leaves its outputs unchecked.
+    """
+    if scope < 1:
+        raise ValidationError(f"scope must be >= 1, got {scope}")
+    if length < 1:
+        raise ValidationError("empty window")
+    series = np.asarray(series, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    mu, sigma = np.empty(len(starts)), np.empty(len(starts))
+    if not len(starts):
+        return mu, sigma
+    bad = np.concatenate(([0], np.cumsum(~np.isfinite(series))))
+    hit = bad[starts + length] > bad[starts]
+    if hit.any():
+        raise NumericError(f"non-finite input in the window at t={starts[hit.argmax()]}")
+    tail = min(scope, length)
+    tails = sliding_window_view(series, tail)
+    first = starts + (length - tail)
+    for lo in range(0, len(starts), GENE_CHUNK):
+        block = tails[first[lo:lo + GENE_CHUNK]]
+        mu[lo:lo + GENE_CHUNK] = block.mean(axis=1)
+        sigma[lo:lo + GENE_CHUNK] = block.std(axis=1)
+    return mu, sigma
 
 
 def ema_update(local: GeneVector, instance_gene: GeneVector, tau_l: float) -> GeneVector:
@@ -88,7 +126,7 @@ def global_update(
     both moments from scratch over the full history, without storing it.
     """
     if n < 1:
-        raise ValueError(f"absorbed-sample count must be >= 1, got {n}")
+        raise ValidationError(f"absorbed-sample count must be >= 1, got {n}")
     mu_g, x = global_.mu, instance_gene.mu
     new_mu = (n * mu_g + x) / (n + 1)
     new_var = (n / (n + 1)) * global_.sigma**2 + (n / (n + 1) ** 2) * (mu_g - x) ** 2

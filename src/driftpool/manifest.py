@@ -60,6 +60,7 @@ class RunManifest:
         if kind == "csv":
             if "path" not in self.data or "column" not in self.data:
                 raise ValidationError("data.kind=csv requires data.path and data.column")
+            _check_fields(self.data, _CSV_TYPES, "data")
         elif kind == "synthetic":
             spec_from_dict(self.data)  # validates
         else:
@@ -116,11 +117,16 @@ _MANIFEST_TYPES = {**_ENGINE_TYPES, **_field_types(RunManifest, "data", "engine"
 _REQUIRED = tuple(f.name for f in dataclasses.fields(EngineConfig)
                   if f.default is dataclasses.MISSING
                   and f.default_factory is dataclasses.MISSING)
-# Config files name a CSV source in place of a manifest's "data" object; the
-# output directory comes from --out.
+# A manifest's "data" object for a CSV source.
+_CSV_TYPES = {
+    "kind": (str, False), "path": (str, False), "column": (str, False),
+    "has_header": (bool, False),
+}
+# Config files name a CSV source in place of a manifest's "data" object, its
+# path under the key "data"; the output directory comes from --out.
 CONFIG_TYPES = {
-    **_CEP_TYPES, **_ENGINE_TYPES, **_RUN_TYPES,
-    "data": (str, False), "column": (str, False), "has_header": (bool, False),
+    **_CEP_TYPES, **_ENGINE_TYPES, **_RUN_TYPES, "data": _CSV_TYPES["path"],
+    "column": _CSV_TYPES["column"], "has_header": _CSV_TYPES["has_header"],
 }
 
 
@@ -174,11 +180,8 @@ def load_manifest(path: str | Path) -> RunManifest:
 def resolve_series(manifest: RunManifest) -> tuple[SeriesSource, np.ndarray | None]:
     """Materialize the manifest's data source; labels only exist for synthetic."""
     if manifest.data["kind"] == "csv":
-        source = load_csv(
-            manifest.data["path"],
-            str(manifest.data["column"]),
-            bool(manifest.data.get("has_header", True)),
-        )
+        data = manifest.data
+        source = load_csv(data["path"], data["column"], data.get("has_header", True))
         labels = None
     else:
         spec = spec_from_dict(manifest.data)

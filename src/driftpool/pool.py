@@ -147,8 +147,8 @@ class Pool:
     """Ordered collection of entries; ids increase with creation order."""
 
     def __init__(self, first: Forecaster, lr_raw: float, config: CepConfig):
-        if lr_raw <= 0:
-            raise ValidationError(f"lr_raw must be > 0, got {lr_raw}")
+        if not 0 < lr_raw < float("inf"):
+            raise ValidationError(f"lr_raw must be finite and > 0, got {lr_raw}")
         self.lr_raw = float(lr_raw)
         self.config = config
         self._next_id = 0

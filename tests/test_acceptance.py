@@ -295,7 +295,7 @@ def test_c10_gradient_abandonment():
         series = series + 0.01 * np.sin(np.arange(len(series)))
         config = EngineConfig(lookback=lookback, horizon=horizon, forecaster="linear",
                               lr_raw=1e-4, warm_epochs=1)
-        warm, online = split_instances(series, lookback, horizon)
+        warm, online = split_instances(series, config)
         pool = Pool(LinearForecaster(lookback, horizon), 1e-4, config.cep)
         warm_up(pool, warm, 1, 1e-4, config)
 

@@ -422,6 +422,11 @@ class TestMainExitCodes:
         ("manifest", {"forecaster": "arima"}),
         ("concept", {"level": float("nan")}),
         ("concept", {"level": "abc"}),
+        ("manifest", {"lr_raw": float("nan")}),
+        ("manifest", {"lr_raw": float("inf")}),
+        ("manifest", {"data": {"kind": "csv", "path": "x.csv", "column": "v",
+                               "has_header": "false"}}),
+        ("manifest", {"data": {"kind": "csv", "path": "x.csv", "column": 3}}),
     ])
     def test_bad_config_values(self, tmp_path, capsys, where, bad):
         if where == "config":

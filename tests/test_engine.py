@@ -1,8 +1,13 @@
 """Engine orchestration tests: splits, warm-up, online semantics, determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from driftpool import gene
 from driftpool.engine import (
     EngineConfig,
     Instance,
@@ -14,9 +19,9 @@ from driftpool.engine import (
     warm_split_index,
     warm_up,
 )
-from driftpool.errors import SizingError, ValidationError
+from driftpool.errors import DriftpoolError, SizingError, ValidationError
 from driftpool.forecasters import LinearForecaster, NaiveForecaster, mse
-from driftpool.gene import GeneVector
+from driftpool.gene import GeneVector, compute_gene
 from driftpool.pool import CepConfig, Pool
 
 
@@ -31,6 +36,11 @@ def enumerate_windows(n, start, stop, stride, lookback, horizon):
     return out
 
 
+def no_instances():
+    """An empty warm set for an 8/4 run with the default scope."""
+    return make_instances(np.zeros(12), 0, 0, 1, 8, 4, 8)
+
+
 def shifted_series(levels, seg, sigma=0.25, seed=0):
     rng = np.random.default_rng(seed)
     return np.concatenate([np.full(seg, lvl) + rng.normal(0, sigma, seg) for lvl in levels])
@@ -39,7 +49,7 @@ def shifted_series(levels, seg, sigma=0.25, seed=0):
 class TestSplit:
     def test_documented_arithmetic(self):
         series = np.arange(400, dtype=float)
-        warm, online = split_instances(series, 60, 30)
+        warm, online = split_instances(series, EngineConfig(60, 30))
         assert warm_split_index(400) == 100
         assert len(warm) == 11  # stride-1 pairs inside the first 100 points
         assert [i.t for i in online] == [100, 130, 160, 190, 220, 250, 280, 310]
@@ -52,7 +62,7 @@ class TestSplit:
             horizon = int(rng.integers(1, 40))
             n = int(rng.integers(4 * (lookback + horizon), 2000))
             series = np.zeros(n)
-            warm, online = split_instances(series, lookback, horizon)
+            warm, online = split_instances(series, EngineConfig(lookback, horizon))
             w = warm_split_index(n)
             span = lookback + horizon
             assert [i.t for i in warm] == enumerate_windows(n, 0, w - span + 1, 1, lookback, horizon)
@@ -60,34 +70,123 @@ class TestSplit:
 
     def test_window_contents(self):
         series = np.arange(500, dtype=float)
-        _, online = split_instances(series, 10, 5)
+        _, online = split_instances(series, EngineConfig(10, 5))
         inst = online[0]
         assert np.array_equal(inst.x, np.arange(inst.t, inst.t + 10))
         assert np.array_equal(inst.y, np.arange(inst.t + 10, inst.t + 15))
 
     def test_truth_never_overlaps_input(self):
         series = np.zeros(600)
-        warm, online = split_instances(series, 12, 7)
-        for inst in warm + online:
+        warm, online = split_instances(series, EngineConfig(12, 7))
+        for inst in [*warm, *online]:
             assert inst.t + 12 == inst.t + len(inst.x)  # y starts right after x
 
     def test_online_truths_are_disjoint(self):
         series = np.zeros(1000)
-        _, online = split_instances(series, 17, 9)
+        _, online = split_instances(series, EngineConfig(17, 9))
         spans = [(i.t + 17, i.t + 17 + 9) for i in online]
         for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
             assert a_hi <= b_lo
 
     def test_too_short_series_raises_with_minimum(self):
         with pytest.raises(SizingError, match="at least 360"):
-            split_instances(np.zeros(200), 60, 30)
+            split_instances(np.zeros(200), EngineConfig(60, 30))
 
     def test_last_overrunning_instance_dropped(self):
         # online stop is the series end; a y overrun must drop the pair
         series = np.zeros(4 * 30 + 7)
-        warm, online = split_instances(series, 20, 10)
+        warm, online = split_instances(series, EngineConfig(20, 10))
         for inst in online:
             assert inst.t + 30 <= len(series)
+
+
+@st.composite
+def signature_runs(draw):
+    """A series, a config and a chunk size for the vectorized signature pass."""
+    lookback = draw(st.integers(1, 30))
+    horizon = draw(st.integers(1, 30))
+    scope_s = draw(st.integers(1, 2 * max(lookback, horizon) + 1))
+    n = draw(st.integers(4 * (lookback + horizon), 900))
+    offset = draw(st.sampled_from([0.0, 1.0, -3e4, 1e8]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    seed = draw(st.integers(0, 2**16))
+    chunk = draw(st.integers(1, 64))
+    series = offset + scale * np.random.default_rng(seed).normal(size=n)
+    config = EngineConfig(lookback, horizon, cep=CepConfig(scope_s=scope_s))
+    return series, config, chunk
+
+
+def assert_signatures_match_compute_gene(instances, scope):
+    for inst in instances:
+        assert inst.scope == scope
+        assert inst.z_x == compute_gene(inst.x, scope)
+        assert inst.z_y == compute_gene(inst.y, scope)
+
+
+class TestSignatures:
+    """The one-pass signatures equal per-window compute_gene bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(signature_runs())
+    def test_pass_equals_compute_gene(self, drawn):
+        series, config, chunk = drawn
+        with mock.patch.object(gene, "GENE_CHUNK", chunk):
+            warm, online = split_instances(series, config)
+        assert_signatures_match_compute_gene(warm, config.scope())
+        assert_signatures_match_compute_gene(online, config.scope())
+
+    def test_real_chunk_boundary(self):
+        # more warm windows than one chunk holds, at a large offset
+        series = 1e8 + np.random.default_rng(5).normal(size=4 * gene.GENE_CHUNK + 200)
+        config = EngineConfig(lookback=7, horizon=3, cep=CepConfig(scope_s=5))
+        warm, online = split_instances(series, config)
+        assert len(warm) > gene.GENE_CHUNK
+        assert_signatures_match_compute_gene(warm, 5)
+        assert_signatures_match_compute_gene(online, 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(signature_runs(), st.floats(0.0, 1.0, exclude_max=True),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_inside_covered_windows_raises(self, drawn, where, bad):
+        series, config, chunk = drawn
+        _, online = split_instances(series, config)
+        covered = online.starts[-1] + config.lookback + config.horizon
+        series[int(where * covered)] = bad
+        with mock.patch.object(gene, "GENE_CHUNK", chunk):
+            with pytest.raises(DriftpoolError, match="non-finite"):
+                split_instances(series, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(signature_runs(), st.floats(0.0, 1.0, exclude_max=True))
+    def test_non_finite_after_last_covered_point_ignored(self, drawn, where):
+        series, config, _ = drawn
+        _, online = split_instances(series, config)
+        covered = online.starts[-1] + config.lookback + config.horizon
+        assume(covered < len(series))
+        series[covered + int(where * (len(series) - covered))] = np.nan
+        warm, online = split_instances(series, config)
+        assert_signatures_match_compute_gene(online, config.scope())
+
+    def test_overflowing_std_is_not_rejected(self):
+        # finite inputs whose spread overflows: compute_gene passes them through
+        series = np.tile([1e200, -1e200, 3e199], 40)
+        config = EngineConfig(lookback=6, horizon=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            warm, online = split_instances(series, config)
+            assert warm[0].z_x.sigma == np.inf
+            assert_signatures_match_compute_gene(warm, 6)
+
+    def test_scope_mismatch_rejected(self):
+        series = shifted_series([0.0, 4.0], 300)
+        built = EngineConfig(lookback=20, horizon=10, forecaster="naive")
+        other = EngineConfig(lookback=20, horizon=10, forecaster="naive",
+                             cep=CepConfig(scope_s=5))
+        warm, online = split_instances(series, built)
+        pool = Pool(NaiveForecaster(20, 10), 0.01, other.cep)
+        with pytest.raises(ValidationError, match="scope"):
+            warm_up(pool, warm, 1, 0.01, other)
+        with pytest.raises(ValidationError, match="scope"):
+            online_step(pool, online[0], other)
 
 
 class TestWarmUp:
@@ -99,7 +198,7 @@ class TestWarmUp:
         pool = self.make_pool()
         config = EngineConfig(lookback=8, horizon=4, forecaster="naive")
         before = pool.entries[0].genes
-        assert warm_up(pool, [], 5, 0.01, config) == []
+        assert warm_up(pool, no_instances(), 5, 0.01, config) == []
         assert pool.entries[0].genes == before
         assert len(pool) == 1
 
@@ -107,7 +206,7 @@ class TestWarmUp:
         c = 5.0
         series = np.full(2400, c)
         config = EngineConfig(lookback=8, horizon=4, forecaster="naive", warm_epochs=2)
-        warm, _ = split_instances(series, 8, 4)
+        warm, _ = split_instances(series, config)
         pool = self.make_pool()
         warm_up(pool, warm, 2, 0.01, config)
         entry = pool.entries[0]
@@ -119,7 +218,7 @@ class TestWarmUp:
     def test_counts_toward_safety_period(self):
         series = np.full(400, 1.0)
         config = EngineConfig(lookback=8, horizon=4, forecaster="naive", warm_epochs=1)
-        warm, _ = split_instances(series, 8, 4)
+        warm, _ = split_instances(series, config)
         pool = self.make_pool()
         warm_up(pool, warm, 1, 0.01, config)
         assert pool.entries[0].n_pred == len(warm)
@@ -128,7 +227,7 @@ class TestWarmUp:
     def test_learnable_trend_reduces_loss(self):
         series = np.linspace(0.0, 4.0, 1200)
         config = EngineConfig(lookback=8, horizon=4, warm_epochs=3, lr_raw=0.01)
-        warm, _ = split_instances(series, 8, 4)
+        warm, _ = split_instances(series, config)
         pool = Pool(LinearForecaster(8, 4), 0.01, config.cep)
         losses = warm_up(pool, warm, 3, 0.01, config)
         assert losses[-1] < losses[0]
@@ -138,7 +237,7 @@ class TestWarmUp:
         pool.evolve(pool.entries[0], GeneVector(1, 1))
         config = EngineConfig(lookback=8, horizon=4, forecaster="naive")
         with pytest.raises(ValidationError, match="single-entry"):
-            warm_up(pool, [], 1, 0.01, config)
+            warm_up(pool, no_instances(), 1, 0.01, config)
 
 
 class TestOnlineStep:
@@ -167,7 +266,7 @@ class TestOnlineStep:
         series = series + 0.01 * np.sin(np.arange(len(series)))
         config = EngineConfig(lookback=lookback, horizon=horizon, forecaster="linear",
                               lr_raw=1e-4, warm_epochs=1)
-        warm, online = split_instances(series, lookback, horizon)
+        warm, online = split_instances(series, config)
         pool = Pool(LinearForecaster(lookback, horizon), 1e-4, config.cep)
         warm_up(pool, warm, 1, 1e-4, config)
 
@@ -259,7 +358,7 @@ class TestRun:
         config = EngineConfig(lookback=20, horizon=10, lr_raw=1e-3, warm_epochs=1,
                               log_forecasts=True)
         result = run(series, config)
-        _, online = split_instances(series, 20, 10)
+        _, online = split_instances(series, config)
         by_t = {i.t: i for i in online}
         for r in result.records:
             recomputed = mse(np.array(r.forecast), by_t[r.t].y)
@@ -278,7 +377,7 @@ class TestRun:
         series = rng.normal(2.0, 1.0, 900)
         config = EngineConfig(lookback=15, horizon=5, forecaster="naive",
                               warm_epochs=2, cep=CepConfig(evolution=False))
-        warm, online = split_instances(series, 15, 5)
+        warm, online = split_instances(series, config)
         result = run(series, config)
         entry = result.pool.entries[0]
         means = [0.0]
@@ -308,7 +407,7 @@ class TestRun:
 class TestInstances:
     def test_make_instances_respects_bounds(self):
         series = np.arange(100, dtype=float)
-        out = make_instances(series, 0, 100, 7, 10, 5)
+        out = make_instances(series, 0, 100, 7, 10, 5, 10)
         for inst in out:
             assert isinstance(inst, Instance)
             assert len(inst.x) == 10 and len(inst.y) == 5
@@ -321,6 +420,9 @@ class TestInstances:
             EngineConfig(lookback=5, horizon=0)
         with pytest.raises(ValidationError):
             EngineConfig(lookback=5, horizon=5, lr_raw=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="lr_raw must be finite"):
+                EngineConfig(lookback=5, horizon=5, lr_raw=bad)
         with pytest.raises(ValidationError):
             EngineConfig(lookback=5, horizon=5, warm_epochs=-1)
 

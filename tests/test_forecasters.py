@@ -68,9 +68,9 @@ class TestPredict:
     @pytest.mark.parametrize("kind", ["naive", "linear", "mlp"])
     def test_shape_checks(self, kind):
         f = make_forecaster(kind, 5, 2)
-        with pytest.raises(ValueError, match="window shape"):
+        with pytest.raises(ValidationError, match="window shape"):
             f.predict(np.zeros(4))
-        with pytest.raises(ValueError, match="truth shape"):
+        with pytest.raises(ValidationError, match="truth shape"):
             f.train_step(np.zeros(5), np.zeros(3), 0.01)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftpool.errors import ValidationError
+from driftpool.errors import NumericError, ValidationError
 from driftpool.gene import (
     SIGMA_FLOOR,
     GeneState,
@@ -57,13 +57,13 @@ class TestComputeGene:
         assert compute_gene([1, 2, 3], 10) == compute_gene([1, 2, 3], 3)
 
     def test_empty_window_rejected(self):
-        with pytest.raises(ValueError, match="empty window"):
+        with pytest.raises(ValidationError, match="empty window"):
             compute_gene([], 4)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite input"):
+        with pytest.raises(NumericError, match="non-finite input"):
             compute_gene([1.0, float("nan"), 2.0], 3)
-        with pytest.raises(ValueError, match="non-finite input"):
+        with pytest.raises(NumericError, match="non-finite input"):
             compute_gene([1.0, float("inf")], 2)
 
     def test_bad_scope_rejected(self):
@@ -139,7 +139,7 @@ class TestGlobalUpdate:
         assert a == b
 
     def test_bad_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             global_update(GeneVector(0, 0), 0, GeneVector(1, 1))
 
     def test_long_stream_matches_batch_oracle(self):

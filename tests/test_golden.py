@@ -43,6 +43,28 @@ def c11_manifest():
     })
 
 
+def narrowed_scope_manifest():
+    """A signature tail (scope_s 7) shorter than the ground truth (horizon 10),
+    scored by likelihood in a capped pool: splits, abandonments, evictions."""
+    return RunManifest.from_dict({
+        "data": {
+            "kind": "synthetic",
+            "concepts": [
+                {"level": 0.0, "amplitude": 1.0, "period": 12, "noise_sigma": 0.3},
+                {"level": 5.0, "amplitude": 0.5, "period": 24, "noise_sigma": 0.2},
+                {"level": -4.0, "amplitude": 2.0, "period": 8, "noise_sigma": 0.5},
+                {"level": 9.0, "amplitude": 0.0, "period": 24, "noise_sigma": 1.0},
+            ],
+            "schedule": [[0, 400], [1, 300], [2, 300], [0, 300], [3, 300], [1, 300],
+                         [2, 300], [3, 300], [0, 300]],
+            "seed": 5,
+        },
+        "lookback": 20, "horizon": 10, "forecaster": "linear", "lr_raw": 0.005,
+        "warm_epochs": 2, "seed": 3,
+        "cep": {"scope_s": 7, "retrieval_score": "mle", "max_pool_size": 3},
+    })
+
+
 def results_sha256(manifest, out_dir):
     cmd_run(manifest, out_dir=out_dir)
     return hashlib.sha256((out_dir / "results.json").read_bytes()).hexdigest()
@@ -65,6 +87,16 @@ def test_c11_mlp_digest(tmp_path, capsys):
     )
     assert results_sha256(manifest, tmp_path) == (
         "c39e662c80e4e2092bba52088cfcbe0e3be2466d9505f498a9edaa3dd3ba3277"
+    )
+
+
+def test_narrowed_scope_mle_digest(tmp_path, capsys):
+    manifest = narrowed_scope_manifest()
+    assert manifest.config_hash() == (
+        "03fca36191fcb45742924b0a25343b18d376856934dd50f2cf6c8a96c12b7828"
+    )
+    assert results_sha256(manifest, tmp_path) == (
+        "74aec5012e0042847255cf670f85f10a94ed0c75d4619cac593b2f2f58c135cf"
     )
 
 

@@ -57,6 +57,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=fieldname):
             CepConfig(**kwargs)
 
+    @pytest.mark.parametrize("lr_raw", [0.0, -1.0, float("nan"), float("inf")])
+    def test_pool_rejects_bad_lr(self, lr_raw):
+        with pytest.raises(ValidationError, match="lr_raw"):
+            make_pool(lr_raw=lr_raw)
+
     def test_defaults_match_documented_values(self):
         cfg = CepConfig()
         assert (cfg.tau_mu, cfg.tau_gene, cfg.tau_l, cfg.tau_safe, cfg.tau_e) == (
