@@ -380,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ColumnNotFoundError, RowParseError, OSError) as exc:
+    except (ColumnNotFoundError, RowParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DriftpoolError as exc:

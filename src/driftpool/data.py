@@ -53,6 +53,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if not self.concepts:
             raise ValidationError("at least one concept is required")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for c in self.concepts:
             for name, v in vars(c).items():
                 if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import warm_split_index
 from .errors import NumericError, SizingError, ValidationError
-from .forecasters import FORECASTER_KINDS, make_forecaster, mse
+from .forecasters import FORECASTER_KINDS, KINDS, make_forecaster, mse
 from .gene import (
     GeneState,
     GeneVector,
@@ -38,8 +38,6 @@ from .pool import (
 )
 
 log = logging.getLogger("driftpool.engine")
-
-DEFAULT_LR = {"naive": 0.01, "linear": 0.01, "mlp": 0.003}
 
 
 @dataclass(frozen=True)
@@ -100,21 +98,19 @@ class EngineConfig:
     log_forecasts: bool = False
 
     def __post_init__(self):
-        if self.lookback < 1:
-            raise ValidationError(f"lookback must be >= 1, got {self.lookback}")
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        for name, low in (("lookback", 1), ("horizon", 1), ("hidden", 1), ("seed", 0),
+                          ("warm_epochs", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.forecaster not in FORECASTER_KINDS:
             raise ValidationError(
                 f"forecaster must be one of {FORECASTER_KINDS}, got {self.forecaster!r}"
             )
-        if self.warm_epochs < 0:
-            raise ValidationError(f"warm_epochs must be >= 0, got {self.warm_epochs}")
         if self.lr_raw is not None and not 0 < self.lr_raw < float("inf"):
             raise ValidationError(f"lr_raw must be finite and > 0, got {self.lr_raw}")
 
     def resolved_lr(self) -> float:
-        return self.lr_raw if self.lr_raw is not None else DEFAULT_LR[self.forecaster]
+        return self.lr_raw if self.lr_raw is not None else KINDS[self.forecaster].default_lr
 
     def scope(self) -> int:
         return self.cep.scope_s if self.cep.scope_s is not None else self.lookback
@@ -169,10 +165,9 @@ def split_instances(series: np.ndarray, config: EngineConfig
     lookback, horizon, scope = config.lookback, config.horizon, config.scope()
     warm_len = warm_split_index(n)
     span = lookback + horizon
-    minimum = 4 * span
     if warm_len < span or (n - warm_len) < span:
         raise SizingError(
-            f"series too short: {n} points; need at least {minimum} "
+            f"series too short: {n} points; need at least {4 * span} "
             f"for lookback {lookback} and horizon {horizon}"
         )
     warm = make_instances(series, 0, warm_len - span + 1, 1, lookback, horizon, scope)
@@ -275,14 +270,17 @@ def _aggregate(records: list[StepRecord], pool_size: int, pool: Pool | None) -> 
     )
 
 
+def _setup(series: np.ndarray, config: EngineConfig) -> tuple:
+    """Warm and online instance sets, raw learning rate and seed forecaster of a run."""
+    warm, online = split_instances(series, config)
+    forecaster = make_forecaster(config.forecaster, config.lookback, config.horizon,
+                                 hidden=config.hidden, seed=config.seed)
+    return warm, online, config.resolved_lr(), forecaster
+
+
 def run(series: np.ndarray, config: EngineConfig) -> RunResult:
     """Full pipeline over one series: split, warm up, stream every online instance."""
-    warm, online = split_instances(series, config)
-    lr_raw = config.resolved_lr()
-    forecaster = make_forecaster(
-        config.forecaster, config.lookback, config.horizon,
-        hidden=config.hidden, seed=config.seed,
-    )
+    warm, online, lr_raw, forecaster = _setup(series, config)
     pool = Pool(forecaster, lr_raw, config.cep)
     warm_up(pool, warm, config.warm_epochs, lr_raw, config)
     log.info("warm-up done: %d instances x %d epochs", len(warm), config.warm_epochs)
@@ -296,12 +294,7 @@ def run_bare(series: np.ndarray, config: EngineConfig) -> RunResult:
     Independent reference loop for ablation checks: a pool run with
     evolution disabled must reproduce this bit for bit.
     """
-    warm, online = split_instances(series, config)
-    lr_raw = config.resolved_lr()
-    forecaster = make_forecaster(
-        config.forecaster, config.lookback, config.horizon,
-        hidden=config.hidden, seed=config.seed,
-    )
+    warm, online, lr_raw, forecaster = _setup(series, config)
     cep = config.cep
     scope = config.scope()
     genes = GeneState(GeneVector(0.0, 0.0), GeneVector(0.0, 0.0), 1)

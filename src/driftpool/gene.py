@@ -129,7 +129,12 @@ def global_update(
         raise ValidationError(f"absorbed-sample count must be >= 1, got {n}")
     mu_g, x = global_.mu, instance_gene.mu
     new_mu = (n * mu_g + x) / (n + 1)
-    new_var = (n / (n + 1)) * global_.sigma**2 + (n / (n + 1) ** 2) * (mu_g - x) ** 2
+    try:
+        new_var = (n / (n + 1)) * global_.sigma**2 + (n / (n + 1) ** 2) * (mu_g - x) ** 2
+    except OverflowError:
+        new_var = math.inf
+    if not (math.isfinite(new_mu) and math.isfinite(new_var)):
+        raise NumericError(f"global moments overflow absorbing a window mean of {x!r}")
     return GeneVector(new_mu, math.sqrt(new_var)), n + 1
 
 
@@ -156,6 +161,10 @@ def mle_cost(candidate: GeneVector, sample: GeneVector) -> float:
     s the floored candidate sigma. Lower is a better match.
     """
     s = max(candidate.sigma, SIGMA_FLOOR)
-    if not s > 0.0:
-        raise NumericError(f"candidate sigma not positive after flooring: {candidate.sigma}")
-    return 2.0 * math.log(s) + (sample.sigma**2 + (sample.mu - candidate.mu) ** 2) / (s * s)
+    try:
+        cost = 2.0 * math.log(s) + (sample.sigma**2 + (sample.mu - candidate.mu) ** 2) / (s * s)
+    except OverflowError:
+        cost = math.inf
+    if not math.isfinite(cost):
+        raise NumericError(f"non-finite likelihood score for {sample} under {candidate}")
+    return cost

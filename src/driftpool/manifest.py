@@ -328,7 +328,14 @@ def write_bundle(bundle: dict, out_dir: str | Path, labels: np.ndarray | None = 
 
 
 def read_bundle(path: str | Path) -> dict:
+    """A results bundle, checked for the integer fields that purity reads."""
     bundle = read_json(path)
-    if not isinstance(bundle, dict) or "records" not in bundle:
-        raise ValidationError(f"{path}: not a results bundle")
+    try:
+        fields = [bundle["manifest"]["lookback"], bundle["manifest"]["cep"]["tau_safe"]]
+        fields += [v for r in bundle["records"] for v in (r["t"], r["entry_id"])]
+    except (KeyError, TypeError):  # a field is missing, or a JSON type is wrong
+        fields = [None]
+    if not all(type(v) is int for v in fields):
+        raise ValidationError(f"{path}: not a results bundle: purity needs integer lookback, "
+                              "cep.tau_safe, and t and entry_id in every record")
     return bundle

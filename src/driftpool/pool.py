@@ -29,7 +29,7 @@ from .gene import (
 RETRIEVAL_SCORES = ("euclidean", "mle")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CepConfig:
     """Thresholds, ablation switches, and windowing knobs for one run.
 
@@ -68,24 +68,20 @@ class CepConfig:
             raise ValidationError(f"tau_gene must be in [0, 1], got {self.tau_gene}")
         if not 0.0 < self.tau_l <= 1.0:
             raise ValidationError(f"tau_l must be in (0, 1], got {self.tau_l}")
-        if self.tau_safe < 0:
-            raise ValidationError(f"tau_safe must be >= 0, got {self.tau_safe}")
         if not self.tau_e > 0:
             raise ValidationError(f"tau_e must be > 0, got {self.tau_e}")
         if not 0.0 < self.tau_lr <= 1.0:
             raise ValidationError(f"tau_lr must be in (0, 1], got {self.tau_lr}")
-        if self.t_lr < 1:
-            raise ValidationError(f"t_lr must be >= 1, got {self.t_lr}")
-        if self.scope_s is not None and self.scope_s < 1:
-            raise ValidationError(f"scope_s must be >= 1, got {self.scope_s}")
         if self.retrieval_score not in RETRIEVAL_SCORES:
             raise ValidationError(
                 f"retrieval_score must be one of {RETRIEVAL_SCORES}, got {self.retrieval_score!r}"
             )
         if not (self.use_local_gene or self.use_global_gene):
             raise ValidationError("at least one of use_local_gene/use_global_gene must be on")
-        if self.max_pool_size is not None and self.max_pool_size < 1:
-            raise ValidationError(f"max_pool_size must be >= 1, got {self.max_pool_size}")
+        for name, low in (("tau_safe", 0), ("t_lr", 1), ("scope_s", 1), ("max_pool_size", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:  # None leaves scope_s or max_pool_size unset
+                raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -128,8 +124,6 @@ def should_evolve(entry: PoolEntry, sample_gene: GeneVector, config: CepConfig) 
 
 def lr_tick(entry: PoolEntry, lr_raw: float, config: CepConfig) -> float:
     """Grow the entry's LR one notch back toward lr_raw, never past it."""
-    if config.tau_lr <= 0:
-        raise ValidationError(f"tau_lr must be > 0, got {config.tau_lr}")
     factor = config.tau_lr ** (-1.0 / config.t_lr)
     entry.lr_current = min(lr_raw, factor * entry.lr_current)
     return entry.lr_current

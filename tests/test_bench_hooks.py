@@ -1,0 +1,83 @@
+"""The benchmark's trace hooks name functions that exist, and restore them all.
+
+perfbench/child.py wraps public functions of the package by name; a rename
+would otherwise surface only as an AttributeError in a minutes-long
+``perfbench/run.py --smoke``. The module is imported from its file and
+nothing under perfbench/ is written.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from driftpool import engine
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+def load_child():
+    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def current(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def recording_tracer(child):
+    class Recording(child.Tracer):
+        """Notes every (owner, attribute, original) the hooks patch."""
+
+        def __init__(self):
+            super().__init__()
+            self.seen = []
+
+        def patch(self, owner, attr, name, **kw):
+            self.seen.append((owner, attr, current(owner, attr)))
+            super().patch(owner, attr, name, **kw)
+
+    return Recording()
+
+
+def test_install_trace_patches_then_restores_every_hook():
+    child = load_child()
+    tracer = recording_tracer(child)
+    try:
+        child.install_trace(tracer)
+        assert len(tracer.seen) >= 20
+        for owner, attr, original in tracer.seen:
+            assert current(owner, attr) is not original, (owner, attr)
+    finally:
+        tracer.restore()
+    for owner, attr, original in tracer.seen:
+        assert current(owner, attr) is original, (owner, attr)
+    assert {"forecasters.train_step", "forecasters.predict", "forecasters.deep_clone",
+            "engine.warm_up", "engine.online_step", "pool.evolve"} <= set(tracer.names)
+
+
+def test_traced_run_counts_warm_and_online_train_steps():
+    # run.py counts warm steps as train_step spans directly inside warm_up
+    child = load_child()
+    tracer = child.Tracer()
+    series = np.sin(np.arange(400) / 5.0)
+    config = engine.EngineConfig(lookback=8, horizon=4, warm_epochs=2)
+    try:
+        child.install_trace(tracer)
+        result = engine.run(series, config)
+    finally:
+        tracer.restore()
+    names = tracer.names
+    spans = tracer.spans
+
+    def parent(span):
+        return names[spans[span[3]][0]] if span[3] >= 0 else None
+
+    steps = [parent(s) for s in spans if names[s[0]] == "forecasters.train_step"]
+    warm, online = engine.split_instances(series, config)
+    trained = sum(not r.abandoned for r in result.records)
+    assert steps.count("engine.warm_up") == 2 * len(warm)
+    assert steps.count("engine.online_step") == trained
+    assert len(steps) == 2 * len(warm) + trained

@@ -444,6 +444,76 @@ class TestMainExitCodes:
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_overflowing_moments(self, tmp_path, capsys):
+        from driftpool.cli import EXIT_RUNTIME
+        from driftpool.data import write_series_csv
+
+        # a constant 1e200 stream: (mu - x) ** 2 overflows in the global moments
+        write_series_csv(tmp_path / "const.csv", np.full(800, 1e200))
+        rc = main([
+            "run", "--data", str(tmp_path / "const.csv"), "--column", "value",
+            "--lookback", "8", "--horizon", "4", "--forecaster", "naive", "--warm-epochs", "1",
+        ])
+        assert rc == EXIT_RUNTIME
+        assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, content, argv", [
+        ("csv", b"value\n\xff\n1.0\n",
+         ["run", "--data", "BAD", "--column", "value", "--lookback", "8", "--horizon", "4"]),
+        ("config", b"data = x.csv\n# \xff\n", ["run", "--config", "BAD"]),
+        ("manifest", b'{"\xff": 1}', ["run", "--manifest", "BAD"]),
+        ("spec", b'{"\xff": 1}', ["generate", "--spec", "BAD", "--out", "OUT"]),
+        ("labels", b"label\n\xff\n", ["purity", "--results", "RESULTS", "--labels", "BAD"]),
+    ], ids=["csv", "config", "manifest", "spec", "labels"])
+    def test_undecodable_input_file(self, tmp_path, capsys, where, content, argv):
+        (tmp_path / "bad").write_bytes(content)
+        if where == "labels":  # purity needs a real bundle before it reads the labels
+            save_manifest(synthetic_manifest(), tmp_path / "m.json")
+            rc = main(["run", "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path)])
+            assert rc == EXIT_OK
+        paths = {"BAD": tmp_path / "bad", "OUT": tmp_path / "g",
+                 "RESULTS": tmp_path / "results.json"}
+        argv = [str(paths.get(a, a)) for a in argv]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--forecaster", "mlp", "--hidden", "-1"],
+        ["run", "--forecaster", "mlp", "--hidden", "0"],
+        ["run", "--forecaster", "mlp", "--seed", "-1"],
+        ["run", "--forecaster", "linear", "--seed", "-1"],
+    ])
+    def test_bad_model_flags(self, tmp_path, capsys, argv):
+        argv += ["--data", "x.csv", "--column", "value", "--lookback", "8", "--horizon", "4"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_generate_seed(self, tmp_path, capsys):
+        assert main(["generate", "--seed", "-1", "--out", str(tmp_path / "g")]) == EXIT_VALIDATION
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"concepts": [{"level": 0.0}], "schedule": [[0, 10]]}))
+        rc = main(["generate", "--spec", str(spec), "--seed", "-1", "--out", str(tmp_path / "g")])
+        assert rc == EXIT_VALIDATION
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("bundle", [
+        {"records": []},
+        {"manifest": {"lookback": 8, "cep": {"tau_safe": 1}}, "records": [{"t": 0}]},
+        {"manifest": {"lookback": 8, "cep": {"tau_safe": 1}},
+         "records": [{"t": 0, "entry_id": "0"}]},
+        {"manifest": {"lookback": "8", "cep": {"tau_safe": 1}}, "records": []},
+        {"manifest": {"lookback": 8, "cep": []}, "records": []},
+        {"manifest": {"lookback": 8, "cep": {"tau_safe": 1}}, "records": 3},
+        [],
+    ])
+    def test_bundle_without_purity_fields(self, tmp_path, capsys, bundle):
+        (tmp_path / "results.json").write_text(json.dumps(bundle))
+        (tmp_path / "labels.csv").write_text("label\n0\n")
+        rc = main(["purity", "--results", str(tmp_path / "results.json"),
+                   "--labels", str(tmp_path / "labels.csv")])
+        assert rc == EXIT_VALIDATION
+        assert "not a results bundle" in capsys.readouterr().err
+
     def test_malformed_generate_spec(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
         bad.write_text(json.dumps({"concepts": [{"level": 0.0}], "schedule": [[0, 0]]}))

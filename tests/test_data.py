@@ -132,6 +132,11 @@ class TestGenerate:
                 schedule=((0, 10),),
             )
 
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng would raise a bare ValueError at generate()
+        with pytest.raises(ValidationError, match="seed"):
+            SyntheticSpec(concepts=(ConceptSpec(level=0.0),), schedule=((0, 10),), seed=-1)
+
     def test_default_spec_shape(self):
         spec = default_stream_spec()
         assert spec.total_points == 18000

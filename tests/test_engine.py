@@ -426,6 +426,21 @@ class TestInstances:
         with pytest.raises(ValidationError):
             EngineConfig(lookback=5, horizon=5, warm_epochs=-1)
 
+    @pytest.mark.parametrize("field, bad", [("hidden", 0), ("hidden", -1), ("seed", -1)])
+    def test_rejects_what_the_forecaster_cannot_build(self, field, bad):
+        with pytest.raises(ValidationError, match=f"{field} must be >= "):
+            EngineConfig(lookback=5, horizon=5, forecaster="mlp", **{field: bad})
+
+    def test_config_is_hashable_and_frozen(self):
+        import dataclasses
+
+        config = EngineConfig(10, 5)
+        assert hash(config) == hash(EngineConfig(10, 5))
+        assert len({config, EngineConfig(10, 5, cep=CepConfig(tau_lr=0.25))}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.cep.tau_lr = 0.0
+        assert config.cep.tau_lr == 0.5
+
     def test_scope_defaults_to_lookback(self):
         assert EngineConfig(lookback=24, horizon=6).scope() == 24
         narrowed = EngineConfig(lookback=24, horizon=6, cep=CepConfig(scope_s=8))

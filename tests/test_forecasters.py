@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from driftpool.errors import ValidationError
+from driftpool.errors import NumericError, ValidationError
 from driftpool.forecasters import (
+    FORECASTER_KINDS,
+    KINDS,
+    Forecaster,
     LinearForecaster,
     MlpForecaster,
     NaiveForecaster,
@@ -135,8 +138,6 @@ class TestTrainStep:
         assert f.parameter_checksum() == before
 
     def test_divergence_surfaces_as_numeric_error(self):
-        from driftpool.errors import NumericError
-
         f = LinearForecaster(4, 2)
         x = np.full(4, 50.0)
         y = np.full(2, 10.0)
@@ -144,6 +145,68 @@ class TestTrainStep:
             with pytest.raises(NumericError):
                 for _ in range(200):  # lr far past the stability bound
                     f.train_step(x, y, 1.0)
+
+
+    def test_naive_non_finite_loss_raises(self):
+        # err = 1e200 - (-1e200) squares to inf; naive used to return it
+        f = NaiveForecaster(2, 1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="non-finite training loss"):
+                f.train_step(np.array([0.0, 1e200]), np.array([-1e200]), 0.01)
+
+
+class TestContract:
+    def test_predict_and_train_step_live_on_the_base_class_only(self):
+        for kind in KINDS.values():
+            assert issubclass(kind.cls, Forecaster)
+            for name in ("predict", "train_step", "deep_clone"):
+                assert name not in vars(kind.cls), (kind.cls, name)
+        assert "__init__" not in vars(NaiveForecaster)
+
+    @pytest.mark.parametrize("kind", FORECASTER_KINDS)
+    def test_train_step_loss_is_the_predict_mse(self, kind):
+        rng = np.random.default_rng(4)
+        f = make_forecaster(kind, 6, 3, hidden=5, seed=1)
+        for _ in range(5):
+            x, y = rng.normal(size=6), rng.normal(size=3)
+            before = f.deep_clone()
+            assert f.train_step(x, y, 0.05) == mse(before.predict(x), y)
+
+    def test_mlp_update_matches_the_written_out_step(self):
+        # reference: the gradient with w2.T @ d_pred taken before w2 moves
+        rng = np.random.default_rng(8)
+        f = MlpForecaster(5, 3, hidden=4, seed=2)
+        ref = [p.copy() for p in f.parameters()]
+        for _ in range(10):
+            x, y, lr = rng.normal(size=5), rng.normal(size=3), 0.07
+            w1, b1, w2, b2 = ref
+            h = np.tanh(w1 @ x + b1)
+            d_pred = 2.0 * (w2 @ h + b2 - y) / 3
+            d_pre = (w2.T @ d_pred) * (1.0 - h**2)
+            ref = [w1 - lr * np.outer(d_pre, x), b1 - lr * d_pre,
+                   w2 - lr * np.outer(d_pred, h), b2 - lr * d_pred]
+            f.train_step(x, y, lr)
+            for got, want in zip(f.parameters(), ref):
+                assert np.array_equal(got, want)
+
+    def test_kind_table(self):
+        assert FORECASTER_KINDS == ("naive", "linear", "mlp")
+        assert {k: v.default_lr for k, v in KINDS.items()} == {
+            "naive": 0.01, "linear": 0.01, "mlp": 0.003,
+        }
+        for name, kind in KINDS.items():
+            assert type(make_forecaster(name, 4, 2)) is kind.cls
+        mlp = make_forecaster("mlp", 4, 2, hidden=7, seed=3)
+        assert mlp.hidden == 7
+        same = MlpForecaster(4, 2, hidden=7, seed=3)
+        assert mlp.parameter_checksum() == same.parameter_checksum()
+
+    def test_engine_default_lr_reads_the_table(self):
+        from driftpool.engine import EngineConfig
+
+        for name, kind in KINDS.items():
+            assert EngineConfig(4, 2, forecaster=name).resolved_lr() == kind.default_lr
+        assert EngineConfig(4, 2, forecaster="mlp", lr_raw=0.5).resolved_lr() == 0.5
 
 
 class TestGradientCheck:

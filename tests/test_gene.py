@@ -142,6 +142,18 @@ class TestGlobalUpdate:
         with pytest.raises(ValidationError):
             global_update(GeneVector(0, 0), 0, GeneVector(1, 1))
 
+    def test_overflowing_moments_raise_numeric_error(self):
+        # (mu_g - x) ** 2 overflows a Python float: OverflowError before the fix
+        with pytest.raises(NumericError, match="overflow"):
+            global_update(GeneVector(0.0, 0.0), 1, GeneVector(1e200, 0.0))
+        # n * mu_g overflows to inf without raising
+        with pytest.raises(NumericError, match="overflow"):
+            global_update(GeneVector(1e308, 0.0), 10, GeneVector(1e308, 0.0))
+
+    def test_large_finite_moments_unchanged(self):
+        out, n = global_update(GeneVector(0.0, 0.0), 1, GeneVector(1e150, 0.0))
+        assert (out, n) == (GeneVector(0.5e150, math.sqrt(0.25e300)), 2)
+
     def test_long_stream_matches_batch_oracle(self):
         rng = np.random.default_rng(0)
         means = rng.uniform(-10, 10, 1000)
@@ -226,6 +238,14 @@ class TestMleCost:
         assert out == pytest.approx(
             2 * math.log(SIGMA_FLOOR) + (0.01 + 0.01) / SIGMA_FLOOR**2
         )
+
+    def test_overflowing_score_raises_numeric_error(self):
+        with pytest.raises(NumericError, match="non-finite likelihood"):
+            mle_cost(GeneVector(0, 1), GeneVector(1e200, 0))
+        with pytest.raises(NumericError, match="non-finite likelihood"):
+            mle_cost(GeneVector(0, 1), GeneVector(0, 1e200))
+        with pytest.raises(NumericError, match="non-finite likelihood"):
+            mle_cost(GeneVector(0, float("nan")), GeneVector(0, 1))
 
     def test_minimized_at_sample_mean(self):
         rng = np.random.default_rng(2)

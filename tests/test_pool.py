@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from driftpool.errors import ValidationError
 from driftpool.forecasters import LinearForecaster, NaiveForecaster
 from driftpool.gene import GeneState, GeneVector, gene_distance, mle_cost
 from driftpool.pool import (
+    RETRIEVAL_SCORES,
     CepConfig,
     Pool,
     absorb_instance,
@@ -369,3 +373,123 @@ class TestAbsorbInstance:
             means.append(m)
         assert entry.genes.global_.mu == pytest.approx(np.mean(means), rel=1e-9)
         assert entry.genes.global_.sigma == pytest.approx(np.std(means), rel=1e-9)
+
+
+# --- pool invariants under arbitrary operation sequences --------------------
+
+_GENES = st.builds(GeneVector, st.floats(-50, 50), st.floats(0, 5))
+_PICK = st.integers(0, 1_000)  # an index into the current entries, taken modulo their count
+
+
+def pool_machine(caps):
+    """State machine over the pool's public operations, its cap drawn from ``caps``.
+
+    A shadow dict keeps (n_pred, n_wait) per live entry id, updated by the
+    rules' own arithmetic, not the pool's.
+    """
+
+    class PoolMachine(RuleBasedStateMachine):
+        @initialize(
+            cap=caps,
+            tau_safe=st.integers(0, 3),
+            tau_e=st.floats(0.25, 3.0),
+            tau_lr=st.floats(0.05, 1.0),
+            t_lr=st.integers(1, 6),
+            adjust=st.booleans(),
+            elimination=st.booleans(),
+            score=st.sampled_from(RETRIEVAL_SCORES),
+        )
+        def start(self, cap, tau_safe, tau_e, tau_lr, t_lr, adjust, elimination, score):
+            self.config = CepConfig(
+                tau_safe=tau_safe, tau_e=tau_e, tau_lr=tau_lr, t_lr=t_lr,
+                optimizer_adjustment=adjust, elimination=elimination,
+                retrieval_score=score, max_pool_size=cap,
+            )
+            self.lr_raw = 0.01
+            self.pool = Pool(NaiveForecaster(4, 2), self.lr_raw, self.config)
+            self.shadow = {0: (0, 0)}
+
+        def pick(self, i):
+            return self.pool.entries[i % len(self.pool.entries)]
+
+        @rule(gene=_GENES)
+        def nearest(self, gene):
+            found = self.pool.nearest(gene)
+            assert found.id == brute_force_nearest(self.pool, gene)
+
+        @rule(i=_PICK, gene=_GENES)
+        def evolve(self, i, gene):
+            parent = self.pick(i)
+            before = [e.id for e in self.pool.entries]
+            child = self.pool.evolve(parent, gene)
+            assert child.id > max(before)
+            assert (child.n_pred, child.n_wait, child.genes.n) == (0, 0, 1)
+            cap = self.config.max_pool_size
+            evicted = before[:1] if cap is not None and len(before) + 1 > cap else []
+            assert [e.id for e in self.pool.entries] == [
+                *(x for x in before if x not in evicted), child.id]
+            for x in evicted:
+                del self.shadow[x]
+            self.shadow[child.id] = (0, 0)
+
+        @rule(i=_PICK)
+        def mark_selected(self, i):
+            chosen = self.pick(i)
+            self.pool.mark_selected(chosen)
+            self.shadow = {
+                x: (n_pred + 1, 0) if x == chosen.id else (n_pred, n_wait + 1)
+                for x, (n_pred, n_wait) in self.shadow.items()
+            }
+            assert self.pool.last_selected_id == chosen.id
+
+        @rule()
+        def eliminate_stale(self):
+            last = self.pool.last_selected_id
+            live = [e.id for e in self.pool.entries]
+            removed = self.pool.eliminate_stale()
+            if last in live:
+                assert last in [e.id for e in self.pool.entries]
+            cfg = self.config
+            stale = [x for x in live if x != last
+                     and self.shadow[x][1] > cfg.tau_e * self.shadow[x][0]]
+            if cfg.elimination and len(stale) == len(live):  # nothing selected survives
+                stale.remove(max(live))
+            assert removed == (stale if cfg.elimination else [])
+            for x in removed:
+                del self.shadow[x]
+
+        @rule(i=_PICK, gene=_GENES)
+        def absorb_instance(self, i, gene):
+            entry = self.pick(i)
+            n = entry.genes.n
+            absorb_instance(entry, gene, self.config)
+            assert entry.genes.n == n + 1
+
+        @rule(i=_PICK)
+        def lr_tick(self, i):
+            entry = self.pick(i)
+            before = entry.lr_current
+            after = lr_tick(entry, self.lr_raw, self.config)
+            assert after == entry.lr_current >= before
+
+        @invariant()
+        def invariants(self):
+            entries = self.pool.entries
+            assert entries, "the pool emptied"
+            ids = [e.id for e in entries]
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            cap = self.config.max_pool_size
+            assert cap is None or len(entries) <= cap
+            low = self.config.tau_lr * self.lr_raw
+            for e in entries:
+                assert low <= e.lr_current <= self.lr_raw
+            assert {e.id: (e.n_pred, e.n_wait) for e in entries} == self.shadow
+
+    return PoolMachine
+
+
+_MACHINE_SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
+TestPoolMachineUncapped = pool_machine(st.none()).TestCase
+TestPoolMachineUncapped.settings = _MACHINE_SETTINGS
+TestPoolMachineCapped = pool_machine(st.integers(1, 4)).TestCase
+TestPoolMachineCapped.settings = _MACHINE_SETTINGS
