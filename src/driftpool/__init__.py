@@ -31,6 +31,7 @@ from .engine import (
 from .errors import (
     ColumnNotFoundError,
     DriftpoolError,
+    FileFormatError,
     NumericError,
     RowParseError,
     SizingError,
@@ -66,6 +67,7 @@ __all__ = [
     "ConceptSpec",
     "DriftpoolError",
     "EngineConfig",
+    "FileFormatError",
     "Forecaster",
     "GeneState",
     "GeneVector",

@@ -23,6 +23,7 @@ import numpy as np
 from . import engine
 from .data import (
     SyntheticSpec,
+    atomic_open,
     default_stream_spec,
     generate,
     load_csv,
@@ -30,12 +31,7 @@ from .data import (
     write_labels_csv,
     write_series_csv,
 )
-from .errors import (
-    ColumnNotFoundError,
-    DriftpoolError,
-    RowParseError,
-    ValidationError,
-)
+from .errors import DriftpoolError, FileFormatError, ValidationError
 from .forecasters import FORECASTER_KINDS
 from .manifest import (
     CONFIG_TYPES,
@@ -67,9 +63,9 @@ def cmd_run(manifest: RunManifest, out_dir: str | None = None,
             log_forecasts: bool = False) -> dict:
     """Execute one manifest; write the bundle when an output dir is known."""
     source, labels = resolve_series(manifest)
-    config = dataclasses.replace(manifest.engine, log_forecasts=log_forecasts)
+    config = manifest.engine
     log.info("running %s on %s (%d points)", config.forecaster, source.origin, source.n)
-    result = engine.run(source.values, config)
+    result = engine.run(source.values, config, log_forecasts=log_forecasts)
     bundle = build_bundle(manifest, result, source.n)
     target = out_dir if out_dir is not None else manifest.out_dir
     if target is not None:
@@ -93,10 +89,7 @@ def _manifest_from_args(args) -> RunManifest:
 
 
 def _run_command(args) -> int:
-    if args.manifest:
-        manifest = load_manifest(args.manifest)
-    else:
-        manifest = _manifest_from_args(args)
+    manifest = load_manifest(args.manifest) if args.manifest else _manifest_from_args(args)
     cmd_run(manifest, out_dir=args.out, log_forecasts=args.log_forecasts)
     return EXIT_OK
 
@@ -137,7 +130,7 @@ def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "compare.csv", "w", encoding="utf-8") as fh:
+        with atomic_open(out / "compare.csv") as fh:
             fh.write("manifest,mean_mse,delta_pct\n")
             for row in rows:
                 pct = "" if row["delta_pct"] is None else f"{row['delta_pct']:.2f}"
@@ -380,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ColumnNotFoundError, RowParseError, OSError, UnicodeDecodeError) as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DriftpoolError as exc:

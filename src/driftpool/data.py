@@ -11,12 +11,14 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ColumnNotFoundError, RowParseError, ValidationError
+from .errors import ColumnNotFoundError, FileFormatError, RowParseError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,28 @@ def generate(spec: SyntheticSpec) -> LabeledStream:
     return LabeledStream(values=values, labels=labels)
 
 
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None):
+    """A UTF-8 text file opened for reading; a byte that is not UTF-8 names the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+@contextmanager
+def atomic_open(path: str | Path, newline: str | None = None):
+    """Write ``path`` through a temporary file beside it, moved into place on success."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def load_csv(path: str | Path, column: str, has_header: bool = True) -> SeriesSource:
     """One named (or zero-based indexed) column of a comma-separated file.
 
@@ -145,9 +169,8 @@ def load_csv(path: str | Path, column: str, has_header: bool = True) -> SeriesSo
     aborts the load with its 1-based file line number.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    with open_text(path, newline="") as fh:
+        rows = list(csv.reader(fh))
 
     col_idx: int
     start = 0
@@ -195,14 +218,14 @@ def load_csv(path: str | Path, column: str, has_header: bool = True) -> SeriesSo
 
 def write_series_csv(path: str | Path, values: np.ndarray, name: str = "value") -> None:
     """Write one column with a header; 17 significant digits round-trip floats."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write(f"{name}\n")
         for v in values:
             fh.write(f"{float(v):.17g}\n")
 
 
 def write_labels_csv(path: str | Path, labels: np.ndarray, name: str = "label") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write(f"{name}\n")
         for v in labels:
             fh.write(f"{int(v)}\n")

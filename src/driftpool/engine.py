@@ -43,14 +43,13 @@ log = logging.getLogger("driftpool.engine")
 @dataclass(frozen=True)
 class Instance:
     """Input window, its ground truth, the stream index of the window start,
-    and both windows' signatures over their last ``scope`` values."""
+    and both windows' signatures."""
 
     x: np.ndarray
     y: np.ndarray
     t: int
     z_x: GeneVector
     z_y: GeneVector
-    scope: int
 
 
 class InstanceSet(Sequence):
@@ -63,7 +62,7 @@ class InstanceSet(Sequence):
     def __init__(self, series: np.ndarray, starts: np.ndarray, lookback: int,
                  horizon: int, scope: int):
         self.series, self.starts = series, starts
-        self.lookback, self.horizon, self.scope = lookback, horizon, scope
+        self.lookback, self.horizon = lookback, horizon
         self.x_mu, self.x_sigma = window_genes(series, starts, lookback, scope)
         self.y_mu, self.y_sigma = window_genes(series, starts + lookback, horizon, scope)
 
@@ -79,7 +78,6 @@ class InstanceSet(Sequence):
             t=t,
             z_x=GeneVector(float(self.x_mu[i]), float(self.x_sigma[i])),
             z_y=GeneVector(float(self.y_mu[i]), float(self.y_sigma[i])),
-            scope=self.scope,
         )
 
 
@@ -95,7 +93,6 @@ class EngineConfig:
     lr_raw: float | None = None
     warm_epochs: int = 5
     seed: int = 0
-    log_forecasts: bool = False
 
     def __post_init__(self):
         for name, low in (("lookback", 1), ("horizon", 1), ("hidden", 1), ("seed", 0),
@@ -175,16 +172,8 @@ def split_instances(series: np.ndarray, config: EngineConfig
     return warm, online
 
 
-def _check_scope(scope: int, config: EngineConfig) -> None:
-    if scope != config.scope():
-        raise ValidationError(
-            f"instance signatures were computed for scope {scope}, the run uses {config.scope()}"
-        )
-
-
-def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int,
-            lr_raw: float, config: EngineConfig) -> list[float]:
-    """Train the seed forecaster conventionally and let it absorb every window.
+def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]:
+    """Train the seed forecaster at the pool's raw learning rate; absorb every window.
 
     Each training step counts toward the entry's prediction total, so it
     leaves the safety period before the online stage begins. Returns the
@@ -193,8 +182,7 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int,
     """
     if len(pool.entries) != 1:
         raise ValidationError(f"warm-up expects a single-entry pool, got {len(pool.entries)}")
-    _check_scope(warm_instances.scope, config)
-    entry = pool.entries[0]
+    entry, lr_raw, cep = pool.entries[0], pool.lr_raw, pool.config
     series, lookback = warm_instances.series, warm_instances.lookback
     span = lookback + warm_instances.horizon
     steps = list(zip(warm_instances.starts.tolist(), warm_instances.x_mu.tolist(),
@@ -204,27 +192,23 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int,
         for t, mu, sigma in steps:
             x, y = series[t:t + lookback], series[t + lookback:t + span]
             losses.append(entry.forecaster.train_step(x, y, lr_raw))
-            absorb_instance(entry, GeneVector(mu, sigma), config.cep)
+            absorb_instance(entry, GeneVector(mu, sigma), cep)
             pool.mark_selected(entry)
     return losses
 
 
-def online_step(pool: Pool, instance: Instance, config: EngineConfig) -> StepRecord:
+def online_step(pool: Pool, instance: Instance, log_forecasts: bool = False) -> StepRecord:
     """One delayed-feedback step: retrieve or split, forecast, maybe train, prune."""
-    cep = config.cep
-    _check_scope(instance.scope, config)
+    cep = pool.config
     z_x = instance.z_x
 
     near = pool.nearest(z_x)
     evolved = should_evolve(near, z_x, cep)
-    evicted: list[int] = []
     if evolved:
-        ids_before = {e.id for e in pool.entries}
-        current = pool.evolve(near, z_x)
-        evicted = sorted(ids_before - {e.id for e in pool.entries})
+        current, evicted = pool.evolve(near, z_x)
         log.debug("t=%d evolved entry %d from %d", instance.t, current.id, near.id)
     else:
-        current = near
+        current, evicted = near, []
 
     forecast = current.forecaster.predict(instance.x)
     if not np.isfinite(forecast).all():
@@ -254,7 +238,7 @@ def online_step(pool: Pool, instance: Instance, config: EngineConfig) -> StepRec
         pool_size=len(pool),
         gene_mu=g.mu,
         gene_sigma=g.sigma,
-        forecast=tuple(float(v) for v in forecast) if config.log_forecasts else None,
+        forecast=tuple(float(v) for v in forecast) if log_forecasts else None,
     )
 
 
@@ -271,31 +255,31 @@ def _aggregate(records: list[StepRecord], pool_size: int, pool: Pool | None) -> 
 
 
 def _setup(series: np.ndarray, config: EngineConfig) -> tuple:
-    """Warm and online instance sets, raw learning rate and seed forecaster of a run."""
+    """Warm and online instance sets and seed forecaster of a run."""
     warm, online = split_instances(series, config)
     forecaster = make_forecaster(config.forecaster, config.lookback, config.horizon,
                                  hidden=config.hidden, seed=config.seed)
-    return warm, online, config.resolved_lr(), forecaster
+    return warm, online, forecaster
 
 
-def run(series: np.ndarray, config: EngineConfig) -> RunResult:
+def run(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
     """Full pipeline over one series: split, warm up, stream every online instance."""
-    warm, online, lr_raw, forecaster = _setup(series, config)
-    pool = Pool(forecaster, lr_raw, config.cep)
-    warm_up(pool, warm, config.warm_epochs, lr_raw, config)
+    warm, online, forecaster = _setup(series, config)
+    pool = Pool(forecaster, config.resolved_lr(), config.cep)
+    warm_up(pool, warm, config.warm_epochs)
     log.info("warm-up done: %d instances x %d epochs", len(warm), config.warm_epochs)
-    records = [online_step(pool, inst, config) for inst in online]
+    records = [online_step(pool, inst, log_forecasts) for inst in online]
     return _aggregate(records, len(pool), pool)
 
 
-def run_bare(series: np.ndarray, config: EngineConfig) -> RunResult:
+def run_bare(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
     """Single forecaster trained on every instance, no pool mechanics.
 
     Independent reference loop for ablation checks: a pool run with
     evolution disabled must reproduce this bit for bit.
     """
-    warm, online, lr_raw, forecaster = _setup(series, config)
-    cep = config.cep
+    warm, online, forecaster = _setup(series, config)
+    lr_raw, cep = config.resolved_lr(), config.cep
     scope = config.scope()
     genes = GeneState(GeneVector(0.0, 0.0), GeneVector(0.0, 0.0), 1)
     for _ in range(config.warm_epochs):
@@ -326,6 +310,6 @@ def run_bare(series: np.ndarray, config: EngineConfig) -> RunResult:
             pool_size=1,
             gene_mu=g.mu,
             gene_sigma=g.sigma,
-            forecast=tuple(float(v) for v in forecast) if config.log_forecasts else None,
+            forecast=tuple(float(v) for v in forecast) if log_forecasts else None,
         ))
     return _aggregate(records, 1, None)

@@ -18,11 +18,15 @@ class SizingError(ValidationError):
     """A series is too short for the requested window/horizon split."""
 
 
-class ColumnNotFoundError(DriftpoolError):
+class FileFormatError(DriftpoolError):
+    """An input file is not in the format its reader expects."""
+
+
+class ColumnNotFoundError(FileFormatError):
     """A requested column is absent from a delimited text file."""
 
 
-class RowParseError(DriftpoolError):
+class RowParseError(FileFormatError):
     """A cell in a delimited text file failed to parse as a finite number."""
 
     def __init__(self, row: int, message: str):

@@ -21,9 +21,11 @@ import numpy as np
 
 from .data import (
     SeriesSource,
+    atomic_open,
     generate,
     load_csv,
     normalize,
+    open_text,
     spec_from_dict,
     write_labels_csv,
 )
@@ -68,7 +70,6 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         d = {"data": self.data, **dataclasses.asdict(self.engine), "normalize": self.normalize}
-        del d["log_forecasts"]
         if self.out_dir is not None:
             d["out_dir"] = self.out_dir
         return d
@@ -110,8 +111,7 @@ def _field_types(cls, *skip: str) -> dict[str, tuple[type, bool]]:
 
 
 _CEP_TYPES = _field_types(CepConfig)
-# log_forecasts only sets what a bundle stores, never a result, so no manifest holds it.
-_ENGINE_TYPES = _field_types(EngineConfig, "cep", "log_forecasts")
+_ENGINE_TYPES = _field_types(EngineConfig, "cep")
 _RUN_TYPES = _field_types(RunManifest, "data", "engine", "out_dir")  # normalize
 _MANIFEST_TYPES = {**_ENGINE_TYPES, **_field_types(RunManifest, "data", "engine")}
 _REQUIRED = tuple(f.name for f in dataclasses.fields(EngineConfig)
@@ -157,13 +157,13 @@ def _engine(settings: dict, cep: dict) -> EngineConfig:
 
 
 def save_manifest(manifest: RunManifest, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_json(path: str | Path) -> Any:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -207,7 +207,7 @@ def _coerce_bool(raw: str, key: str) -> bool:
 def parse_config_file(path: str | Path) -> dict:
     """Parse `key = value` lines (# starts a comment) into typed settings."""
     settings: dict[str, Any] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -299,7 +299,7 @@ def build_bundle(manifest: RunManifest, result: RunResult, n_points: int) -> dic
 
 
 def write_bundle(bundle: dict, out_dir: str | Path, labels: np.ndarray | None = None) -> dict:
-    """Write results.json plus the flat CSV extracts; returns the file map."""
+    """Write results.json and the flat CSV extracts, each replaced whole; returns the file map."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -307,17 +307,17 @@ def write_bundle(bundle: dict, out_dir: str | Path, labels: np.ndarray | None = 
         "instances": out / "instances.csv",
         "trajectories": out / "trajectories.csv",
     }
-    with open(paths["results"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["results"]) as fh:
         json.dump(bundle, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(paths["instances"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["instances"]) as fh:
         fh.write("t,entry_id,mse,evolved,abandoned,pool_size\n")
         for r in bundle["records"]:
             fh.write(
                 f"{r['t']},{r['entry_id']},{r['mse']:.17g},"
                 f"{int(r['evolved'])},{int(r['abandoned'])},{r['pool_size']}\n"
             )
-    with open(paths["trajectories"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["trajectories"]) as fh:
         fh.write("t,entry_id,mu,sigma\n")
         for r in bundle["records"]:
             fh.write(f"{r['t']},{r['entry_id']},{r['gene_mu']:.17g},{r['gene_sigma']:.17g}\n")

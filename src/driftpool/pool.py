@@ -138,7 +138,7 @@ def absorb_instance(entry: PoolEntry, instance_gene: GeneVector, config: CepConf
 
 
 class Pool:
-    """Ordered collection of entries; ids increase with creation order."""
+    """Ordered collection of entries; ids increase in list order, oldest first."""
 
     def __init__(self, first: Forecaster, lr_raw: float, config: CepConfig):
         if not 0 < lr_raw < float("inf"):
@@ -174,20 +174,20 @@ class Pool:
                 best, best_cost = entry, cost
         return best
 
-    def evolve(self, parent: PoolEntry, sample_gene: GeneVector) -> PoolEntry:
+    def evolve(self, parent: PoolEntry, sample_gene: GeneVector) -> tuple[PoolEntry, list[int]]:
         """Split the parent: clone its forecaster, seed genes from the sample.
 
         With optimizer adjustment on, the child starts at tau_lr * lr_raw
         and warms back over t_lr training steps. A configured size cap
-        evicts the oldest entry other than the child (FIFO).
+        evicts the oldest entry, the list's first (FIFO). Returns the child
+        and the ids evicted.
         """
         cfg = self.config
         lr0 = cfg.tau_lr * self.lr_raw if cfg.optimizer_adjustment else self.lr_raw
         child = self._append(parent.forecaster.deep_clone(), fresh_state(sample_gene), lr0)
         if cfg.max_pool_size is not None and len(self.entries) > cfg.max_pool_size:
-            oldest = min((e for e in self.entries if e.id != child.id), key=lambda e: e.id)
-            self.entries.remove(oldest)
-        return child
+            return child, [self.entries.pop(0).id]
+        return child, []
 
     def mark_selected(self, selected: PoolEntry) -> None:
         """Update prediction/idle counters after the entry served an instance."""
@@ -208,18 +208,10 @@ class Pool:
         cfg = self.config
         if not cfg.elimination:
             return []
-        removed: list[int] = []
-        kept: list[PoolEntry] = []
-        for entry in self.entries:
-            stale = entry.n_wait > cfg.tau_e * entry.n_pred
-            if stale and entry.id != self.last_selected_id:
-                removed.append(entry.id)
-            else:
-                kept.append(entry)
-        if not kept:
-            # No selection has happened yet; retain the newest entry.
-            survivor = max(self.entries, key=lambda e: e.id)
-            kept = [survivor]
-            removed.remove(survivor.id)
-        self.entries = kept
+        removed = [e.id for e in self.entries
+                   if e.n_wait > cfg.tau_e * e.n_pred and e.id != self.last_selected_id]
+        if len(removed) == len(self.entries):  # no selection yet: keep the newest entry
+            removed.pop()
+        if removed:
+            self.entries = [e for e in self.entries if e.id not in removed]
         return removed

@@ -17,8 +17,8 @@ from driftpool.data import (
     generate,
     normalize,
 )
-from driftpool.engine import EngineConfig, online_step, run, run_bare, split_instances, warm_up
-from driftpool.forecasters import LinearForecaster, NaiveForecaster, make_forecaster, mse
+from driftpool.engine import EngineConfig, run, run_bare
+from driftpool.forecasters import NaiveForecaster, make_forecaster, mse
 from driftpool.gene import GeneState, GeneVector, global_update
 from driftpool.manifest import RunManifest
 from driftpool.pool import CepConfig, Pool, lr_tick, retrieval_cost
@@ -76,7 +76,7 @@ def test_c02_lr_restoration_identity():
             for t_lr in (1, 10, 50):
                 cfg = CepConfig(tau_lr=tau_lr, t_lr=t_lr)
                 pool = Pool(NaiveForecaster(4, 2), lr_raw, cfg)
-                child = pool.evolve(pool.entries[0], GeneVector(1.0, 1.0))
+                child, _ = pool.evolve(pool.entries[0], GeneVector(1.0, 1.0))
                 assert child.lr_current == pytest.approx(tau_lr * lr_raw, rel=1e-15)
                 for _ in range(t_lr):
                     lr_tick(child, pool.lr_raw, cfg)
@@ -100,7 +100,7 @@ def test_c03_retrieval_brute_force_equivalence():
                         else GeneVector(rng.uniform(-50, 50), rng.uniform(0, 5))
                     )
                     genes.append(g)
-                    child = pool.evolve(pool.entries[0], g)
+                    child, _ = pool.evolve(pool.entries[0], g)
                     if rng.random() < 0.5:  # desynchronize local vs global
                         child.genes = GeneState(
                             g,
@@ -287,32 +287,17 @@ def test_c09_ablation_identity():
         assert pooled == bare
 
 
-def test_c10_gradient_abandonment():
+def test_c10_gradient_abandonment(abandoned_step):
     with criterion("C10 polluted gradient abandoned without state changes"):
-        lookback, horizon = 16, 8
-        boundary = 400 + 5 * horizon + lookback  # aligns x fully before, y fully after
-        series = np.concatenate([np.zeros(boundary), np.full(600, 50.0)])
-        series = series + 0.01 * np.sin(np.arange(len(series)))
-        config = EngineConfig(lookback=lookback, horizon=horizon, forecaster="linear",
-                              lr_raw=1e-4, warm_epochs=1)
-        warm, online = split_instances(series, config)
-        pool = Pool(LinearForecaster(lookback, horizon), 1e-4, config.cep)
-        warm_up(pool, warm, 1, 1e-4, config)
-
-        target = next(i for i in online if i.t + lookback == boundary)
-        for inst in online:
-            if inst.t == target.t:
-                break
-            online_step(pool, inst, config)
-
-        checksums = {e.id: e.forecaster.parameter_checksum() for e in pool.entries}
-        genes = {e.id: e.genes for e in pool.entries}
-        record = online_step(pool, target, config)
+        pool, record, before = abandoned_step.pool, abandoned_step.record, abandoned_step.before
 
         assert record.abandoned
+        assert not record.evolved
         for entry in pool.entries:
-            assert entry.forecaster.parameter_checksum() == checksums[entry.id]
-            assert entry.genes == genes[entry.id]
+            assert entry.forecaster.parameter_checksum() == before[entry.id].checksum
+            assert entry.genes == before[entry.id].genes
+        served = next(e for e in pool.entries if e.id == record.selected_entry_id)
+        assert served.n_pred == before[served.id].n_pred + 1
 
 
 def test_c11_determinism(tmp_path):

@@ -193,6 +193,31 @@ class TestCmdRun:
         assert a["records"] == b["records"]
         assert a["events"] == b["events"]
 
+    def test_log_forecasts_is_an_output_switch(self, tmp_path, capsys):
+        save_manifest(synthetic_manifest(), tmp_path / "m.json")
+        for name, extra in (("plain", []), ("logged", ["--log-forecasts"])):
+            argv = ["run", "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path / name)]
+            assert main(argv + extra) == EXIT_OK
+        plain = json.loads((tmp_path / "plain" / "results.json").read_text())
+        logged = json.loads((tmp_path / "logged" / "results.json").read_text())
+        assert all("forecast" not in r for r in plain["records"])
+        assert all(len(r.pop("forecast")) == 8 for r in logged["records"])
+        assert logged["records"] == plain["records"]
+        assert logged["config_hash"] == plain["config_hash"]
+        for name in ("plain", "logged"):
+            echoed = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert "log_forecasts" not in echoed
+
+    def test_failed_write_keeps_the_earlier_bundle(self, tmp_path, capsys):
+        from driftpool.manifest import write_bundle
+
+        bundle = cmd_run(synthetic_manifest(), out_dir=tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        bundle["records"][-1]["gene_mu"] = object()  # json.dump fails near the end
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_bundle(bundle, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_evolution_toggle_changes_result(self, tmp_path, capsys):
         on = cmd_run(synthetic_manifest(), out_dir=None)
         off = cmd_run(
@@ -475,7 +500,8 @@ class TestMainExitCodes:
                  "RESULTS": tmp_path / "results.json"}
         argv = [str(paths.get(a, a)) for a in argv]
         assert main(argv) == EXIT_IO
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'bad'}: not UTF-8 text: ")
 
     @pytest.mark.parametrize("argv", [
         ["run", "--forecaster", "mlp", "--hidden", "-1"],

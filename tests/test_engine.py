@@ -118,7 +118,6 @@ def signature_runs(draw):
 
 def assert_signatures_match_compute_gene(instances, scope):
     for inst in instances:
-        assert inst.scope == scope
         assert inst.z_x == compute_gene(inst.x, scope)
         assert inst.z_y == compute_gene(inst.y, scope)
 
@@ -176,18 +175,6 @@ class TestSignatures:
             assert warm[0].z_x.sigma == np.inf
             assert_signatures_match_compute_gene(warm, 6)
 
-    def test_scope_mismatch_rejected(self):
-        series = shifted_series([0.0, 4.0], 300)
-        built = EngineConfig(lookback=20, horizon=10, forecaster="naive")
-        other = EngineConfig(lookback=20, horizon=10, forecaster="naive",
-                             cep=CepConfig(scope_s=5))
-        warm, online = split_instances(series, built)
-        pool = Pool(NaiveForecaster(20, 10), 0.01, other.cep)
-        with pytest.raises(ValidationError, match="scope"):
-            warm_up(pool, warm, 1, 0.01, other)
-        with pytest.raises(ValidationError, match="scope"):
-            online_step(pool, online[0], other)
-
 
 class TestWarmUp:
     def make_pool(self, lookback=8, horizon=4, kind="naive"):
@@ -196,9 +183,8 @@ class TestWarmUp:
 
     def test_zero_instances_is_a_noop(self):
         pool = self.make_pool()
-        config = EngineConfig(lookback=8, horizon=4, forecaster="naive")
         before = pool.entries[0].genes
-        assert warm_up(pool, no_instances(), 5, 0.01, config) == []
+        assert warm_up(pool, no_instances(), 5) == []
         assert pool.entries[0].genes == before
         assert len(pool) == 1
 
@@ -208,7 +194,7 @@ class TestWarmUp:
         config = EngineConfig(lookback=8, horizon=4, forecaster="naive", warm_epochs=2)
         warm, _ = split_instances(series, config)
         pool = self.make_pool()
-        warm_up(pool, warm, 2, 0.01, config)
+        warm_up(pool, warm, 2)
         entry = pool.entries[0]
         assert entry.genes.local.mu == pytest.approx(c)
         assert entry.genes.local.sigma == pytest.approx(0.0, abs=1e-12)
@@ -220,7 +206,7 @@ class TestWarmUp:
         config = EngineConfig(lookback=8, horizon=4, forecaster="naive", warm_epochs=1)
         warm, _ = split_instances(series, config)
         pool = self.make_pool()
-        warm_up(pool, warm, 1, 0.01, config)
+        warm_up(pool, warm, 1)
         assert pool.entries[0].n_pred == len(warm)
         assert pool.entries[0].n_pred >= config.cep.tau_safe
 
@@ -229,15 +215,25 @@ class TestWarmUp:
         config = EngineConfig(lookback=8, horizon=4, warm_epochs=3, lr_raw=0.01)
         warm, _ = split_instances(series, config)
         pool = Pool(LinearForecaster(8, 4), 0.01, config.cep)
-        losses = warm_up(pool, warm, 3, 0.01, config)
+        losses = warm_up(pool, warm, 3)
         assert losses[-1] < losses[0]
+
+    def test_trains_at_the_pool_lr(self):
+        series = np.linspace(0.0, 4.0, 1200)
+        warm, _ = split_instances(series, EngineConfig(lookback=8, horizon=4))
+        for lr in (0.01, 0.002):
+            pool = Pool(LinearForecaster(8, 4), lr, CepConfig())
+            reference = LinearForecaster(8, 4)
+            expected = [reference.train_step(i.x, i.y, lr) for i in warm]
+            assert warm_up(pool, warm, 1) == expected
+            assert (pool.entries[0].forecaster.parameter_checksum()
+                    == reference.parameter_checksum())
 
     def test_requires_single_entry_pool(self):
         pool = self.make_pool()
         pool.evolve(pool.entries[0], GeneVector(1, 1))
-        config = EngineConfig(lookback=8, horizon=4, forecaster="naive")
         with pytest.raises(ValidationError, match="single-entry"):
-            warm_up(pool, no_instances(), 1, 0.01, config)
+            warm_up(pool, no_instances(), 1)
 
 
 class TestOnlineStep:
@@ -258,36 +254,36 @@ class TestOnlineStep:
         assert len(evolved_at) == 1
         assert 800 - 20 <= evolved_at[0] <= 800 + 2 * 10
 
-    def test_abandoned_step_changes_nothing_but_counters(self):
-        # x fully inside the old concept, y fully inside the new one
-        lookback, horizon = 16, 8
-        boundary = 400 + 5 * horizon + lookback
-        series = np.concatenate([np.zeros(boundary), np.full(600, 50.0)])
-        series = series + 0.01 * np.sin(np.arange(len(series)))
-        config = EngineConfig(lookback=lookback, horizon=horizon, forecaster="linear",
-                              lr_raw=1e-4, warm_epochs=1)
-        warm, online = split_instances(series, config)
-        pool = Pool(LinearForecaster(lookback, horizon), 1e-4, config.cep)
-        warm_up(pool, warm, 1, 1e-4, config)
-
-        target = next(i for i in online if i.t + lookback == boundary)
-        for inst in online:
-            if inst.t == target.t:
-                break
-            online_step(pool, inst, config)
-
-        checksums = {e.id: e.forecaster.parameter_checksum() for e in pool.entries}
-        genes = {e.id: e.genes for e in pool.entries}
-        preds = {e.id: e.n_pred for e in pool.entries}
-        record = online_step(pool, target, config)
-
+    def test_abandoned_step_changes_nothing_but_counters(self, abandoned_step):
+        # the scenario is C10's; this checks every field of every entry, not just
+        # the forecaster and the signature
+        pool, record, before = abandoned_step.pool, abandoned_step.record, abandoned_step.before
         assert record.abandoned
         assert not record.evolved
+        assert {e.id for e in pool.entries} <= before.keys()
         for e in pool.entries:
-            assert e.forecaster.parameter_checksum() == checksums[e.id]
-            assert e.genes == genes[e.id]
-        selected = next(e for e in pool.entries if e.id == record.selected_entry_id)
-        assert selected.n_pred == preds[selected.id] + 1
+            served = e.id == record.selected_entry_id
+            assert e.forecaster.parameter_checksum() == before[e.id].checksum
+            assert e.genes == before[e.id].genes
+            assert e.lr_current == before[e.id].lr_current
+            assert e.n_pred == before[e.id].n_pred + served
+            assert e.n_wait == (0 if served else before[e.id].n_wait + 1)
+
+    def test_pool_config_governs_the_step(self):
+        # a shifting stream that splits under the default thresholds
+        series = shifted_series([0.0, 10.0, 20.0, 30.0], 400, sigma=0.2, seed=12)
+        warm, online = split_instances(series, EngineConfig(lookback=16, horizon=8))
+
+        def stream(cep):
+            pool = Pool(NaiveForecaster(16, 8), 0.01, cep)
+            warm_up(pool, warm, 1)
+            return pool, [online_step(pool, inst) for inst in online]
+
+        _, records = stream(CepConfig())
+        assert any(r.evolved for r in records)
+        pool, records = stream(CepConfig(evolution=False, max_pool_size=1))
+        assert not any(r.evolved or r.eliminated_ids for r in records)
+        assert len(pool) == 1
 
     def test_records_are_time_ordered(self):
         series = shifted_series([0.0, 6.0, 0.0], 500, seed=3)
@@ -355,9 +351,8 @@ class TestRun:
 
     def test_logged_forecasts_reproduce_mse(self):
         series = shifted_series([0.0, 4.0], 500, seed=10)
-        config = EngineConfig(lookback=20, horizon=10, lr_raw=1e-3, warm_epochs=1,
-                              log_forecasts=True)
-        result = run(series, config)
+        config = EngineConfig(lookback=20, horizon=10, lr_raw=1e-3, warm_epochs=1)
+        result = run(series, config, log_forecasts=True)
         _, online = split_instances(series, config)
         by_t = {i.t: i for i in online}
         for r in result.records:

@@ -78,7 +78,7 @@ class TestNearest:
     def test_picks_closer_entry(self):
         pool = make_pool()
         pin_gene(pool.entries[0], 0.0)
-        other = pool.evolve(pool.entries[0], GeneVector(10.0, 0.0))
+        other, _ = pool.evolve(pool.entries[0], GeneVector(10.0, 0.0))
         assert pool.nearest(GeneVector(1.0, 0.0)) is pool.entries[0]
         assert pool.nearest(GeneVector(9.0, 0.0)) is other
 
@@ -104,7 +104,7 @@ class TestNearest:
             pool = make_pool(cfg)
             pin_gene(pool.entries[0], rng.uniform(-50, 50), rng.uniform(0, 5))
             for _ in range(int(rng.integers(0, 49))):
-                e = pool.evolve(
+                e, _ = pool.evolve(
                     pool.entries[0],
                     GeneVector(rng.uniform(-50, 50), rng.uniform(0, 5)),
                 )
@@ -172,7 +172,7 @@ class TestEvolve:
         pool = Pool(LinearForecaster(4, 2), 0.01, CepConfig())
         parent = pool.entries[0]
         parent.forecaster.train_step(np.ones(4), np.ones(2), 0.1)
-        child = pool.evolve(parent, GeneVector(5.0, 1.0))
+        child, _ = pool.evolve(parent, GeneVector(5.0, 1.0))
         assert len(pool) == 2
         rng = np.random.default_rng(0)
         for _ in range(25):  # knowledge carries over on arbitrary inputs
@@ -184,26 +184,27 @@ class TestEvolve:
 
     def test_initial_lr_reduced(self):
         pool = make_pool(CepConfig(tau_lr=0.5, t_lr=10), lr_raw=0.01)
-        child = pool.evolve(pool.entries[0], GeneVector(1, 1))
+        child, _ = pool.evolve(pool.entries[0], GeneVector(1, 1))
         assert child.lr_current == pytest.approx(0.005)
 
     def test_no_lr_adjustment_when_switched_off(self):
         pool = make_pool(CepConfig(optimizer_adjustment=False), lr_raw=0.01)
-        child = pool.evolve(pool.entries[0], GeneVector(1, 1))
+        child, _ = pool.evolve(pool.entries[0], GeneVector(1, 1))
         assert child.lr_current == 0.01
 
     def test_fifo_cap_evicts_oldest(self):
         pool = make_pool(CepConfig(max_pool_size=3))
         for i in range(2):
-            pool.evolve(pool.entries[0], GeneVector(float(i), 0.0))
+            assert pool.evolve(pool.entries[0], GeneVector(float(i), 0.0))[1] == []
         assert [e.id for e in pool.entries] == [0, 1, 2]
-        pool.evolve(pool.entries[-1], GeneVector(9.0, 0.0))
+        child, evicted = pool.evolve(pool.entries[-1], GeneVector(9.0, 0.0))
+        assert (child.id, evicted) == (3, [0])
         assert [e.id for e in pool.entries] == [1, 2, 3]
         assert len(pool) == 3
 
     def test_ids_strictly_increase(self):
         pool = make_pool()
-        ids = [pool.evolve(pool.entries[0], GeneVector(i, 0)).id for i in range(5)]
+        ids = [pool.evolve(pool.entries[0], GeneVector(i, 0))[0].id for i in range(5)]
         assert ids == sorted(ids)
         assert len(set(ids)) == 5
 
@@ -212,7 +213,7 @@ class TestLrTick:
     def test_restores_exactly_after_t_lr_ticks(self):
         cfg = CepConfig(tau_lr=0.5, t_lr=10)
         pool = make_pool(cfg, lr_raw=0.01)
-        child = pool.evolve(pool.entries[0], GeneVector(1, 1))
+        child, _ = pool.evolve(pool.entries[0], GeneVector(1, 1))
         assert child.lr_current == pytest.approx(0.005)
         for _ in range(10):
             lr_tick(child, pool.lr_raw, cfg)
@@ -229,7 +230,7 @@ class TestLrTick:
     def test_tau_one_is_a_noop(self):
         cfg = CepConfig(tau_lr=1.0, t_lr=5)
         pool = make_pool(cfg, lr_raw=0.02)
-        child = pool.evolve(pool.entries[0], GeneVector(1, 1))
+        child, _ = pool.evolve(pool.entries[0], GeneVector(1, 1))
         assert child.lr_current == 0.02
         lr_tick(child, pool.lr_raw, cfg)
         assert child.lr_current == 0.02
@@ -237,7 +238,7 @@ class TestLrTick:
     def test_stays_within_band(self):
         cfg = CepConfig(tau_lr=0.3, t_lr=7)
         pool = make_pool(cfg, lr_raw=0.05)
-        child = pool.evolve(pool.entries[0], GeneVector(1, 1))
+        child, _ = pool.evolve(pool.entries[0], GeneVector(1, 1))
         for _ in range(30):
             lr_tick(child, pool.lr_raw, cfg)
             assert 0.3 * 0.05 - 1e-15 <= child.lr_current <= 0.05 + 1e-15
@@ -247,7 +248,7 @@ class TestMarkSelected:
     def test_counters_after_repeated_selection(self):
         pool = make_pool()
         a = pool.entries[0]
-        b = pool.evolve(a, GeneVector(1, 1))
+        b, _ = pool.evolve(a, GeneVector(1, 1))
         for _ in range(3):
             pool.mark_selected(a)
         assert (a.n_pred, a.n_wait) == (3, 0)
@@ -256,7 +257,7 @@ class TestMarkSelected:
     def test_alternating_resets_wait(self):
         pool = make_pool()
         a = pool.entries[0]
-        b = pool.evolve(a, GeneVector(1, 1))
+        b, _ = pool.evolve(a, GeneVector(1, 1))
         pool.mark_selected(a)
         pool.mark_selected(b)
         assert (a.n_wait, b.n_wait) == (1, 0)
@@ -275,7 +276,7 @@ class TestEliminateStale:
     def test_removes_beyond_ratio(self):
         pool = make_pool()
         a = pool.entries[0]
-        b = pool.evolve(a, GeneVector(1, 1))
+        b, _ = pool.evolve(a, GeneVector(1, 1))
         b.n_pred, b.n_wait = 10, 16
         pool.last_selected_id = a.id
         a.n_pred = 1
@@ -285,7 +286,7 @@ class TestEliminateStale:
     def test_keeps_at_boundary(self):
         pool = make_pool()
         a = pool.entries[0]
-        b = pool.evolve(a, GeneVector(1, 1))
+        b, _ = pool.evolve(a, GeneVector(1, 1))
         b.n_pred, b.n_wait = 10, 15  # 15 is not strictly greater than 1.5 * 10
         pool.last_selected_id = a.id
         a.n_pred = 1
@@ -311,7 +312,7 @@ class TestEliminateStale:
     def test_switch_off_disables_removal(self):
         pool = make_pool(CepConfig(elimination=False))
         a = pool.entries[0]
-        b = pool.evolve(a, GeneVector(1, 1))
+        b, _ = pool.evolve(a, GeneVector(1, 1))
         b.n_pred, b.n_wait = 1, 1000
         pool.last_selected_id = a.id
         assert pool.eliminate_stale() == []
@@ -421,11 +422,12 @@ def pool_machine(caps):
         def evolve(self, i, gene):
             parent = self.pick(i)
             before = [e.id for e in self.pool.entries]
-            child = self.pool.evolve(parent, gene)
+            child, reported = self.pool.evolve(parent, gene)
             assert child.id > max(before)
             assert (child.n_pred, child.n_wait, child.genes.n) == (0, 0, 1)
             cap = self.config.max_pool_size
             evicted = before[:1] if cap is not None and len(before) + 1 > cap else []
+            assert reported == evicted
             assert [e.id for e in self.pool.entries] == [
                 *(x for x in before if x not in evicted), child.id]
             for x in evicted:

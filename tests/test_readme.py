@@ -1,0 +1,22 @@
+"""The README's library examples run as written.
+
+Every ```python block of README.md is executed in order in one namespace,
+so a later block can use what an earlier one built.
+"""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def python_blocks(text):
+    return re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = python_blocks(README.read_text(encoding="utf-8"))
+    assert blocks, "README.md has no python block"
+    namespace = {"__name__": "readme"}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
