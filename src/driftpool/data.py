@@ -166,7 +166,7 @@ def load_csv(path: str | Path, column: str, has_header: bool = True) -> SeriesSo
     """One named (or zero-based indexed) column of a comma-separated file.
 
     Every selected cell must parse as a finite number; the first bad row
-    aborts the load with its 1-based file line number.
+    aborts the load, naming the file and its 1-based line number.
     """
     path = Path(path)
     with open_text(path, newline="") as fh:
@@ -201,14 +201,16 @@ def load_csv(path: str | Path, column: str, has_header: bool = True) -> SeriesSo
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line, typically a trailing newline
         if col_idx >= len(row):
-            raise RowParseError(line_no, f"only {len(row)} fields, need column {col_idx}")
+            raise RowParseError(f"{path}: row {line_no}: only {len(row)} fields, "
+                                f"need column {col_idx}")
         cell = row[col_idx].strip()
         try:
             v = float(cell)
         except ValueError:
-            raise RowParseError(line_no, f"cannot parse {cell!r} as a number") from None
+            raise RowParseError(
+                f"{path}: row {line_no}: cannot parse {cell!r} as a number") from None
         if not math.isfinite(v):
-            raise RowParseError(line_no, f"non-finite value {cell!r}")
+            raise RowParseError(f"{path}: row {line_no}: non-finite value {cell!r}")
         values.append(v)
 
     return SeriesSource(

@@ -226,7 +226,6 @@ def online_step(pool: Pool, instance: Instance, log_forecasts: bool = False) -> 
     if removed:
         log.debug("t=%d eliminated %s", instance.t, removed)
 
-    g = effective_gene(current.genes, cep)
     return StepRecord(
         t=instance.t,
         selected_entry_id=current.id,
@@ -236,8 +235,8 @@ def online_step(pool: Pool, instance: Instance, log_forecasts: bool = False) -> 
         abandoned=abandoned,
         eliminated_ids=tuple(removed),
         pool_size=len(pool),
-        gene_mu=g.mu,
-        gene_sigma=g.sigma,
+        gene_mu=current.mu,
+        gene_sigma=current.sigma,
         forecast=tuple(float(v) for v in forecast) if log_forecasts else None,
     )
 

@@ -29,10 +29,6 @@ class ColumnNotFoundError(FileFormatError):
 class RowParseError(FileFormatError):
     """A cell in a delimited text file failed to parse as a finite number."""
 
-    def __init__(self, row: int, message: str):
-        super().__init__(f"row {row}: {message}")
-        self.row = row
-
 
 class NumericError(DriftpoolError):
     """A computation produced a non-finite value; the run must abort."""

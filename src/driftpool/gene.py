@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,13 +106,62 @@ def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int
     return mu, sigma
 
 
+def blend(w: float, a: float, b: float) -> float:
+    """w * a + (1 - w) * b: one component of an EMA step or of the local/global mix."""
+    return w * a + (1.0 - w) * b
+
+
+def fold_moments(mu: float, sigma: float, n: int, x: float) -> tuple[float, float]:
+    """Mean and population std of n values (mu, sigma) after one more value x.
+
+    Raises NumericError when the moments overflow.
+    """
+    new_mu = (n * mu + x) / (n + 1)
+    try:
+        new_var = (n / (n + 1)) * sigma**2 + (n / (n + 1) ** 2) * (mu - x) ** 2
+    except OverflowError:
+        new_var = math.inf
+    if not (math.isfinite(new_mu) and math.isfinite(new_var)):
+        raise NumericError(f"global moments overflow absorbing a window mean of {x!r}")
+    return new_mu, math.sqrt(new_var)
+
+
+def distances(mu: float, sigma: float, candidates: Iterable) -> list[float]:
+    """Euclidean distance from (mu, sigma) to each candidate's (mu, sigma).
+
+    A candidate is anything with ``mu`` and ``sigma``: a GeneVector, or a
+    pool entry's cached mixed signature.
+    """
+    return [math.hypot(mu - c.mu, sigma - c.sigma) for c in candidates]
+
+
+def nlls(mu: float, sigma: float, candidates: Iterable) -> list[float]:
+    """Negative log-likelihood of the sample stats (mu, sigma) under each candidate.
+
+    2*log(s) + (sigma^2 + (mu - c.mu)^2) / s^2 with s the candidate's
+    floored sigma. Raises NumericError at the first score that is not finite.
+    """
+    costs = []
+    for c in candidates:
+        s = max(c.sigma, SIGMA_FLOOR)
+        try:
+            cost = 2.0 * math.log(s) + (sigma**2 + (mu - c.mu) ** 2) / (s * s)
+        except OverflowError:
+            cost = math.inf
+        if not math.isfinite(cost):
+            raise NumericError(f"non-finite likelihood score for ({mu!r}, {sigma!r})"
+                               f" under ({c.mu!r}, {c.sigma!r})")
+        costs.append(cost)
+    return costs
+
+
 def ema_update(local: GeneVector, instance_gene: GeneVector, tau_l: float) -> GeneVector:
     """Blend a new window signature into the local one: tau_l toward the new."""
     if not 0.0 < tau_l <= 1.0:
         raise ValidationError(f"tau_l must be in (0, 1], got {tau_l}")
     return GeneVector(
-        tau_l * instance_gene.mu + (1.0 - tau_l) * local.mu,
-        tau_l * instance_gene.sigma + (1.0 - tau_l) * local.sigma,
+        blend(tau_l, instance_gene.mu, local.mu),
+        blend(tau_l, instance_gene.sigma, local.sigma),
     )
 
 
@@ -127,15 +176,7 @@ def global_update(
     """
     if n < 1:
         raise ValidationError(f"absorbed-sample count must be >= 1, got {n}")
-    mu_g, x = global_.mu, instance_gene.mu
-    new_mu = (n * mu_g + x) / (n + 1)
-    try:
-        new_var = (n / (n + 1)) * global_.sigma**2 + (n / (n + 1) ** 2) * (mu_g - x) ** 2
-    except OverflowError:
-        new_var = math.inf
-    if not (math.isfinite(new_mu) and math.isfinite(new_var)):
-        raise NumericError(f"global moments overflow absorbing a window mean of {x!r}")
-    return GeneVector(new_mu, math.sqrt(new_var)), n + 1
+    return GeneVector(*fold_moments(global_.mu, global_.sigma, n, instance_gene.mu)), n + 1
 
 
 def mix_gene(state: GeneState, tau_gene: float) -> GeneVector:
@@ -143,28 +184,17 @@ def mix_gene(state: GeneState, tau_gene: float) -> GeneVector:
     if not 0.0 <= tau_gene <= 1.0:
         raise ValidationError(f"tau_gene must be in [0, 1], got {tau_gene}")
     l, g = state.local, state.global_
-    return GeneVector(
-        tau_gene * l.mu + (1.0 - tau_gene) * g.mu,
-        tau_gene * l.sigma + (1.0 - tau_gene) * g.sigma,
-    )
+    return GeneVector(blend(tau_gene, l.mu, g.mu), blend(tau_gene, l.sigma, g.sigma))
 
 
 def gene_distance(a: GeneVector, b: GeneVector) -> float:
     """Euclidean distance between two signatures."""
-    return math.hypot(a.mu - b.mu, a.sigma - b.sigma)
+    return distances(a.mu, a.sigma, (b,))[0]
 
 
 def mle_cost(candidate: GeneVector, sample: GeneVector) -> float:
     """Negative log-likelihood of the sample stats under the candidate's Gaussian.
 
-    2*log(s) + (sample.sigma^2 + (sample.mu - candidate.mu)^2) / s^2 with
-    s the floored candidate sigma. Lower is a better match.
+    Lower is a better match; see nlls.
     """
-    s = max(candidate.sigma, SIGMA_FLOOR)
-    try:
-        cost = 2.0 * math.log(s) + (sample.sigma**2 + (sample.mu - candidate.mu) ** 2) / (s * s)
-    except OverflowError:
-        cost = math.inf
-    if not math.isfinite(cost):
-        raise NumericError(f"non-finite likelihood score for {sample} under {candidate}")
-    return cost
+    return nlls(sample.mu, sample.sigma, (candidate,))[0]

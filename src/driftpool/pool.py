@@ -18,12 +18,13 @@ from .gene import (
     SIGMA_FLOOR,
     GeneState,
     GeneVector,
-    ema_update,
+    blend,
+    distances,
+    fold_moments,
     fresh_state,
     gene_distance,
-    global_update,
-    mix_gene,
     mle_cost,
+    nlls,
 )
 
 RETRIEVAL_SCORES = ("euclidean", "mle")
@@ -84,28 +85,70 @@ class CepConfig:
                 raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
-@dataclass
-class PoolEntry:
-    """One forecaster plus its signatures, counters, and LR state."""
+def _effective(config: CepConfig, local_mu: float, local_sigma: float,
+               global_mu: float, global_sigma: float) -> tuple[float, float]:
+    """Effective (mu, sigma) from the two signatures under the ablation switches."""
+    if config.use_local_gene and config.use_global_gene:
+        w = config.tau_gene
+        return blend(w, local_mu, global_mu), blend(w, local_sigma, global_sigma)
+    if config.use_local_gene:
+        return local_mu, local_sigma
+    return global_mu, global_sigma
 
-    forecaster: Forecaster
-    genes: GeneState
-    id: int
-    n_pred: int = 0
-    n_wait: int = 0
-    lr_current: float = 0.0
+
+class PoolEntry:
+    """One forecaster plus its signatures, counters, and LR state.
+
+    The signatures are plain floats: ``local_mu``/``local_sigma``,
+    ``global_mu``/``global_sigma`` and the absorbed-sample count ``n``.
+    ``mu``/``sigma`` cache the effective (mixed) signature under
+    ``config``, which retrieval scores; every write of the signatures
+    goes through ``absorb_instance`` or the ``genes`` setter, which
+    refresh it.
+    """
+
+    __slots__ = ("forecaster", "id", "config", "n_pred", "n_wait", "lr_current",
+                 "local_mu", "local_sigma", "global_mu", "global_sigma", "n",
+                 "mu", "sigma")
+
+    def __init__(self, forecaster: Forecaster, genes: GeneState, id: int, config: CepConfig,
+                 n_pred: int = 0, n_wait: int = 0, lr_current: float = 0.0):
+        self.forecaster, self.id, self.config = forecaster, id, config
+        self.n_pred, self.n_wait, self.lr_current = n_pred, n_wait, lr_current
+        self.genes = genes
+
+    @property
+    def genes(self) -> GeneState:
+        """A snapshot of the signatures; assigning one replaces them."""
+        return GeneState(GeneVector(self.local_mu, self.local_sigma),
+                         GeneVector(self.global_mu, self.global_sigma), self.n)
+
+    @genes.setter
+    def genes(self, state: GeneState) -> None:
+        if state.n < 1:
+            raise ValidationError(f"absorbed-sample count must be >= 1, got {state.n}")
+        self.local_mu, self.local_sigma = state.local.mu, state.local.sigma
+        self.global_mu, self.global_sigma = state.global_.mu, state.global_.sigma
+        self.n = state.n
+        self._refresh()
+
+    def _refresh(self) -> None:
+        self.mu, self.sigma = _effective(
+            self.config, self.local_mu, self.local_sigma, self.global_mu, self.global_sigma)
 
 
 def effective_gene(state: GeneState, config: CepConfig) -> GeneVector:
-    """Mixed signature honoring the ablation switches (a lone part gets weight 1)."""
-    if config.use_local_gene and config.use_global_gene:
-        return mix_gene(state, config.tau_gene)
-    if config.use_local_gene:
-        return state.local
-    return state.global_
+    """Mixed signature honoring the ablation switches (a lone part gets weight 1).
+
+    The reference for an entry's cached ``mu``/``sigma``:
+    it recomputes from the snapshot, never from the cache.
+    """
+    l, g = state.local, state.global_
+    return GeneVector(*_effective(config, l.mu, l.sigma, g.mu, g.sigma))
 
 
 def retrieval_cost(entry: PoolEntry, sample_gene: GeneVector, config: CepConfig) -> float:
+    """Scalar reference for the cost ``Pool.nearest`` minimizes."""
     g = effective_gene(entry.genes, config)
     if config.retrieval_score == "mle":
         return mle_cost(g, sample_gene)
@@ -118,8 +161,7 @@ def should_evolve(entry: PoolEntry, sample_gene: GeneVector, config: CepConfig) 
         return False
     if entry.n_pred < config.tau_safe:
         return False
-    g = effective_gene(entry.genes, config)
-    return abs(sample_gene.mu - g.mu) > config.tau_mu * max(g.sigma, SIGMA_FLOOR)
+    return abs(sample_gene.mu - entry.mu) > config.tau_mu * max(entry.sigma, SIGMA_FLOOR)
 
 
 def lr_tick(entry: PoolEntry, lr_raw: float, config: CepConfig) -> float:
@@ -130,11 +172,18 @@ def lr_tick(entry: PoolEntry, lr_raw: float, config: CepConfig) -> float:
 
 
 def absorb_instance(entry: PoolEntry, instance_gene: GeneVector, config: CepConfig) -> None:
-    """Fold one input-window signature into both of the entry's genes."""
-    state = entry.genes
-    new_local = ema_update(state.local, instance_gene, config.tau_l)
-    new_global, new_n = global_update(state.global_, state.n, instance_gene)
-    entry.genes = GeneState(local=new_local, global_=new_global, n=new_n)
+    """Fold one input-window signature into both of the entry's genes.
+
+    The same arithmetic as ``ema_update`` and ``global_update``; on a
+    NumericError the entry is left unchanged.
+    """
+    mu, tau_l = instance_gene.mu, config.tau_l
+    entry.global_mu, entry.global_sigma = fold_moments(
+        entry.global_mu, entry.global_sigma, entry.n, mu)
+    entry.n += 1
+    entry.local_mu = blend(tau_l, mu, entry.local_mu)
+    entry.local_sigma = blend(tau_l, instance_gene.sigma, entry.local_sigma)
+    entry._refresh()
 
 
 class Pool:
@@ -152,9 +201,7 @@ class Pool:
 
     def _append(self, forecaster: Forecaster, genes: GeneState,
                 lr_current: float) -> PoolEntry:
-        entry = PoolEntry(
-            forecaster=forecaster, genes=genes, id=self._next_id, lr_current=lr_current,
-        )
+        entry = PoolEntry(forecaster, genes, self._next_id, self.config, lr_current=lr_current)
         self._next_id += 1
         self.entries.append(entry)
         return entry
@@ -163,16 +210,17 @@ class Pool:
         return len(self.entries)
 
     def nearest(self, sample_gene: GeneVector) -> PoolEntry:
-        """Entry with minimal retrieval cost; ties go to the smallest id."""
-        if not self.entries:
+        """Entry with minimal retrieval cost; ties go to the smallest id.
+
+        Scores each entry's cached mixed signature; ``min`` keeps the first
+        minimal cost and ``index`` finds its first position, the oldest entry.
+        """
+        entries = self.entries
+        if not entries:
             raise ValidationError("pool is empty")
-        best = self.entries[0]
-        best_cost = retrieval_cost(best, sample_gene, self.config)
-        for entry in self.entries[1:]:
-            cost = retrieval_cost(entry, sample_gene, self.config)
-            if cost < best_cost:
-                best, best_cost = entry, cost
-        return best
+        score = nlls if self.config.retrieval_score == "mle" else distances
+        costs = score(sample_gene.mu, sample_gene.sigma, entries)
+        return entries[costs.index(min(costs))]
 
     def evolve(self, parent: PoolEntry, sample_gene: GeneVector) -> tuple[PoolEntry, list[int]]:
         """Split the parent: clone its forecaster, seed genes from the sample.

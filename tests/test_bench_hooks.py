@@ -55,7 +55,8 @@ def test_install_trace_patches_then_restores_every_hook():
     for owner, attr, original in tracer.seen:
         assert current(owner, attr) is original, (owner, attr)
     assert {"forecasters.train_step", "forecasters.predict", "forecasters.deep_clone",
-            "engine.warm_up", "engine.online_step", "pool.evolve"} <= set(tracer.names)
+            "engine.warm_up", "engine.online_step", "pool.evolve", "pool.nearest",
+            "pool.absorb_instance", "pool.should_evolve"} <= set(tracer.names)
 
 
 def test_traced_run_counts_warm_and_online_train_steps():
@@ -81,3 +82,8 @@ def test_traced_run_counts_warm_and_online_train_steps():
     assert steps.count("engine.warm_up") == 2 * len(warm)
     assert steps.count("engine.online_step") == trained
     assert len(steps) == 2 * len(warm) + trained
+    # the pool's per-layer numbers come from spans the engine's calls pass through
+    calls = [names[s[0]] for s in spans]
+    assert calls.count("pool.nearest") == len(online)
+    assert calls.count("pool.absorb_instance") == 2 * len(warm) + trained
+    assert calls.count("pool.should_evolve") >= len(online)

@@ -503,6 +503,22 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'bad'}: not UTF-8 text: ")
 
+    @pytest.mark.parametrize("where, argv", [
+        ("csv", ["run", "--data", "BAD", "--column", "value", "--lookback", "8",
+                 "--horizon", "4"]),
+        ("labels", ["purity", "--results", "RESULTS", "--labels", "BAD"]),
+    ], ids=["csv", "labels"])
+    def test_bad_csv_cell_names_the_file(self, tmp_path, capsys, where, argv):
+        (tmp_path / "bad").write_text(f"{'value' if where == 'csv' else 'label'}\n1\nabc\n")
+        if where == "labels":  # purity needs a real bundle before it reads the labels
+            save_manifest(synthetic_manifest(), tmp_path / "m.json")
+            rc = main(["run", "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path)])
+            assert rc == EXIT_OK
+        paths = {"BAD": tmp_path / "bad", "RESULTS": tmp_path / "results.json"}
+        assert main([str(paths.get(a, a)) for a in argv]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'bad'}: row 3: cannot parse 'abc' as a number\n"
+
     @pytest.mark.parametrize("argv", [
         ["run", "--forecaster", "mlp", "--hidden", "-1"],
         ["run", "--forecaster", "mlp", "--hidden", "0"],

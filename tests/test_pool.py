@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from driftpool.errors import ValidationError
+from driftpool.errors import NumericError, ValidationError
 from driftpool.forecasters import LinearForecaster, NaiveForecaster
-from driftpool.gene import GeneState, GeneVector, gene_distance, mle_cost
+from driftpool.gene import (
+    GeneState,
+    GeneVector,
+    ema_update,
+    gene_distance,
+    global_update,
+    mle_cost,
+)
 from driftpool.pool import (
     RETRIEVAL_SCORES,
     CepConfig,
@@ -29,6 +36,22 @@ def pin_gene(entry, mu, sigma=0.0, n=1):
     """Force local == global so the mixed gene equals the given vector."""
     g = GeneVector(mu, sigma)
     entry.genes = GeneState(local=g, global_=g, n=n)
+
+
+def same_bits(a, b):
+    """Equal float for float, 0.0 told apart from -0.0: repr round-trips a float."""
+    return repr(a) == repr(b)
+
+
+def cache_matches_reference(entry, config):
+    """The entry's cached mixed signature equals the one recomputed from its genes."""
+    g = effective_gene(entry.genes, config)
+    return same_bits((entry.mu, entry.sigma), (g.mu, g.sigma))
+
+
+_WIDE = st.floats(-1e300, 1e300)  # moments of means near 1e300 overflow
+_SPREAD = st.floats(0.0, 1e300)
+_PARTS = st.sampled_from([(True, True), (True, False), (False, True)])  # local, global
 
 
 def brute_force_nearest(pool, sample):
@@ -375,10 +398,68 @@ class TestAbsorbInstance:
         assert entry.genes.global_.mu == pytest.approx(np.mean(means), rel=1e-9)
         assert entry.genes.global_.sigma == pytest.approx(np.std(means), rel=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        local=st.builds(GeneVector, _WIDE, _SPREAD),
+        global_=st.builds(GeneVector, _WIDE, _SPREAD),
+        n=st.integers(1, 10**6),
+        sample=st.builds(GeneVector, _WIDE, _SPREAD),
+        tau_l=st.floats(0.0, 1.0, exclude_min=True),
+        tau_gene=st.floats(0.0, 1.0),
+        parts=_PARTS,
+    )
+    def test_equals_the_reference_updates_bit_for_bit(self, local, global_, n, sample,
+                                                       tau_l, tau_gene, parts):
+        cfg = CepConfig(tau_l=tau_l, tau_gene=tau_gene,
+                        use_local_gene=parts[0], use_global_gene=parts[1])
+        entry = make_pool(cfg).entries[0]
+        entry.genes = old = GeneState(local, global_, n)
+        try:
+            expected = GeneState(ema_update(old.local, sample, tau_l),
+                                 *global_update(old.global_, old.n, sample))
+        except NumericError as exc:
+            with pytest.raises(NumericError) as raised:
+                absorb_instance(entry, sample, cfg)
+            assert str(raised.value) == str(exc)
+            assert same_bits(entry.genes, old)
+        else:
+            absorb_instance(entry, sample, cfg)
+            assert same_bits(entry.genes, expected)
+        assert cache_matches_reference(entry, cfg)
+
+    def test_overflow_raises_the_reference_error_and_keeps_the_genes(self):
+        pool = make_pool()
+        entry = pool.entries[0]
+        before = entry.genes
+        sample = GeneVector(1e300, 0.0)
+        with pytest.raises(NumericError) as reference:
+            global_update(before.global_, before.n, sample)
+        with pytest.raises(NumericError) as raised:
+            absorb_instance(entry, sample, pool.config)
+        assert str(raised.value) == str(reference.value)
+        assert same_bits(entry.genes, before)
+
+
+class TestGenesProperty:
+    def test_snapshot_and_assignment(self):
+        cfg = CepConfig(tau_gene=0.25)
+        entry = make_pool(cfg).entries[0]
+        state = GeneState(GeneVector(4.0, 1.0), GeneVector(-2.0, 3.0), 7)
+        entry.genes = state
+        assert entry.genes == state
+        assert entry.genes is not entry.genes  # a fresh snapshot per read
+        assert (entry.mu, entry.sigma) == (0.25 * 4.0 + 0.75 * -2.0, 0.25 * 1.0 + 0.75 * 3.0)
+
+    def test_rejects_a_count_below_one(self):
+        entry = make_pool().entries[0]
+        with pytest.raises(ValidationError, match="absorbed-sample count"):
+            entry.genes = GeneState(GeneVector(0.0, 0.0), GeneVector(0.0, 0.0), 0)
+
 
 # --- pool invariants under arbitrary operation sequences --------------------
 
 _GENES = st.builds(GeneVector, st.floats(-50, 50), st.floats(0, 5))
+_STATES = st.builds(GeneState, _GENES, _GENES, st.integers(1, 50))
 _PICK = st.integers(0, 1_000)  # an index into the current entries, taken modulo their count
 
 
@@ -399,12 +480,17 @@ def pool_machine(caps):
             adjust=st.booleans(),
             elimination=st.booleans(),
             score=st.sampled_from(RETRIEVAL_SCORES),
+            tau_gene=st.floats(0.0, 1.0),
+            parts=_PARTS,
+            tau_l=st.floats(0.0, 1.0, exclude_min=True),
         )
-        def start(self, cap, tau_safe, tau_e, tau_lr, t_lr, adjust, elimination, score):
+        def start(self, cap, tau_safe, tau_e, tau_lr, t_lr, adjust, elimination, score,
+                  tau_gene, parts, tau_l):
             self.config = CepConfig(
                 tau_safe=tau_safe, tau_e=tau_e, tau_lr=tau_lr, t_lr=t_lr,
                 optimizer_adjustment=adjust, elimination=elimination,
-                retrieval_score=score, max_pool_size=cap,
+                retrieval_score=score, max_pool_size=cap, tau_gene=tau_gene,
+                use_local_gene=parts[0], use_global_gene=parts[1], tau_l=tau_l,
             )
             self.lr_raw = 0.01
             self.pool = Pool(NaiveForecaster(4, 2), self.lr_raw, self.config)
@@ -467,6 +553,12 @@ def pool_machine(caps):
             absorb_instance(entry, gene, self.config)
             assert entry.genes.n == n + 1
 
+        @rule(i=_PICK, state=_STATES)
+        def assign_genes(self, i, state):
+            entry = self.pick(i)
+            entry.genes = state
+            assert entry.genes == state
+
         @rule(i=_PICK)
         def lr_tick(self, i):
             entry = self.pick(i)
@@ -486,6 +578,9 @@ def pool_machine(caps):
             for e in entries:
                 assert low <= e.lr_current <= self.lr_raw
             assert {e.id: (e.n_pred, e.n_wait) for e in entries} == self.shadow
+            assert any(e.n_wait == 0 for e in entries)
+            for e in entries:
+                assert cache_matches_reference(e, self.config)
 
     return PoolMachine
 
