@@ -182,7 +182,7 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]
     """
     if len(pool.entries) != 1:
         raise ValidationError(f"warm-up expects a single-entry pool, got {len(pool.entries)}")
-    entry, lr_raw, cep = pool.entries[0], pool.lr_raw, pool.config
+    entry, lr_raw = pool.entries[0], pool.lr_raw
     series, lookback = warm_instances.series, warm_instances.lookback
     span = lookback + warm_instances.horizon
     steps = list(zip(warm_instances.starts.tolist(), warm_instances.x_mu.tolist(),
@@ -192,34 +192,42 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]
         for t, mu, sigma in steps:
             x, y = series[t:t + lookback], series[t + lookback:t + span]
             losses.append(entry.forecaster.train_step(x, y, lr_raw))
-            absorb_instance(entry, GeneVector(mu, sigma), cep)
+            absorb_instance(entry, mu, sigma)
             pool.mark_selected(entry)
     return losses
 
 
 def online_step(pool: Pool, instance: Instance, log_forecasts: bool = False) -> StepRecord:
-    """One delayed-feedback step: retrieve or split, forecast, maybe train, prune."""
+    """One delayed-feedback step: retrieve or split, forecast, maybe train, prune.
+
+    A trained step runs one forward pass: its recorded MSE is the loss
+    ``train_step`` measures before the update. ``predict`` runs only on an
+    abandoned step or when the forecast is logged.
+    """
     cep = pool.config
     z_x = instance.z_x
 
     near = pool.nearest(z_x)
-    evolved = should_evolve(near, z_x, cep)
+    evolved = should_evolve(near, z_x)
     if evolved:
         current, evicted = pool.evolve(near, z_x)
         log.debug("t=%d evolved entry %d from %d", instance.t, current.id, near.id)
     else:
         current, evicted = near, []
 
-    forecast = current.forecaster.predict(instance.x)
-    if not np.isfinite(forecast).all():
-        raise NumericError(f"non-finite forecast at t={instance.t}")
-    err = mse(forecast, instance.y)
-
-    abandoned = cep.gradient_abandonment and should_evolve(current, instance.z_y, cep)
+    abandoned = cep.gradient_abandonment and should_evolve(current, instance.z_y)
+    if abandoned or log_forecasts:
+        forecast = current.forecaster.predict(instance.x)
+        if not np.isfinite(forecast).all():
+            raise NumericError(f"non-finite forecast at t={instance.t}")
+        err = mse(forecast, instance.y)
     if not abandoned:
-        current.forecaster.train_step(instance.x, instance.y, current.lr_current)
+        try:
+            err = current.forecaster.train_step(instance.x, instance.y, current.lr_current)
+        except NumericError as exc:
+            raise NumericError(f"{exc} at t={instance.t}") from exc
         lr_tick(current, pool.lr_raw, cep)
-        absorb_instance(current, z_x, cep)
+        absorb_instance(current, z_x.mu, z_x.sigma)
 
     pool.mark_selected(current)
     removed = evicted + pool.eliminate_stale()

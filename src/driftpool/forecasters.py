@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 from abc import ABC, abstractmethod
 from typing import NamedTuple
 
@@ -26,7 +27,12 @@ def mse(pred: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
         raise ValidationError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    return float(np.mean((pred - truth) ** 2))
+    return _mean_square(pred - truth)
+
+
+def _mean_square(err: np.ndarray) -> float:
+    """``float(np.mean(err**2))`` bit for bit, without ``np.mean``'s wrapper."""
+    return float(np.add.reduce(err * err, axis=None) / err.size)
 
 
 class Forecaster(ABC):
@@ -60,8 +66,8 @@ class Forecaster(ABC):
             raise ValidationError(f"lr must be >= 0, got {lr}")
         forecast, cache = self._forward(x)
         err = forecast - y
-        loss = float(np.mean(err**2))
-        if not np.isfinite(loss):
+        loss = _mean_square(err)
+        if not math.isfinite(loss):
             raise NumericError("non-finite training loss")
         self._update(x, err, cache, lr)
         return loss
@@ -111,7 +117,7 @@ class LinearForecaster(Forecaster):
 
     def _update(self, x, err, cache, lr):
         scale = 2.0 / self.horizon
-        self.weights -= lr * scale * np.outer(err, x)
+        self.weights -= lr * scale * np.multiply.outer(err, x)
         self.bias -= lr * scale * err
 
 
@@ -136,11 +142,11 @@ class MlpForecaster(Forecaster):
 
     def _update(self, x, err, h, lr):
         d_pred = 2.0 * err / self.horizon
-        d_w2 = np.outer(d_pred, h)
+        d_w2 = np.multiply.outer(d_pred, h)
         d_b2 = d_pred
         d_h = self.w2.T @ d_pred  # taken before w2 moves
         d_pre = d_h * (1.0 - h**2)
-        d_w1 = np.outer(d_pre, x)
+        d_w1 = np.multiply.outer(d_pre, x)
         d_b1 = d_pre
         self.w1 -= lr * d_w1
         self.b1 -= lr * d_b1

@@ -155,8 +155,9 @@ def retrieval_cost(entry: PoolEntry, sample_gene: GeneVector, config: CepConfig)
     return gene_distance(sample_gene, g)
 
 
-def should_evolve(entry: PoolEntry, sample_gene: GeneVector, config: CepConfig) -> bool:
-    """Mean-shift test gated by the evolution switch and the safety period."""
+def should_evolve(entry: PoolEntry, sample_gene: GeneVector) -> bool:
+    """Mean-shift test gated by the evolution switch and the safety period (entry's config)."""
+    config = entry.config
     if not config.evolution:
         return False
     if entry.n_pred < config.tau_safe:
@@ -171,18 +172,18 @@ def lr_tick(entry: PoolEntry, lr_raw: float, config: CepConfig) -> float:
     return entry.lr_current
 
 
-def absorb_instance(entry: PoolEntry, instance_gene: GeneVector, config: CepConfig) -> None:
-    """Fold one input-window signature into both of the entry's genes.
+def absorb_instance(entry: PoolEntry, mu: float, sigma: float) -> None:
+    """Fold one input-window signature (mu, sigma) into both of the entry's genes.
 
-    The same arithmetic as ``ema_update`` and ``global_update``; on a
-    NumericError the entry is left unchanged.
+    The same arithmetic as ``ema_update`` and ``global_update``, at the
+    entry's ``tau_l``; on a NumericError the entry is left unchanged.
     """
-    mu, tau_l = instance_gene.mu, config.tau_l
+    tau_l = entry.config.tau_l
     entry.global_mu, entry.global_sigma = fold_moments(
         entry.global_mu, entry.global_sigma, entry.n, mu)
     entry.n += 1
     entry.local_mu = blend(tau_l, mu, entry.local_mu)
-    entry.local_sigma = blend(tau_l, instance_gene.sigma, entry.local_sigma)
+    entry.local_sigma = blend(tau_l, sigma, entry.local_sigma)
     entry._refresh()
 
 

@@ -82,6 +82,12 @@ def test_traced_run_counts_warm_and_online_train_steps():
     assert steps.count("engine.warm_up") == 2 * len(warm)
     assert steps.count("engine.online_step") == trained
     assert len(steps) == 2 * len(warm) + trained
+    # a trained online step runs one forward pass: predict and mse only when abandoned
+    abandoned = len(online) - trained
+    assert abandoned > 0
+    for name in ("forecasters.predict", "forecasters.mse"):
+        under_step = [parent(s) for s in spans if names[s[0]] == name]
+        assert under_step.count("engine.online_step") == abandoned, name
     # the pool's per-layer numbers come from spans the engine's calls pass through
     calls = [names[s[0]] for s in spans]
     assert calls.count("pool.nearest") == len(online)

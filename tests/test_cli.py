@@ -1,6 +1,7 @@
 """CLI surface tests: manifests, bundles, comparisons, purity, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -437,6 +438,21 @@ class TestMainExitCodes:
             ])
         assert rc == EXIT_RUNTIME
         assert "non-finite" in capsys.readouterr().err
+
+    def test_online_divergence_names_its_step(self, tmp_path, capsys):
+        from driftpool.cli import EXIT_RUNTIME
+        from driftpool.data import write_series_csv
+
+        # no warm-up: the weights first blow up in a trained online step
+        write_series_csv(tmp_path / "hot.csv", np.full(900, 50.0), "v")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([
+                "run", "--data", str(tmp_path / "hot.csv"), "--column", "v",
+                "--lookback", "20", "--horizon", "10", "--lr", "0.5",
+                "--warm-epochs", "0", "--out", str(tmp_path / "out"),
+            ])
+        assert rc == EXIT_RUNTIME
+        assert re.search(r"non-finite training loss at t=\d+$", capsys.readouterr().err.strip())
 
     @pytest.mark.parametrize("where, bad", [
         ("config", "hidden = none"),

@@ -1,5 +1,6 @@
 """Engine orchestration tests: splits, warm-up, online semantics, determinism."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,9 +20,15 @@ from driftpool.engine import (
     warm_split_index,
     warm_up,
 )
-from driftpool.errors import DriftpoolError, SizingError, ValidationError
-from driftpool.forecasters import LinearForecaster, NaiveForecaster, mse
-from driftpool.gene import GeneVector, compute_gene
+from driftpool.errors import DriftpoolError, NumericError, SizingError, ValidationError
+from driftpool.forecasters import (
+    FORECASTER_KINDS,
+    LinearForecaster,
+    NaiveForecaster,
+    make_forecaster,
+    mse,
+)
+from driftpool.gene import GeneState, GeneVector, compute_gene
 from driftpool.pool import CepConfig, Pool
 
 
@@ -314,6 +321,27 @@ class TestOnlineStep:
             with pytest.raises(NumericError):
                 run(series, config)
 
+    @pytest.mark.parametrize("y_mu, abandoned, message", [
+        (0.0, False, "non-finite training loss at t=7$"),
+        (100.0, True, "non-finite forecast at t=7$"),
+    ])
+    def test_non_finite_forecast_names_its_step(self, y_mu, abandoned, message):
+        # a settled entry at (0, 1): the window never splits; the truth's mean
+        # decides whether the step trains or abandons its gradient
+        pool = Pool(LinearForecaster(4, 2), 0.01, CepConfig())
+        entry = pool.entries[0]
+        g = GeneVector(0.0, 1.0)
+        entry.genes = GeneState(g, g, 50)
+        entry.n_pred = 50
+        entry.forecaster.bias[:] = np.nan
+        inst = Instance(x=np.zeros(4), y=np.full(2, y_mu), t=7, z_x=g,
+                        z_y=GeneVector(y_mu, 1.0))
+        with mock.patch.object(LinearForecaster, "train_step",
+                               wraps=entry.forecaster.train_step) as train:
+            with pytest.raises(NumericError, match=message):
+                online_step(pool, inst)
+        assert train.call_count == (0 if abandoned else 1)
+
 
 class TestRun:
     def test_same_config_is_bit_identical(self):
@@ -397,6 +425,50 @@ class TestRun:
         for r in result.records:
             if r.evolved:
                 assert any(abs(r.t - b) <= config.lookback for b in (600, 1200, 1800))
+
+
+def lifecycle_series():
+    """A recurring stream that splits, abandons gradients and trains at every kind's lr."""
+    return shifted_series([0.0, 6.0, 0.0, 6.0, 12.0], 300, sigma=0.3, seed=15)
+
+
+def lifecycle_config(kind, abandonment):
+    return EngineConfig(lookback=16, horizon=8, forecaster=kind, hidden=6, lr_raw=1e-3,
+                        warm_epochs=1, cep=CepConfig(gradient_abandonment=abandonment))
+
+
+class TestOneForwardPass:
+    @pytest.mark.parametrize("abandonment", [True, False])
+    @pytest.mark.parametrize("kind", FORECASTER_KINDS)
+    def test_logging_forecasts_changes_only_the_forecast_field(self, kind, abandonment):
+        series = lifecycle_series()
+        config = lifecycle_config(kind, abandonment)
+        logged = run(series, config, log_forecasts=True)
+        plain = run(series, config)
+        assert any(r.evolved for r in plain.records)
+        assert any(r.abandoned for r in plain.records) == abandonment
+        assert all(r.forecast is not None for r in logged.records)
+        assert [replace(r, forecast=None) for r in logged.records] == plain.records
+        assert logged.mean_mse == plain.mean_mse
+
+    @pytest.mark.parametrize("kind", FORECASTER_KINDS)
+    def test_trained_mse_is_the_pre_step_forecast_mse(self, kind):
+        series = lifecycle_series()
+        config = lifecycle_config(kind, True)
+        warm, online = split_instances(series, config)
+        pool = Pool(make_forecaster(kind, 16, 8, hidden=6, seed=0), config.resolved_lr(),
+                    config.cep)
+        warm_up(pool, warm, config.warm_epochs)
+        trained = 0
+        for inst in online:
+            before = {e.id: e.forecaster.deep_clone() for e in pool.entries}
+            r = online_step(pool, inst)
+            # a split child starts as a clone of its parent's forecaster
+            clone = before[r.evolved_from if r.evolved else r.selected_entry_id]
+            if not r.abandoned:
+                trained += 1
+                assert r.mse == mse(clone.predict(inst.x), inst.y)
+        assert 0 < trained < len(online)
 
 
 class TestInstances:

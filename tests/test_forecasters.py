@@ -1,7 +1,11 @@
 """Forecaster contract tests: shapes, gradients, cloning, determinism."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftpool.errors import NumericError, ValidationError
 from driftpool.forecasters import (
@@ -11,6 +15,7 @@ from driftpool.forecasters import (
     LinearForecaster,
     MlpForecaster,
     NaiveForecaster,
+    _mean_square,
     make_forecaster,
     mse,
 )
@@ -188,6 +193,31 @@ class TestContract:
             f.train_step(x, y, lr)
             for got, want in zip(f.parameters(), ref):
                 assert np.array_equal(got, want)
+
+    def test_linear_update_matches_the_written_out_step(self):
+        rng = np.random.default_rng(9)
+        f = LinearForecaster(5, 3)
+        f.weights[:] = rng.normal(size=(3, 5))
+        f.bias[:] = rng.normal(size=3)
+        ref = [p.copy() for p in f.parameters()]
+        for _ in range(10):
+            x, y, lr = rng.normal(size=5), rng.normal(size=3), 0.07
+            w, b = ref
+            err = w @ x + b - y
+            ref = [w - lr * (2.0 / 3) * np.outer(err, x), b - lr * (2.0 / 3) * err]
+            f.train_step(x, y, lr)
+            for got, want in zip(f.parameters(), ref):
+                assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e300, 1e300),
+                              st.sampled_from([math.inf, -math.inf, math.nan])),
+                    min_size=1, max_size=64))
+    def test_mean_square_is_numpy_mean_bit_for_bit(self, values):
+        err = np.array(values)
+        with np.errstate(all="ignore"):
+            got, want = _mean_square(err), float(np.mean(err**2))
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_kind_table(self):
         assert FORECASTER_KINDS == ("naive", "linear", "mlp")

@@ -157,21 +157,21 @@ class TestShouldEvolve:
         entry = pool.entries[0]
         pin_gene(entry, 0.0, 1.0)
         entry.n_pred = 20
-        assert should_evolve(entry, GeneVector(3.5, 1.0), pool.config)
+        assert should_evolve(entry, GeneVector(3.5, 1.0))
 
     def test_holds_inside_threshold(self):
         pool = make_pool()
         entry = pool.entries[0]
         pin_gene(entry, 0.0, 1.0)
         entry.n_pred = 20
-        assert not should_evolve(entry, GeneVector(2.9, 1.0), pool.config)
+        assert not should_evolve(entry, GeneVector(2.9, 1.0))
 
     def test_safety_period_gates_splitting(self):
         pool = make_pool()
         entry = pool.entries[0]
         pin_gene(entry, 0.0, 1.0)
         entry.n_pred = 5
-        assert not should_evolve(entry, GeneVector(100.0, 1.0), pool.config)
+        assert not should_evolve(entry, GeneVector(100.0, 1.0))
 
     def test_evolution_switch_gates_everything(self):
         cfg = CepConfig(evolution=False)
@@ -179,7 +179,7 @@ class TestShouldEvolve:
         entry = pool.entries[0]
         pin_gene(entry, 0.0, 1.0)
         entry.n_pred = 100
-        assert not should_evolve(entry, GeneVector(1e6, 1.0), cfg)
+        assert not should_evolve(entry, GeneVector(1e6, 1.0))
 
     def test_sigma_floor_on_constant_gene(self):
         pool = make_pool()
@@ -187,7 +187,7 @@ class TestShouldEvolve:
         pin_gene(entry, 0.0, 0.0)
         entry.n_pred = 100
         # any visible deviation clears 3 * floored sigma
-        assert should_evolve(entry, GeneVector(1e-6, 0.0), pool.config)
+        assert should_evolve(entry, GeneVector(1e-6, 0.0))
 
 
 class TestEvolve:
@@ -360,7 +360,7 @@ class TestAbsorbInstance:
     def test_hand_computed_first_absorption(self):
         pool = make_pool()
         entry = pool.entries[0]
-        absorb_instance(entry, GeneVector(1.0, 1.0), pool.config)
+        absorb_instance(entry, 1.0, 1.0)
         assert entry.genes.local.mu == pytest.approx(0.2)
         assert entry.genes.local.sigma == pytest.approx(0.2)
         assert entry.genes.global_.mu == pytest.approx(0.5)
@@ -382,7 +382,7 @@ class TestAbsorbInstance:
         pool = make_pool()
         entry = pool.entries[0]
         pin_gene(entry, 2.5, 0.0, n=3)
-        absorb_instance(entry, GeneVector(2.5, 7.0), pool.config)
+        absorb_instance(entry, 2.5, 7.0)
         assert entry.genes.global_.sigma == 0.0
         assert entry.genes.n == 4
 
@@ -393,7 +393,7 @@ class TestAbsorbInstance:
         means = [0.0]  # the seed value of the fresh state
         for _ in range(200):
             m = float(rng.uniform(-5, 5))
-            absorb_instance(entry, GeneVector(m, rng.uniform(0, 2)), pool.config)
+            absorb_instance(entry, m, rng.uniform(0, 2))
             means.append(m)
         assert entry.genes.global_.mu == pytest.approx(np.mean(means), rel=1e-9)
         assert entry.genes.global_.sigma == pytest.approx(np.std(means), rel=1e-9)
@@ -419,11 +419,11 @@ class TestAbsorbInstance:
                                  *global_update(old.global_, old.n, sample))
         except NumericError as exc:
             with pytest.raises(NumericError) as raised:
-                absorb_instance(entry, sample, cfg)
+                absorb_instance(entry, sample.mu, sample.sigma)
             assert str(raised.value) == str(exc)
             assert same_bits(entry.genes, old)
         else:
-            absorb_instance(entry, sample, cfg)
+            absorb_instance(entry, sample.mu, sample.sigma)
             assert same_bits(entry.genes, expected)
         assert cache_matches_reference(entry, cfg)
 
@@ -435,7 +435,7 @@ class TestAbsorbInstance:
         with pytest.raises(NumericError) as reference:
             global_update(before.global_, before.n, sample)
         with pytest.raises(NumericError) as raised:
-            absorb_instance(entry, sample, pool.config)
+            absorb_instance(entry, sample.mu, sample.sigma)
         assert str(raised.value) == str(reference.value)
         assert same_bits(entry.genes, before)
 
@@ -550,7 +550,7 @@ def pool_machine(caps):
         def absorb_instance(self, i, gene):
             entry = self.pick(i)
             n = entry.genes.n
-            absorb_instance(entry, gene, self.config)
+            absorb_instance(entry, gene.mu, gene.sigma)
             assert entry.genes.n == n + 1
 
         @rule(i=_PICK, state=_STATES)
