@@ -25,7 +25,6 @@ from .engine import (
     StepRecord,
     online_step,
     run,
-    run_bare,
     warm_up,
 )
 from .errors import (
@@ -105,7 +104,6 @@ __all__ = [
     "normalize",
     "online_step",
     "run",
-    "run_bare",
     "save_manifest",
     "should_evolve",
     "warm_up",

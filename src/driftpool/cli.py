@@ -258,8 +258,12 @@ def cmd_purity(results_path: str | Path, labels_path: str | Path,
                skip_safety: bool = False) -> dict:
     """Score how cleanly a labeled synthetic run routed instances to entries."""
     bundle = read_bundle(results_path)
-    labels_source = load_csv(labels_path, "label", has_header=True)
-    labels = labels_source.values.astype(np.int64)
+    values = load_csv(labels_path, "label", has_header=True).values
+    fractional = values != np.round(values)
+    if fractional.any():
+        raise ValidationError(
+            f"{labels_path}: labels must be integers, got {float(values[fractional.argmax()])!r}")
+    labels = values.astype(np.int64)
     n_points = bundle.get("n_points")
     if n_points is not None and len(labels) != n_points:
         raise ValidationError(

@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ColumnNotFoundError, FileFormatError, RowParseError, ValidationError
+from .errors import (
+    ColumnNotFoundError,
+    FileFormatError,
+    NumericError,
+    RowParseError,
+    ValidationError,
+)
 
 
 @dataclass(frozen=True)
@@ -242,8 +248,11 @@ def normalize(source: SeriesSource, stats_from: str = "warm_segment"
     seg = values[: warm_split_index(len(values))] if stats_from == "warm_segment" else values
     if len(seg) == 0:
         raise ValidationError("normalization segment is empty")
-    mean = float(seg.mean())
-    std = float(seg.std())
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming the segment
+        mean, std = float(seg.mean()), float(seg.std())
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise NumericError(f"{stats_from} segment moments overflow (mean={mean!r}, "
+                           f"std={std!r}), cannot normalize")
     if std <= 0.0:
         raise ValidationError(f"zero-variance {stats_from} segment, cannot normalize")
     out = SeriesSource(

@@ -20,22 +20,9 @@ import numpy as np
 from .data import warm_split_index
 from .errors import NumericError, SizingError, ValidationError
 from .forecasters import FORECASTER_KINDS, KINDS, make_forecaster, mse
-from .gene import (
-    GeneState,
-    GeneVector,
-    compute_gene,
-    ema_update,
-    global_update,
-    window_genes,
-)
-from .pool import (
-    CepConfig,
-    Pool,
-    absorb_instance,
-    effective_gene,
-    lr_tick,
-    should_evolve,
-)
+from .gene import GeneVector, window_genes
+from .gene import compute_gene  # unused: perfbench/child.py traces engine.compute_gene by name
+from .pool import CepConfig, Pool, absorb_instance, lr_tick, should_evolve
 
 log = logging.getLogger("driftpool.engine")
 
@@ -249,74 +236,20 @@ def online_step(pool: Pool, instance: Instance, log_forecasts: bool = False) -> 
     )
 
 
-def _aggregate(records: list[StepRecord], pool_size: int, pool: Pool | None) -> RunResult:
-    mean = float(np.mean([r.mse for r in records])) if records else float("nan")
-    return RunResult(
-        records=records,
-        mean_mse=mean,
-        final_pool_size=pool_size,
-        total_evolutions=sum(1 for r in records if r.evolved),
-        total_eliminations=sum(len(r.eliminated_ids) for r in records),
-        pool=pool,
-    )
-
-
-def _setup(series: np.ndarray, config: EngineConfig) -> tuple:
-    """Warm and online instance sets and seed forecaster of a run."""
+def run(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
+    """Full pipeline over one series: split, warm up, stream every online instance."""
     warm, online = split_instances(series, config)
     forecaster = make_forecaster(config.forecaster, config.lookback, config.horizon,
                                  hidden=config.hidden, seed=config.seed)
-    return warm, online, forecaster
-
-
-def run(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
-    """Full pipeline over one series: split, warm up, stream every online instance."""
-    warm, online, forecaster = _setup(series, config)
     pool = Pool(forecaster, config.resolved_lr(), config.cep)
     warm_up(pool, warm, config.warm_epochs)
     log.info("warm-up done: %d instances x %d epochs", len(warm), config.warm_epochs)
     records = [online_step(pool, inst, log_forecasts) for inst in online]
-    return _aggregate(records, len(pool), pool)
-
-
-def run_bare(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
-    """Single forecaster trained on every instance, no pool mechanics.
-
-    Independent reference loop for ablation checks: a pool run with
-    evolution disabled must reproduce this bit for bit.
-    """
-    warm, online, forecaster = _setup(series, config)
-    lr_raw, cep = config.resolved_lr(), config.cep
-    scope = config.scope()
-    genes = GeneState(GeneVector(0.0, 0.0), GeneVector(0.0, 0.0), 1)
-    for _ in range(config.warm_epochs):
-        for inst in warm:
-            z = compute_gene(inst.x, scope)
-            forecaster.train_step(inst.x, inst.y, lr_raw)
-            new_global, new_n = global_update(genes.global_, genes.n, z)
-            genes = GeneState(ema_update(genes.local, z, cep.tau_l), new_global, new_n)
-    records = []
-    for inst in online:
-        forecast = forecaster.predict(inst.x)
-        if not np.isfinite(forecast).all():
-            raise NumericError(f"non-finite forecast at t={inst.t}")
-        err = mse(forecast, inst.y)
-        z = compute_gene(inst.x, scope)
-        forecaster.train_step(inst.x, inst.y, lr_raw)
-        new_global, new_n = global_update(genes.global_, genes.n, z)
-        genes = GeneState(ema_update(genes.local, z, cep.tau_l), new_global, new_n)
-        g = effective_gene(genes, cep)
-        records.append(StepRecord(
-            t=inst.t,
-            selected_entry_id=0,
-            mse=err,
-            evolved=False,
-            evolved_from=None,
-            abandoned=False,
-            eliminated_ids=(),
-            pool_size=1,
-            gene_mu=g.mu,
-            gene_sigma=g.sigma,
-            forecast=tuple(float(v) for v in forecast) if log_forecasts else None,
-        ))
-    return _aggregate(records, 1, None)
+    return RunResult(
+        records=records,
+        mean_mse=float(np.mean([r.mse for r in records])) if records else float("nan"),
+        final_pool_size=len(pool),
+        total_evolutions=sum(1 for r in records if r.evolved),
+        total_eliminations=sum(len(r.eliminated_ids) for r in records),
+        pool=pool,
+    )

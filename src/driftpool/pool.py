@@ -22,8 +22,6 @@ from .gene import (
     distances,
     fold_moments,
     fresh_state,
-    gene_distance,
-    mle_cost,
     nlls,
 )
 
@@ -137,24 +135,6 @@ class PoolEntry:
             self.config, self.local_mu, self.local_sigma, self.global_mu, self.global_sigma)
 
 
-def effective_gene(state: GeneState, config: CepConfig) -> GeneVector:
-    """Mixed signature honoring the ablation switches (a lone part gets weight 1).
-
-    The reference for an entry's cached ``mu``/``sigma``:
-    it recomputes from the snapshot, never from the cache.
-    """
-    l, g = state.local, state.global_
-    return GeneVector(*_effective(config, l.mu, l.sigma, g.mu, g.sigma))
-
-
-def retrieval_cost(entry: PoolEntry, sample_gene: GeneVector, config: CepConfig) -> float:
-    """Scalar reference for the cost ``Pool.nearest`` minimizes."""
-    g = effective_gene(entry.genes, config)
-    if config.retrieval_score == "mle":
-        return mle_cost(g, sample_gene)
-    return gene_distance(sample_gene, g)
-
-
 def should_evolve(entry: PoolEntry, sample_gene: GeneVector) -> bool:
     """Mean-shift test gated by the evolution switch and the safety period (entry's config)."""
     config = entry.config
@@ -196,7 +176,6 @@ class Pool:
         self.lr_raw = float(lr_raw)
         self.config = config
         self._next_id = 0
-        self.last_selected_id: int | None = None
         self.entries: list[PoolEntry] = []
         self._append(first, fresh_state(), lr_current=self.lr_raw)
 
@@ -246,21 +225,19 @@ class Pool:
                 entry.n_wait = 0
             else:
                 entry.n_wait += 1
-        self.last_selected_id = selected.id
 
     def eliminate_stale(self) -> list[int]:
         """Drop entries idle beyond tau_e times their prediction count.
 
-        The most recently selected entry is always kept, which also
-        guarantees the pool never empties.
+        The most recently selected entry always survives, and so the pool
+        never empties: ``mark_selected`` leaves it at ``n_wait == 0``, a
+        split's child also starts at 0, and only ``mark_selected`` raises
+        ``n_wait``. Since ``tau_e > 0``, an entry at 0 is never stale.
         """
-        cfg = self.config
-        if not cfg.elimination:
+        if not self.config.elimination:
             return []
-        removed = [e.id for e in self.entries
-                   if e.n_wait > cfg.tau_e * e.n_pred and e.id != self.last_selected_id]
-        if len(removed) == len(self.entries):  # no selection yet: keep the newest entry
-            removed.pop()
+        tau_e = self.config.tau_e
+        removed = [e.id for e in self.entries if e.n_wait > tau_e * e.n_pred]
         if removed:
             self.entries = [e for e in self.entries if e.id not in removed]
         return removed

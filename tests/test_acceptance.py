@@ -17,11 +17,12 @@ from driftpool.data import (
     generate,
     normalize,
 )
-from driftpool.engine import EngineConfig, run, run_bare
+from driftpool.engine import EngineConfig, run
 from driftpool.forecasters import NaiveForecaster, make_forecaster, mse
 from driftpool.gene import GeneState, GeneVector, global_update
 from driftpool.manifest import RunManifest
-from driftpool.pool import CepConfig, Pool, lr_tick, retrieval_cost
+from driftpool.pool import CepConfig, Pool, lr_tick
+from reference import retrieval_cost, run_bare
 
 
 @contextmanager

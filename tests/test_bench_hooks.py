@@ -93,3 +93,7 @@ def test_traced_run_counts_warm_and_online_train_steps():
     assert calls.count("pool.nearest") == len(online)
     assert calls.count("pool.absorb_instance") == 2 * len(warm) + trained
     assert calls.count("pool.should_evolve") >= len(online)
+    # windows are signed in one pass per instance set, never one at a time per step;
+    # the engine keeps the name compute_gene only because the tracer patches it
+    assert "gene.compute_gene" in names
+    assert calls.count("gene.compute_gene") == 0

@@ -229,8 +229,8 @@ class TestCmdRun:
         assert off["aggregate"]["final_pool_size"] == 1
 
     def test_evolution_off_bundle_matches_bare_loop(self, capsys):
-        from driftpool.engine import run_bare
         from driftpool.manifest import build_bundle, resolve_series
+        from reference import run_bare
 
         manifest = synthetic_manifest(
             forecaster="linear", lr_raw=1e-3, cep=CepConfig(evolution=False)
@@ -497,6 +497,33 @@ class TestMainExitCodes:
         ])
         assert rc == EXIT_RUNTIME
         assert "overflow" in capsys.readouterr().err
+
+    def test_normalize_overflow(self, tmp_path, capsys):
+        from driftpool.cli import EXIT_RUNTIME
+        from driftpool.data import write_series_csv
+
+        # finite values whose spread overflows: std = inf would scale them all to 0
+        write_series_csv(tmp_path / "alt.csv", np.tile([1e200, -1e200], 400))
+        rc = main([
+            "run", "--data", str(tmp_path / "alt.csv"), "--column", "value",
+            "--lookback", "8", "--horizon", "4", "--normalize", "warm_segment",
+        ])
+        assert rc == EXIT_RUNTIME
+        assert "warm_segment segment moments overflow" in capsys.readouterr().err
+
+    def test_non_integer_labels(self, tmp_path, capsys):
+        save_manifest(synthetic_manifest(), tmp_path / "m.json")
+        assert main(["run", "--manifest", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        labels = load_csv(tmp_path / "labels.csv", "label").values
+        (tmp_path / "whole.csv").write_text("label\n" + "".join(f"{v:.1f}\n" for v in labels))
+        (tmp_path / "frac.csv").write_text("label\n" + "".join(f"{v - 0.1}\n" for v in labels))
+        argv = ["purity", "--results", str(tmp_path / "results.json"), "--labels"]
+        assert main(argv + [str(tmp_path / "whole.csv")]) == EXIT_OK  # 1.0 is integral
+        capsys.readouterr()
+        assert main(argv + [str(tmp_path / "frac.csv")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'frac.csv'}: labels must be integers, got -0.1\n"
 
     @pytest.mark.parametrize("where, content, argv", [
         ("csv", b"value\n\xff\n1.0\n",

@@ -12,7 +12,7 @@ from driftpool.data import (
     normalize,
     write_series_csv,
 )
-from driftpool.errors import ColumnNotFoundError, RowParseError, ValidationError
+from driftpool.errors import ColumnNotFoundError, NumericError, RowParseError, ValidationError
 
 
 class TestLoadCsv:
@@ -160,6 +160,13 @@ class TestNormalize:
         source = self.make_source(np.full(40, 3.0))
         with pytest.raises(ValidationError, match="zero-variance"):
             normalize(source, "whole")
+
+    @pytest.mark.parametrize("stats_from", ["warm_segment", "whole"])
+    def test_overflowing_spread_rejected(self, stats_from):
+        # finite values whose variance overflows would otherwise scale to all zeros
+        source = self.make_source(np.tile([1e200, -1e200], 40))
+        with pytest.raises(NumericError, match=f"{stats_from} segment moments overflow"):
+            normalize(source, stats_from)
 
     def test_warm_segment_stats_leave_online_shifted(self):
         values = np.concatenate([np.zeros(100) + np.sin(np.arange(100)), np.full(300, 10.0)])

@@ -15,7 +15,6 @@ from driftpool.engine import (
     make_instances,
     online_step,
     run,
-    run_bare,
     split_instances,
     warm_split_index,
     warm_up,
@@ -30,6 +29,7 @@ from driftpool.forecasters import (
 )
 from driftpool.gene import GeneState, GeneVector, compute_gene
 from driftpool.pool import CepConfig, Pool
+from reference import run_bare
 
 
 def enumerate_windows(n, start, stop, stride, lookback, horizon):

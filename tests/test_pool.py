@@ -21,11 +21,10 @@ from driftpool.pool import (
     CepConfig,
     Pool,
     absorb_instance,
-    effective_gene,
     lr_tick,
-    retrieval_cost,
     should_evolve,
 )
+from reference import effective_gene, retrieval_cost
 
 
 def make_pool(config=None, lr_raw=0.01, lookback=4, horizon=2):
@@ -296,48 +295,32 @@ class TestMarkSelected:
 
 
 class TestEliminateStale:
-    def test_removes_beyond_ratio(self):
-        pool = make_pool()
+    """Counters are reached through ``evolve`` and ``mark_selected`` only."""
+
+    def idle_child(self, config=None, served=10, idle=16):
+        """Pool of the seed entry and a child that served ``served`` and then idled ``idle``."""
+        pool = make_pool(config)
         a = pool.entries[0]
         b, _ = pool.evolve(a, GeneVector(1, 1))
-        b.n_pred, b.n_wait = 10, 16
-        pool.last_selected_id = a.id
-        a.n_pred = 1
+        for _ in range(served):
+            pool.mark_selected(b)
+        for _ in range(idle):
+            pool.mark_selected(a)
+        assert (b.n_pred, b.n_wait) == (served, idle)
+        return pool, a, b
+
+    def test_removes_beyond_ratio(self):
+        pool, a, b = self.idle_child(served=10, idle=16)
         assert pool.eliminate_stale() == [b.id]
         assert [e.id for e in pool.entries] == [a.id]
 
     def test_keeps_at_boundary(self):
-        pool = make_pool()
-        a = pool.entries[0]
-        b, _ = pool.evolve(a, GeneVector(1, 1))
-        b.n_pred, b.n_wait = 10, 15  # 15 is not strictly greater than 1.5 * 10
-        pool.last_selected_id = a.id
-        a.n_pred = 1
+        pool, _, _ = self.idle_child(served=10, idle=15)  # 15 is not > 1.5 * 10
         assert pool.eliminate_stale() == []
         assert len(pool) == 2
 
-    def test_current_selection_protected(self):
-        pool = make_pool()
-        a = pool.entries[0]
-        a.n_pred, a.n_wait = 1, 100
-        pool.last_selected_id = a.id
-        assert pool.eliminate_stale() == []
-        assert len(pool) == 1
-
-    def test_pool_never_empties(self):
-        pool = make_pool()
-        a = pool.entries[0]
-        a.n_pred, a.n_wait = 0, 100
-        pool.last_selected_id = None
-        assert pool.eliminate_stale() == []
-        assert len(pool) == 1
-
     def test_switch_off_disables_removal(self):
-        pool = make_pool(CepConfig(elimination=False))
-        a = pool.entries[0]
-        b, _ = pool.evolve(a, GeneVector(1, 1))
-        b.n_pred, b.n_wait = 1, 1000
-        pool.last_selected_id = a.id
+        pool, _, _ = self.idle_child(CepConfig(elimination=False), served=1, idle=1000)
         assert pool.eliminate_stale() == []
         assert len(pool) == 2
 
@@ -346,14 +329,16 @@ class TestEliminateStale:
         pool = make_pool()
         for i in range(9):
             pool.evolve(pool.entries[0], GeneVector(float(i), 0.0))
-        for e in pool.entries:
-            e.n_pred = int(rng.integers(0, 20))
-            e.n_wait = int(rng.integers(0, 40))
-        pool.last_selected_id = 4
-        pool.eliminate_stale()
+        picks = rng.integers(0, 10, 60)
+        for i in picks:
+            pool.mark_selected(pool.entries[i])
+        last = pool.entries[picks[-1]].id
+        removed = pool.eliminate_stale()
+        assert removed
         cfg = pool.config
+        assert last in [e.id for e in pool.entries]
         for e in pool.entries:
-            assert e.id == 4 or e.n_wait <= cfg.tau_e * e.n_pred
+            assert e.n_wait <= cfg.tau_e * e.n_pred
 
 
 class TestAbsorbInstance:
@@ -370,13 +355,15 @@ class TestAbsorbInstance:
 
     def test_ablation_local_off_uses_global_only(self):
         cfg = CepConfig(use_local_gene=False)
-        state = GeneState(GeneVector(1, 1), GeneVector(9, 3), 4)
-        assert effective_gene(state, cfg) == GeneVector(9, 3)
+        entry = make_pool(cfg).entries[0]
+        entry.genes = state = GeneState(GeneVector(1, 1), GeneVector(9, 3), 4)
+        assert effective_gene(state, cfg) == GeneVector(9, 3) == GeneVector(entry.mu, entry.sigma)
 
     def test_ablation_global_off_uses_local_only(self):
         cfg = CepConfig(use_global_gene=False)
-        state = GeneState(GeneVector(1, 1), GeneVector(9, 3), 4)
-        assert effective_gene(state, cfg) == GeneVector(1, 1)
+        entry = make_pool(cfg).entries[0]
+        entry.genes = state = GeneState(GeneVector(1, 1), GeneVector(9, 3), 4)
+        assert effective_gene(state, cfg) == GeneVector(1, 1) == GeneVector(entry.mu, entry.sigma)
 
     def test_absorbing_own_mean_keeps_zero_spread(self):
         pool = make_pool()
@@ -495,6 +482,7 @@ def pool_machine(caps):
             self.lr_raw = 0.01
             self.pool = Pool(NaiveForecaster(4, 2), self.lr_raw, self.config)
             self.shadow = {0: (0, 0)}
+            self.last = None  # the id mark_selected chose last
 
         def pick(self, i):
             return self.pool.entries[i % len(self.pool.entries)]
@@ -528,20 +516,16 @@ def pool_machine(caps):
                 x: (n_pred + 1, 0) if x == chosen.id else (n_pred, n_wait + 1)
                 for x, (n_pred, n_wait) in self.shadow.items()
             }
-            assert self.pool.last_selected_id == chosen.id
+            self.last = chosen.id
 
         @rule()
         def eliminate_stale(self):
-            last = self.pool.last_selected_id
             live = [e.id for e in self.pool.entries]
             removed = self.pool.eliminate_stale()
-            if last in live:
-                assert last in [e.id for e in self.pool.entries]
+            if self.last in live:
+                assert self.last in [e.id for e in self.pool.entries]
             cfg = self.config
-            stale = [x for x in live if x != last
-                     and self.shadow[x][1] > cfg.tau_e * self.shadow[x][0]]
-            if cfg.elimination and len(stale) == len(live):  # nothing selected survives
-                stale.remove(max(live))
+            stale = [x for x in live if self.shadow[x][1] > cfg.tau_e * self.shadow[x][0]]
             assert removed == (stale if cfg.elimination else [])
             for x in removed:
                 del self.shadow[x]
