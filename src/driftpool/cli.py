@@ -263,6 +263,11 @@ def cmd_purity(results_path: str | Path, labels_path: str | Path,
     if fractional.any():
         raise ValidationError(
             f"{labels_path}: labels must be integers, got {float(values[fractional.argmax()])!r}")
+    # beyond int64, astype would send every label to the same minimum value
+    outside = (values < -2.0**63) | (values >= 2.0**63)
+    if outside.any():
+        raise ValidationError(f"{labels_path}: labels must fit a 64-bit integer, "
+                              f"got {float(values[outside.argmax()])!r}")
     labels = values.astype(np.int64)
     n_points = bundle.get("n_points")
     if n_points is not None and len(labels) != n_points:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -298,8 +299,93 @@ def build_bundle(manifest: RunManifest, result: RunResult, n_points: int) -> dic
     }
 
 
+# A record as json.dumps(bundle, indent=2, sort_keys=True) lays it out: an item
+# of the top-level "records" list, keys sorted. The %s before "gene_mu" holds
+# the "forecast" line of a run that logs forecasts, or nothing.
+_RECORD_JSON = """\
+    {
+      "abandoned": %s,
+      "eliminated_ids": %s,
+      "entry_id": %d,
+      "evolved": %s,
+      %s"gene_mu": %r,
+      "gene_sigma": %r,
+      "mse": %r,
+      "pool_size": %d,
+      "t": %d
+    }"""
+_RECORD_KEYS = {"abandoned", "eliminated_ids", "entry_id", "evolved", "gene_mu",
+                "gene_sigma", "mse", "pool_size", "t"}
+_LOGGED_KEYS = _RECORD_KEYS | {"forecast"}
+
+
+def _list_json(values: Any, kind: type) -> str | None:
+    """A record's list as it sits in results.json, or None unless every item is
+    an exact `kind` (a finite one, for float)."""
+    if type(values) is not list:
+        return None
+    if not values:
+        return "[]"
+    if not all(type(v) is kind for v in values):
+        return None
+    if kind is float and not all(map(math.isfinite, values)):
+        return None
+    return "[\n        " + ",\n        ".join(map(repr, values)) + "\n      ]"
+
+
+def _record_json(r: Any) -> str | None:
+    """A record as it sits in results.json, or None unless it holds the record
+    keys with exact bool/int/finite float values; json.dumps then writes it."""
+    keys = r.keys() if type(r) is dict else None
+    if keys == _RECORD_KEYS:
+        forecast = ""
+    elif keys == _LOGGED_KEYS and (logged := _list_json(r["forecast"], float)):
+        forecast = f'"forecast": {logged},\n      '
+    else:
+        return None
+    eliminated = _list_json(r["eliminated_ids"], int)
+    t, entry_id, pool_size = r["t"], r["entry_id"], r["pool_size"]
+    evolved, abandoned = r["evolved"], r["abandoned"]
+    gene_mu, gene_sigma, mse = r["gene_mu"], r["gene_sigma"], r["mse"]
+    if not (eliminated and type(t) is int and type(entry_id) is int
+            and type(pool_size) is int and type(evolved) is bool and type(abandoned) is bool
+            and type(gene_mu) is float and type(gene_sigma) is float and type(mse) is float
+            and math.isfinite(gene_mu) and math.isfinite(gene_sigma) and math.isfinite(mse)):
+        return None
+    return _RECORD_JSON % ("true" if abandoned else "false", eliminated, entry_id,
+                           "true" if evolved else "false", forecast, gene_mu, gene_sigma,
+                           mse, pool_size, t)
+
+
+def _write_results_json(bundle: dict, fh) -> None:
+    """The bundle as json.dumps(indent=2, sort_keys=True) encodes it, plus a newline.
+
+    json's indenting encoder is pure Python, so only the small head goes
+    through it; records are written one at a time from the template, and a
+    record it does not fit (an unexpected key or value type, a non-finite
+    float) is left to json.dumps, which encodes or rejects it.
+    """
+    records = bundle["records"]
+    head = json.dumps({**bundle, "records": []}, indent=2, sort_keys=True)
+    # a line at a two-space indent is a top-level key; strings hold no raw newline
+    before, _, after = head.partition('\n  "records": []')
+    fh.write(before + '\n  "records": [')
+    sep = "\n"
+    for r in records:
+        text = _record_json(r)
+        if text is None:
+            text = "    " + json.dumps(r, indent=2, sort_keys=True).replace("\n", "\n    ")
+        fh.write(sep + text)
+        sep = ",\n"
+    fh.write(("\n  ]" if records else "]") + after + "\n")
+
+
 def write_bundle(bundle: dict, out_dir: str | Path, labels: np.ndarray | None = None) -> dict:
-    """Write results.json and the flat CSV extracts, each replaced whole; returns the file map."""
+    """Write results.json and the flat CSV extracts; returns the file map.
+
+    The three files are written whole before any replaces its predecessor,
+    so a record that fails to encode leaves the earlier bundle as it was.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -307,20 +393,20 @@ def write_bundle(bundle: dict, out_dir: str | Path, labels: np.ndarray | None = 
         "instances": out / "instances.csv",
         "trajectories": out / "trajectories.csv",
     }
-    with atomic_open(paths["results"]) as fh:
-        json.dump(bundle, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with atomic_open(paths["instances"]) as fh:
-        fh.write("t,entry_id,mse,evolved,abandoned,pool_size\n")
-        for r in bundle["records"]:
-            fh.write(
-                f"{r['t']},{r['entry_id']},{r['mse']:.17g},"
-                f"{int(r['evolved'])},{int(r['abandoned'])},{r['pool_size']}\n"
-            )
-    with atomic_open(paths["trajectories"]) as fh:
-        fh.write("t,entry_id,mu,sigma\n")
-        for r in bundle["records"]:
-            fh.write(f"{r['t']},{r['entry_id']},{r['gene_mu']:.17g},{r['gene_sigma']:.17g}\n")
+    records = bundle["records"]
+    with (atomic_open(paths["results"]) as results,
+          atomic_open(paths["instances"]) as instances,
+          atomic_open(paths["trajectories"]) as trajectories):
+        _write_results_json(bundle, results)
+        instances.write("t,entry_id,mse,evolved,abandoned,pool_size\n")
+        instances.writelines(
+            "%d,%d,%.17g,%d,%d,%d\n" % (r["t"], r["entry_id"], r["mse"], r["evolved"],
+                                         r["abandoned"], r["pool_size"])
+            for r in records
+        )
+        trajectories.write("t,entry_id,mu,sigma\n")
+        trajectories.writelines("%d,%d,%.17g,%.17g\n" % (r["t"], r["entry_id"], r["gene_mu"],
+                                                           r["gene_sigma"]) for r in records)
     if labels is not None:
         paths["labels"] = out / "labels.csv"
         write_labels_csv(paths["labels"], labels)

@@ -1,10 +1,15 @@
 """CLI surface tests: manifests, bundles, comparisons, purity, exit codes."""
 
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftpool.cli import (
     EXIT_IO,
@@ -28,6 +33,10 @@ from driftpool.manifest import (
     save_manifest,
 )
 from driftpool.pool import CepConfig
+
+
+RECORD_FIELDS = ["abandoned", "eliminated_ids", "entry_id", "evolved", "gene_mu", "gene_sigma",
+                 "mse", "pool_size", "t"]
 
 
 def synthetic_manifest(data=None, out_dir=None, **engine):
@@ -209,13 +218,20 @@ class TestCmdRun:
             echoed = json.loads((tmp_path / name / "manifest.json").read_text())
             assert "log_forecasts" not in echoed
 
-    def test_failed_write_keeps_the_earlier_bundle(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field, value, error, message", [
+        *((field, object(), TypeError, "not JSON serializable") for field in RECORD_FIELDS),
+        # json writes a string, and the instances extract cannot
+        ("mse", "0.5", TypeError, "must be real number, not str"),
+    ], ids=[*RECORD_FIELDS, "mse-str"])
+    def test_failed_write_keeps_the_earlier_bundle(self, field, value, error, message,
+                                                   tmp_path, capsys):
         from driftpool.manifest import write_bundle
 
         bundle = cmd_run(synthetic_manifest(), out_dir=tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        bundle["records"][-1]["gene_mu"] = object()  # json.dump fails near the end
-        with pytest.raises(TypeError, match="not JSON serializable"):
+        last = bundle["records"][-1]  # the write fails near the end
+        last[field] = [value] if isinstance(last[field], list) else value
+        with pytest.raises(error, match=message):
             write_bundle(bundle, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -241,6 +257,89 @@ class TestCmdRun:
                             source.n)
         assert bundle["records"] == bare["records"]
         assert bundle["aggregate"] == bare["aggregate"]
+
+
+# Values json.dumps encodes differently from repr, or rejects, beside plain ones.
+EDGE_FLOATS = [-0.0, 5e-324, -2.225073858507201e-308, 1e308, -1e308, math.nan, math.inf,
+               -math.inf]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+INTS = st.integers() | st.sampled_from([2**63, -2**63 - 1, 10**40])
+NUMPY = (st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+         | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.just(np.bool_(True)))
+RECORD = st.fixed_dictionaries(
+    {
+        "t": INTS, "entry_id": INTS, "pool_size": INTS, "mse": FLOATS, "gene_mu": FLOATS,
+        "gene_sigma": FLOATS, "evolved": st.booleans(), "abandoned": st.booleans(),
+        "eliminated_ids": st.lists(INTS, max_size=3),
+    },
+    optional={"forecast": st.lists(FLOATS, max_size=3)},
+)
+
+
+def bundle_of(records, text="", number=0.0):
+    """A bundle of build_bundle's shape around the given records."""
+    return {
+        "schema_version": 1,
+        "config_hash": text,
+        # a string may hold the line the writer splices the records in at
+        "manifest": {"data": {"path": text}},
+        "n_points": len(records),
+        "aggregate": {"mean_mse": number},
+        "events": {"created": [{"id": 0, "t": None, "parent": None}], "eliminated": []},
+        "records": records,
+    }
+
+
+@st.composite
+def bundles(draw):
+    """Bundles whose records may hold one value of another type (a numpy
+    scalar, a bool for a number, an int for a bool or float) or a key too many."""
+    records = draw(st.lists(RECORD, max_size=4))
+    for r in records:
+        odd = draw(st.sampled_from(["note", *r])) if draw(st.booleans()) else None
+        if odd == "note":
+            r[odd] = draw(st.text())
+        elif odd is not None and isinstance(r[odd], list):
+            r[odd].append(draw(NUMPY))
+        elif odd is not None:
+            r[odd] = draw(NUMPY | st.booleans() | st.integers(-10**6, 10**6))
+    text = draw(st.just('\n  "records": []') | st.text())
+    return bundle_of(records, text, draw(FLOATS | NUMPY))
+
+
+PLAIN_RECORD = {"abandoned": False, "eliminated_ids": [3], "entry_id": 1, "evolved": True,
+                "gene_mu": 0.5, "gene_sigma": 0.25, "mse": 0.125, "pool_size": 2, "t": 60}
+# Each record swaps one value for a near miss: one json.dumps writes, but not
+# as the template writes a value of the expected type.
+NEAR_MISSES = [
+    {"t": True}, {"pool_size": 2.0}, {"evolved": 1}, {"abandoned": 0}, {"mse": 1},
+    {"gene_mu": np.float64(0.5)}, {"gene_sigma": False}, {"eliminated_ids": [True]},
+    {"forecast": [np.float64(0.5)]}, {"forecast": [1]}, {"eliminated_ids": {3: 4}},
+]
+
+
+class TestWriteBundle:
+    @given(bundle=bundles())
+    @example(bundle=bundle_of([{**PLAIN_RECORD, **miss} for miss in NEAR_MISSES]))
+    @example(bundle=bundle_of([{**PLAIN_RECORD, "eliminated_ids": [np.int64(3)]}]))
+    @example(bundle=bundle_of([]))
+    @settings(max_examples=300, deadline=None)
+    def test_results_json_is_json_dumps_of_the_bundle(self, bundle):
+        from driftpool.manifest import write_bundle
+
+        try:
+            expected = json.dumps(bundle, indent=2, sort_keys=True) + "\n"
+        except (TypeError, ValueError) as exc:
+            expected = exc
+        with tempfile.TemporaryDirectory() as out:
+            results = Path(out) / "results.json"
+            if isinstance(expected, str):
+                write_bundle(bundle, out)
+                assert results.read_text(encoding="utf-8") == expected
+            else:
+                with pytest.raises(type(expected), match=re.escape(str(expected))):
+                    write_bundle(bundle, out)
+                assert not results.exists()
 
 
 class TestCmdCompare:
@@ -524,6 +623,21 @@ class TestMainExitCodes:
         assert main(argv + [str(tmp_path / "frac.csv")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 'frac.csv'}: labels must be integers, got -0.1\n"
+
+    @pytest.mark.parametrize("scale", [1e19, -1e19])
+    def test_labels_beyond_int64(self, scale, tmp_path, capsys):
+        save_manifest(synthetic_manifest(), tmp_path / "m.json")
+        assert main(["run", "--manifest", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        # integral, but past int64: each concept would cast to -2**63 and score purity 1
+        huge = ((load_csv(tmp_path / "labels.csv", "label").values + 1) * scale).tolist()
+        (tmp_path / "huge.csv").write_text("label\n" + "".join(f"{v!r}\n" for v in huge))
+        capsys.readouterr()
+        assert main(["purity", "--results", str(tmp_path / "results.json"),
+                     "--labels", str(tmp_path / "huge.csv")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'huge.csv'}: labels must fit a 64-bit integer, "
+                       f"got {huge[0]!r}\n")
 
     @pytest.mark.parametrize("where, content, argv", [
         ("csv", b"value\n\xff\n1.0\n",
