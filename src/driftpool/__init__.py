@@ -44,17 +44,7 @@ from .forecasters import (
     make_forecaster,
     mse,
 )
-from .gene import (
-    SIGMA_FLOOR,
-    GeneState,
-    GeneVector,
-    compute_gene,
-    ema_update,
-    gene_distance,
-    global_update,
-    mix_gene,
-    mle_cost,
-)
+from .gene import SIGMA_FLOOR, GeneState, GeneVector, compute_gene
 from .manifest import RunManifest, load_manifest, save_manifest
 from .pool import CepConfig, Pool, PoolEntry, absorb_instance, lr_tick, should_evolve
 
@@ -90,16 +80,11 @@ __all__ = [
     "absorb_instance",
     "compute_gene",
     "default_stream_spec",
-    "ema_update",
-    "gene_distance",
     "generate",
-    "global_update",
     "load_csv",
     "load_manifest",
     "lr_tick",
     "make_forecaster",
-    "mix_gene",
-    "mle_cost",
     "mse",
     "normalize",
     "online_step",

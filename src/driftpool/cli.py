@@ -28,8 +28,7 @@ from .data import (
     generate,
     load_csv,
     spec_from_dict,
-    write_labels_csv,
-    write_series_csv,
+    write_column_csv,
 )
 from .errors import DriftpoolError, FileFormatError, ValidationError
 from .forecasters import FORECASTER_KINDS
@@ -156,8 +155,8 @@ def cmd_generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     values_path = out / "values.csv"
     labels_path = out / "labels.csv"
-    write_series_csv(values_path, stream.values)
-    write_labels_csv(labels_path, stream.labels)
+    write_column_csv(values_path, stream.values)
+    write_column_csv(labels_path, stream.labels, "label", "%d")
 
     print(f"points={len(stream.values)} segments={len(spec.schedule)} seed={spec.seed}")
     for idx, concept in enumerate(spec.concepts):

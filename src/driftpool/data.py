@@ -224,19 +224,16 @@ def load_csv(path: str | Path, column: str, has_header: bool = True) -> SeriesSo
     )
 
 
-def write_series_csv(path: str | Path, values: np.ndarray, name: str = "value") -> None:
-    """Write one column with a header; 17 significant digits round-trip floats."""
-    with atomic_open(path, newline="") as fh:
-        fh.write(f"{name}\n")
-        for v in values:
-            fh.write(f"{float(v):.17g}\n")
+def write_column_csv(path: str | Path, values: np.ndarray, name: str = "value",
+                     fmt: str = "%.17g") -> None:
+    """Write one column under a header, a cell per value formatted with ``fmt``.
 
-
-def write_labels_csv(path: str | Path, labels: np.ndarray, name: str = "label") -> None:
+    The default, 17 significant digits, round-trips floats; ``"%d"`` writes
+    integer labels.
+    """
+    line = fmt + "\n"
     with atomic_open(path, newline="") as fh:
-        fh.write(f"{name}\n")
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+        fh.writelines([f"{name}\n", *map(line.__mod__, np.asarray(values).tolist())])
 
 
 def normalize(source: SeriesSource, stats_from: str = "warm_segment"

@@ -20,7 +20,7 @@ import numpy as np
 from .data import warm_split_index
 from .errors import NumericError, SizingError, ValidationError
 from .forecasters import FORECASTER_KINDS, KINDS, make_forecaster, mse
-from .gene import GeneVector, window_genes
+from .gene import window_genes
 from .gene import compute_gene  # unused: perfbench/child.py traces engine.compute_gene by name
 from .pool import CepConfig, Pool, absorb_instance, lr_tick, should_evolve
 
@@ -30,13 +30,15 @@ log = logging.getLogger("driftpool.engine")
 @dataclass(frozen=True)
 class Instance:
     """Input window, its ground truth, the stream index of the window start,
-    and both windows' signatures."""
+    and both windows' signatures (mean, population std)."""
 
     x: np.ndarray
     y: np.ndarray
     t: int
-    z_x: GeneVector
-    z_y: GeneVector
+    x_mu: float
+    x_sigma: float
+    y_mu: float
+    y_sigma: float
 
 
 class InstanceSet(Sequence):
@@ -63,8 +65,10 @@ class InstanceSet(Sequence):
             x=self.series[t:mid],
             y=self.series[mid:mid + self.horizon],
             t=t,
-            z_x=GeneVector(float(self.x_mu[i]), float(self.x_sigma[i])),
-            z_y=GeneVector(float(self.y_mu[i]), float(self.y_sigma[i])),
+            x_mu=float(self.x_mu[i]),
+            x_sigma=float(self.x_sigma[i]),
+            y_mu=float(self.y_mu[i]),
+            y_sigma=float(self.y_sigma[i]),
         )
 
 
@@ -192,29 +196,32 @@ def online_step(pool: Pool, instance: Instance, log_forecasts: bool = False) -> 
     abandoned step or when the forecast is logged.
     """
     cep = pool.config
-    z_x = instance.z_x
+    mu, sigma = instance.x_mu, instance.x_sigma
 
-    near = pool.nearest(z_x)
-    evolved = should_evolve(near, z_x)
+    near = pool.nearest(mu, sigma)
+    evolved = should_evolve(near, mu)
     if evolved:
-        current, evicted = pool.evolve(near, z_x)
+        current, evicted = pool.evolve(near, mu, sigma)
         log.debug("t=%d evolved entry %d from %d", instance.t, current.id, near.id)
     else:
         current, evicted = near, []
 
-    abandoned = cep.gradient_abandonment and should_evolve(current, instance.z_y)
+    abandoned = cep.gradient_abandonment and should_evolve(current, instance.y_mu)
     if abandoned or log_forecasts:
         forecast = current.forecaster.predict(instance.x)
         if not np.isfinite(forecast).all():
             raise NumericError(f"non-finite forecast at t={instance.t}")
-        err = mse(forecast, instance.y)
+        try:
+            err = mse(forecast, instance.y)
+        except NumericError as exc:
+            raise NumericError(f"{exc} at t={instance.t}") from exc
     if not abandoned:
         try:
             err = current.forecaster.train_step(instance.x, instance.y, current.lr_current)
         except NumericError as exc:
             raise NumericError(f"{exc} at t={instance.t}") from exc
         lr_tick(current, pool.lr_raw, cep)
-        absorb_instance(current, z_x.mu, z_x.sigma)
+        absorb_instance(current, mu, sigma)
 
     pool.mark_selected(current)
     removed = evicted + pool.eliminate_stale()

@@ -22,12 +22,15 @@ from .errors import NumericError, ValidationError
 
 
 def mse(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean squared error over the forecast horizon."""
+    """Mean squared error over the forecast horizon; NumericError if it is not finite."""
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
         raise ValidationError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    return _mean_square(pred - truth)
+    err = _mean_square(pred - truth)
+    if not math.isfinite(err):
+        raise NumericError("non-finite mse")
+    return err
 
 
 def _mean_square(err: np.ndarray) -> float:

@@ -51,12 +51,6 @@ class GeneState:
     n: int
 
 
-def fresh_state(seed: GeneVector | None = None) -> GeneState:
-    """New state seeded with one value (zeros when none is given)."""
-    g = seed if seed is not None else GeneVector(0.0, 0.0)
-    return GeneState(local=g, global_=g, n=1)
-
-
 def compute_gene(window: Sequence[float] | np.ndarray, scope: int) -> GeneVector:
     """Signature of the most recent ``scope`` values of ``window``.
 
@@ -153,48 +147,3 @@ def nlls(mu: float, sigma: float, candidates: Iterable) -> list[float]:
                                f" under ({c.mu!r}, {c.sigma!r})")
         costs.append(cost)
     return costs
-
-
-def ema_update(local: GeneVector, instance_gene: GeneVector, tau_l: float) -> GeneVector:
-    """Blend a new window signature into the local one: tau_l toward the new."""
-    if not 0.0 < tau_l <= 1.0:
-        raise ValidationError(f"tau_l must be in (0, 1], got {tau_l}")
-    return GeneVector(
-        blend(tau_l, instance_gene.mu, local.mu),
-        blend(tau_l, instance_gene.sigma, local.sigma),
-    )
-
-
-def global_update(
-    global_: GeneVector, n: int, instance_gene: GeneVector
-) -> tuple[GeneVector, int]:
-    """Fold one more window mean into the exact running moments.
-
-    Only the mean of the incoming signature enters; the global sigma is
-    the population std of all absorbed means. Equivalent to recomputing
-    both moments from scratch over the full history, without storing it.
-    """
-    if n < 1:
-        raise ValidationError(f"absorbed-sample count must be >= 1, got {n}")
-    return GeneVector(*fold_moments(global_.mu, global_.sigma, n, instance_gene.mu)), n + 1
-
-
-def mix_gene(state: GeneState, tau_gene: float) -> GeneVector:
-    """Convex combination of the two signatures, tau_gene weighting the local one."""
-    if not 0.0 <= tau_gene <= 1.0:
-        raise ValidationError(f"tau_gene must be in [0, 1], got {tau_gene}")
-    l, g = state.local, state.global_
-    return GeneVector(blend(tau_gene, l.mu, g.mu), blend(tau_gene, l.sigma, g.sigma))
-
-
-def gene_distance(a: GeneVector, b: GeneVector) -> float:
-    """Euclidean distance between two signatures."""
-    return distances(a.mu, a.sigma, (b,))[0]
-
-
-def mle_cost(candidate: GeneVector, sample: GeneVector) -> float:
-    """Negative log-likelihood of the sample stats under the candidate's Gaussian.
-
-    Lower is a better match; see nlls.
-    """
-    return nlls(sample.mu, sample.sigma, (candidate,))[0]

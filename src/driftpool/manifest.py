@@ -28,7 +28,7 @@ from .data import (
     normalize,
     open_text,
     spec_from_dict,
-    write_labels_csv,
+    write_column_csv,
 )
 from .engine import EngineConfig, RunResult
 from .errors import ValidationError
@@ -409,7 +409,7 @@ def write_bundle(bundle: dict, out_dir: str | Path, labels: np.ndarray | None = 
                                                            r["gene_sigma"]) for r in records)
     if labels is not None:
         paths["labels"] = out / "labels.csv"
-        write_labels_csv(paths["labels"], labels)
+        write_column_csv(paths["labels"], labels, "label", "%d")
     return paths
 
 

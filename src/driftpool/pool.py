@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .forecasters import Forecaster
-from .gene import (
-    SIGMA_FLOOR,
-    GeneState,
-    GeneVector,
-    blend,
-    distances,
-    fold_moments,
-    fresh_state,
-    nlls,
-)
+from .gene import SIGMA_FLOOR, GeneState, GeneVector, blend, distances, fold_moments, nlls
 
 RETRIEVAL_SCORES = ("euclidean", "mle")
 
@@ -135,14 +126,14 @@ class PoolEntry:
             self.config, self.local_mu, self.local_sigma, self.global_mu, self.global_sigma)
 
 
-def should_evolve(entry: PoolEntry, sample_gene: GeneVector) -> bool:
-    """Mean-shift test gated by the evolution switch and the safety period (entry's config)."""
+def should_evolve(entry: PoolEntry, mu: float) -> bool:
+    """Mean-shift test on a window mean, gated by the evolution switch and the safety period."""
     config = entry.config
     if not config.evolution:
         return False
     if entry.n_pred < config.tau_safe:
         return False
-    return abs(sample_gene.mu - entry.mu) > config.tau_mu * max(entry.sigma, SIGMA_FLOOR)
+    return abs(mu - entry.mu) > config.tau_mu * max(entry.sigma, SIGMA_FLOOR)
 
 
 def lr_tick(entry: PoolEntry, lr_raw: float, config: CepConfig) -> float:
@@ -155,8 +146,9 @@ def lr_tick(entry: PoolEntry, lr_raw: float, config: CepConfig) -> float:
 def absorb_instance(entry: PoolEntry, mu: float, sigma: float) -> None:
     """Fold one input-window signature (mu, sigma) into both of the entry's genes.
 
-    The same arithmetic as ``ema_update`` and ``global_update``, at the
-    entry's ``tau_l``; on a NumericError the entry is left unchanged.
+    The local gene takes an EMA step at the entry's ``tau_l``, and the
+    window mean is folded into the exact global moments (``fold_moments``);
+    on a NumericError the entry is left unchanged.
     """
     tau_l = entry.config.tau_l
     entry.global_mu, entry.global_sigma = fold_moments(
@@ -177,11 +169,13 @@ class Pool:
         self.config = config
         self._next_id = 0
         self.entries: list[PoolEntry] = []
-        self._append(first, fresh_state(), lr_current=self.lr_raw)
+        self._append(first, 0.0, 0.0, lr_current=self.lr_raw)
 
-    def _append(self, forecaster: Forecaster, genes: GeneState,
+    def _append(self, forecaster: Forecaster, mu: float, sigma: float,
                 lr_current: float) -> PoolEntry:
-        entry = PoolEntry(forecaster, genes, self._next_id, self.config, lr_current=lr_current)
+        g = GeneVector(mu, sigma)
+        entry = PoolEntry(forecaster, GeneState(g, g, 1), self._next_id, self.config,
+                          lr_current=lr_current)
         self._next_id += 1
         self.entries.append(entry)
         return entry
@@ -189,8 +183,8 @@ class Pool:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def nearest(self, sample_gene: GeneVector) -> PoolEntry:
-        """Entry with minimal retrieval cost; ties go to the smallest id.
+    def nearest(self, mu: float, sigma: float) -> PoolEntry:
+        """Entry with minimal retrieval cost for (mu, sigma); ties go to the smallest id.
 
         Scores each entry's cached mixed signature; ``min`` keeps the first
         minimal cost and ``index`` finds its first position, the oldest entry.
@@ -199,11 +193,12 @@ class Pool:
         if not entries:
             raise ValidationError("pool is empty")
         score = nlls if self.config.retrieval_score == "mle" else distances
-        costs = score(sample_gene.mu, sample_gene.sigma, entries)
+        costs = score(mu, sigma, entries)
         return entries[costs.index(min(costs))]
 
-    def evolve(self, parent: PoolEntry, sample_gene: GeneVector) -> tuple[PoolEntry, list[int]]:
-        """Split the parent: clone its forecaster, seed genes from the sample.
+    def evolve(self, parent: PoolEntry, mu: float, sigma: float
+               ) -> tuple[PoolEntry, list[int]]:
+        """Split the parent: clone its forecaster, seed both genes with (mu, sigma).
 
         With optimizer adjustment on, the child starts at tau_lr * lr_raw
         and warms back over t_lr training steps. A configured size cap
@@ -212,7 +207,7 @@ class Pool:
         """
         cfg = self.config
         lr0 = cfg.tau_lr * self.lr_raw if cfg.optimizer_adjustment else self.lr_raw
-        child = self._append(parent.forecaster.deep_clone(), fresh_state(sample_gene), lr0)
+        child = self._append(parent.forecaster.deep_clone(), mu, sigma, lr0)
         if cfg.max_pool_size is not None and len(self.entries) > cfg.max_pool_size:
             return child, [self.entries.pop(0).id]
         return child, []

@@ -7,7 +7,7 @@ from ``train_step``'s own forward pass. This module does none of that:
 
 - every window is signed with ``compute_gene`` when the step reaches it;
 - each entry is a namespace holding a frozen ``GeneState``, mixed with
-  ``mix_gene`` on every read (a lone part when an ablation switch is off);
+  ``blend`` on every read (a lone part when an ablation switch is off);
 - retrieval is ``min`` over ``(cost, id)``, the shift test reads the mixed
   signature, and a split clones the parent and evicts FIFO past the cap;
 - every online step runs ``predict`` and ``mse`` before ``train_step``;
@@ -33,28 +33,26 @@ from driftpool.gene import (
     SIGMA_FLOOR,
     GeneState,
     GeneVector,
+    blend,
     compute_gene,
-    ema_update,
-    gene_distance,
-    global_update,
-    mix_gene,
-    mle_cost,
+    distances,
+    fold_moments,
+    nlls,
 )
 
 
 def effective_gene(state, config):
     """Mixed signature under the ablation switches; a lone part is used as it is."""
     if config.use_local_gene and config.use_global_gene:
-        return mix_gene(state, config.tau_gene)
+        w, lo, gl = config.tau_gene, state.local, state.global_
+        return GeneVector(blend(w, lo.mu, gl.mu), blend(w, lo.sigma, gl.sigma))
     return state.local if config.use_local_gene else state.global_
 
 
 def retrieval_cost(entry, sample, config):
     """The cost retrieval minimises for an entry (anything with ``genes``)."""
-    g = effective_gene(entry.genes, config)
-    if config.retrieval_score == "mle":
-        return mle_cost(g, sample)
-    return gene_distance(sample, g)
+    score = nlls if config.retrieval_score == "mle" else distances
+    return score(sample.mu, sample.sigma, [effective_gene(entry.genes, config)])[0]
 
 
 def shifted(entry, sample, config):
@@ -65,9 +63,14 @@ def shifted(entry, sample, config):
 
 
 def absorb(entry, z, config):
-    """Fold one window signature into the entry's local (EMA) and global (exact) genes."""
-    new_global, n = global_update(entry.genes.global_, entry.genes.n, z)
-    entry.genes = GeneState(ema_update(entry.genes.local, z, config.tau_l), new_global, n)
+    """Fold one window signature into the entry's local (EMA) and global (exact) genes.
+
+    Only the window's mean enters the global moments.
+    """
+    old, tau_l = entry.genes, config.tau_l
+    new_global = GeneVector(*fold_moments(old.global_.mu, old.global_.sigma, old.n, z.mu))
+    local = GeneVector(blend(tau_l, z.mu, old.local.mu), blend(tau_l, z.sigma, old.local.sigma))
+    entry.genes = GeneState(local, new_global, old.n + 1)
 
 
 def run(series, config: EngineConfig, log_forecasts: bool = False) -> RunResult:

@@ -19,7 +19,7 @@ from driftpool.data import (
 )
 from driftpool.engine import EngineConfig, run
 from driftpool.forecasters import NaiveForecaster, make_forecaster, mse
-from driftpool.gene import GeneState, GeneVector, global_update
+from driftpool.gene import GeneState, GeneVector, fold_moments
 from driftpool.manifest import RunManifest
 from driftpool.pool import CepConfig, Pool, lr_tick
 from reference import retrieval_cost, run_bare
@@ -60,14 +60,13 @@ def test_c01_streaming_statistics_oracle():
         for _ in range(100):
             n = int(rng.integers(1, 1001))
             means = rng.uniform(-100, 100, n)
-            g, count = GeneVector(float(means[0]), 0.0), 1
-            for m in means[1:]:
-                g, count = global_update(g, count, GeneVector(float(m), 0.0))
-            assert count == n
+            mu, sigma = float(means[0]), 0.0
+            for count, m in enumerate(means[1:].tolist(), start=1):
+                mu, sigma = fold_moments(mu, sigma, count, m)
             batch_mu = float(means.mean())
             batch_sigma = float(means.std())
-            assert abs(g.mu - batch_mu) <= 1e-9 * max(1.0, abs(batch_mu))
-            assert abs(g.sigma - batch_sigma) <= 1e-9 * max(1.0, batch_sigma)
+            assert abs(mu - batch_mu) <= 1e-9 * max(1.0, abs(batch_mu))
+            assert abs(sigma - batch_sigma) <= 1e-9 * max(1.0, batch_sigma)
 
 
 def test_c02_lr_restoration_identity():
@@ -77,7 +76,7 @@ def test_c02_lr_restoration_identity():
             for t_lr in (1, 10, 50):
                 cfg = CepConfig(tau_lr=tau_lr, t_lr=t_lr)
                 pool = Pool(NaiveForecaster(4, 2), lr_raw, cfg)
-                child, _ = pool.evolve(pool.entries[0], GeneVector(1.0, 1.0))
+                child, _ = pool.evolve(pool.entries[0], 1.0, 1.0)
                 assert child.lr_current == pytest.approx(tau_lr * lr_raw, rel=1e-15)
                 for _ in range(t_lr):
                     lr_tick(child, pool.lr_raw, cfg)
@@ -101,7 +100,7 @@ def test_c03_retrieval_brute_force_equivalence():
                         else GeneVector(rng.uniform(-50, 50), rng.uniform(0, 5))
                     )
                     genes.append(g)
-                    child, _ = pool.evolve(pool.entries[0], g)
+                    child, _ = pool.evolve(pool.entries[0], g.mu, g.sigma)
                     if rng.random() < 0.5:  # desynchronize local vs global
                         child.genes = GeneState(
                             g,
@@ -113,7 +112,7 @@ def test_c03_retrieval_brute_force_equivalence():
                     expected = min(
                         (retrieval_cost(e, sample, cfg), e.id) for e in pool.entries
                     )[1]
-                    assert pool.nearest(sample).id == expected
+                    assert pool.nearest(sample.mu, sample.sigma).id == expected
                     cases += 1
         assert cases == 20_000
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from driftpool.cli import (
@@ -323,7 +323,8 @@ class TestWriteBundle:
     @example(bundle=bundle_of([{**PLAIN_RECORD, **miss} for miss in NEAR_MISSES]))
     @example(bundle=bundle_of([{**PLAIN_RECORD, "eliminated_ids": [np.int64(3)]}]))
     @example(bundle=bundle_of([]))
-    @settings(max_examples=300, deadline=None)
+    # no explain phase: on a failure it spends 40 s or more and hundreds of MB
+    @settings(max_examples=300, deadline=None, phases=set(Phase) - {Phase.explain})
     def test_results_json_is_json_dumps_of_the_bundle(self, bundle):
         from driftpool.manifest import write_bundle
 
@@ -380,9 +381,9 @@ class TestCmdCompare:
             cmd_compare([a, b])
 
     def test_zero_mse_baseline(self, tmp_path, capsys):
-        from driftpool.data import write_series_csv
+        from driftpool.data import write_column_csv
 
-        write_series_csv(tmp_path / "flat.csv", np.full(800, 2.0), "v")
+        write_column_csv(tmp_path / "flat.csv", np.full(800, 2.0), "v")
         data = {"kind": "csv", "path": str(tmp_path / "flat.csv"), "column": "v"}
         paths = []
         for name, seed in (("a", 0), ("b", 1)):
@@ -489,10 +490,10 @@ class TestPurity:
         assert report["purity"] > 0.9
 
     def test_cmd_purity_rejects_wrong_label_count(self, tmp_path, capsys):
-        from driftpool.data import write_labels_csv
+        from driftpool.data import write_column_csv
 
         cmd_run(synthetic_manifest(), out_dir=tmp_path)
-        write_labels_csv(tmp_path / "short.csv", np.zeros(10, dtype=int))
+        write_column_csv(tmp_path / "short.csv", np.zeros(10, dtype=int), "label", "%d")
         with pytest.raises(ValidationError, match="length mismatch"):
             cmd_purity(tmp_path / "results.json", tmp_path / "short.csv")
 
@@ -525,10 +526,10 @@ class TestMainExitCodes:
 
     def test_runtime_error(self, tmp_path, capsys):
         from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_series_csv
+        from driftpool.data import write_column_csv
 
         # raw high-level windows at this lr diverge and abort the run
-        write_series_csv(tmp_path / "hot.csv", np.full(900, 50.0), "v")
+        write_column_csv(tmp_path / "hot.csv", np.full(900, 50.0), "v")
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main([
                 "run", "--data", str(tmp_path / "hot.csv"), "--column", "v",
@@ -540,10 +541,10 @@ class TestMainExitCodes:
 
     def test_online_divergence_names_its_step(self, tmp_path, capsys):
         from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_series_csv
+        from driftpool.data import write_column_csv
 
         # no warm-up: the weights first blow up in a trained online step
-        write_series_csv(tmp_path / "hot.csv", np.full(900, 50.0), "v")
+        write_column_csv(tmp_path / "hot.csv", np.full(900, 50.0), "v")
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main([
                 "run", "--data", str(tmp_path / "hot.csv"), "--column", "v",
@@ -552,6 +553,25 @@ class TestMainExitCodes:
             ])
         assert rc == EXIT_RUNTIME
         assert re.search(r"non-finite training loss at t=\d+$", capsys.readouterr().err.strip())
+
+    def test_abandoned_step_overflow_names_its_step(self, tmp_path, capsys):
+        from driftpool.cli import EXIT_RUNTIME
+        from driftpool.data import write_column_csv
+
+        # the spike is in t=400's ground truth only: its mean abandons the
+        # gradient, and the forecast's squared error overflows
+        values = np.zeros(1200)
+        values[409] = 1.4e154
+        write_column_csv(tmp_path / "spike.csv", values, "v")
+        with np.errstate(over="ignore"):
+            rc = main([
+                "run", "--data", str(tmp_path / "spike.csv"), "--column", "v",
+                "--lookback", "8", "--horizon", "4", "--forecaster", "naive",
+                "--warm-epochs", "1", "--out", str(tmp_path / "out"),
+            ])
+        assert rc == EXIT_RUNTIME
+        assert re.search(r"non-finite mse at t=400$", capsys.readouterr().err.strip())
+        assert not (tmp_path / "out" / "results.json").exists()
 
     @pytest.mark.parametrize("where, bad", [
         ("config", "hidden = none"),
@@ -586,10 +606,10 @@ class TestMainExitCodes:
 
     def test_overflowing_moments(self, tmp_path, capsys):
         from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_series_csv
+        from driftpool.data import write_column_csv
 
         # a constant 1e200 stream: (mu - x) ** 2 overflows in the global moments
-        write_series_csv(tmp_path / "const.csv", np.full(800, 1e200))
+        write_column_csv(tmp_path / "const.csv", np.full(800, 1e200))
         rc = main([
             "run", "--data", str(tmp_path / "const.csv"), "--column", "value",
             "--lookback", "8", "--horizon", "4", "--forecaster", "naive", "--warm-epochs", "1",
@@ -599,10 +619,10 @@ class TestMainExitCodes:
 
     def test_normalize_overflow(self, tmp_path, capsys):
         from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_series_csv
+        from driftpool.data import write_column_csv
 
         # finite values whose spread overflows: std = inf would scale them all to 0
-        write_series_csv(tmp_path / "alt.csv", np.tile([1e200, -1e200], 400))
+        write_column_csv(tmp_path / "alt.csv", np.tile([1e200, -1e200], 400))
         rc = main([
             "run", "--data", str(tmp_path / "alt.csv"), "--column", "value",
             "--lookback", "8", "--horizon", "4", "--normalize", "warm_segment",

@@ -10,7 +10,7 @@ from driftpool.data import (
     generate,
     load_csv,
     normalize,
-    write_series_csv,
+    write_column_csv,
 )
 from driftpool.errors import ColumnNotFoundError, NumericError, RowParseError, ValidationError
 
@@ -69,7 +69,7 @@ class TestLoadCsv:
         rng = np.random.default_rng(0)
         values = rng.normal(0, 123.456, 500)
         path = tmp_path / "rt.csv"
-        write_series_csv(path, values, "v")
+        write_column_csv(path, values, "v")
         back = load_csv(path, "v")
         assert np.array_equal(back.values, values)
 

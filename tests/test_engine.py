@@ -125,8 +125,8 @@ def signature_runs(draw):
 
 def assert_signatures_match_compute_gene(instances, scope):
     for inst in instances:
-        assert inst.z_x == compute_gene(inst.x, scope)
-        assert inst.z_y == compute_gene(inst.y, scope)
+        assert GeneVector(inst.x_mu, inst.x_sigma) == compute_gene(inst.x, scope)
+        assert GeneVector(inst.y_mu, inst.y_sigma) == compute_gene(inst.y, scope)
 
 
 class TestSignatures:
@@ -179,7 +179,7 @@ class TestSignatures:
         config = EngineConfig(lookback=6, horizon=3)
         with np.errstate(over="ignore", invalid="ignore"):
             warm, online = split_instances(series, config)
-            assert warm[0].z_x.sigma == np.inf
+            assert warm[0].x_sigma == np.inf
             assert_signatures_match_compute_gene(warm, 6)
 
 
@@ -238,7 +238,7 @@ class TestWarmUp:
 
     def test_requires_single_entry_pool(self):
         pool = self.make_pool()
-        pool.evolve(pool.entries[0], GeneVector(1, 1))
+        pool.evolve(pool.entries[0], 1, 1)
         with pytest.raises(ValidationError, match="single-entry"):
             warm_up(pool, no_instances(), 1)
 
@@ -334,8 +334,8 @@ class TestOnlineStep:
         entry.genes = GeneState(g, g, 50)
         entry.n_pred = 50
         entry.forecaster.bias[:] = np.nan
-        inst = Instance(x=np.zeros(4), y=np.full(2, y_mu), t=7, z_x=g,
-                        z_y=GeneVector(y_mu, 1.0))
+        inst = Instance(x=np.zeros(4), y=np.full(2, y_mu), t=7, x_mu=0.0, x_sigma=1.0,
+                        y_mu=y_mu, y_sigma=1.0)
         with mock.patch.object(LinearForecaster, "train_step",
                                wraps=entry.forecaster.train_step) as train:
             with pytest.raises(NumericError, match=message):

@@ -2,9 +2,11 @@
 
 Each pinned run writes a whole bundle: results.json, the instances and
 trajectories extracts, labels.csv and the echoed manifest.json, and every
-file's sha256 is pinned. A change that alters output on purpose updates
-these digests and says so in CHANGES.md. The manifests are built from their
-JSON form, so the digests also pin the manifest schema and the config hash.
+file's sha256 is pinned. So are the values.csv and labels.csv that
+`driftpool generate` writes for the default stream. A change that alters
+output on purpose updates these digests and says so in CHANGES.md. The
+manifests are built from their JSON form, so the digests also pin the
+manifest schema and the config hash.
 
 Print the digests of the current tree, laid out as `PINS` below, with
 
@@ -19,7 +21,7 @@ import io
 import tempfile
 from pathlib import Path
 
-from driftpool.cli import cmd_run
+from driftpool.cli import cmd_generate, cmd_run
 from driftpool.data import default_stream_spec
 from driftpool.manifest import CONFIG_TYPES, RunManifest
 
@@ -77,12 +79,27 @@ def narrowed_scope_manifest():
     })
 
 
-# name: (manifest, whether the run logs its forecasts)
+def pinned_run(make_manifest, log_forecasts=False):
+    """Writes a run's bundle into a directory and returns its config hash."""
+    def write(out_dir):
+        manifest = make_manifest()
+        cmd_run(manifest, out_dir=out_dir, log_forecasts=log_forecasts)
+        return {"config_hash": manifest.config_hash()}
+    return write
+
+
+def generate_default_stream(out_dir):
+    cmd_generate(default_stream_spec(seed=0), out_dir)
+    return {}
+
+
+# name: writes the pinned files into a directory, returns any digest besides theirs
 RUNS = {
-    "default_stream_linear": (default_stream_manifest, False),
-    "c11_mlp": (c11_manifest, False),
-    "narrowed_scope_mle": (narrowed_scope_manifest, False),
-    "narrowed_scope_mle_forecasts": (narrowed_scope_manifest, True),
+    "default_stream_linear": pinned_run(default_stream_manifest),
+    "c11_mlp": pinned_run(c11_manifest),
+    "narrowed_scope_mle": pinned_run(narrowed_scope_manifest),
+    "narrowed_scope_mle_forecasts": pinned_run(narrowed_scope_manifest, log_forecasts=True),
+    "generate_default_stream": generate_default_stream,
 }
 
 PINS = {
@@ -142,17 +159,21 @@ PINS = {
         "trajectories.csv":
             "01a7e5fd1d65bd12535cbc1ff214d976348c1330a17340117bc64ceb562a27dd",
     },
+    "generate_default_stream": {
+        "labels.csv":
+            "69a96c25df41f4db9f9b0796b4e182bf3fe684e7ad9f60aabe9a03b9f5b05ecf",
+        "values.csv":
+            "4f1cbe6e729843f1a0da6f19af32e703330021b575f3bb14442316470ad1bc90",
+    },
 }
 
 
 def run_digests(name, out_dir):
-    """The config hash of a pinned run and the sha256 of every file it writes."""
-    make_manifest, log_forecasts = RUNS[name]
-    manifest = make_manifest()
-    cmd_run(manifest, out_dir=out_dir, log_forecasts=log_forecasts)
+    """The config hash of a pinned run, if any, and the sha256 of every file it writes."""
+    extra = RUNS[name](out_dir)
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(Path(out_dir).iterdir())}
-    return {"config_hash": manifest.config_hash(), **files}
+    return {**extra, **files}
 
 
 def test_default_stream_linear_digest(tmp_path, capsys):
@@ -171,6 +192,10 @@ def test_logged_forecasts_digest(tmp_path, capsys):
     """Records with a "forecast" list are written only under --log-forecasts."""
     assert (run_digests("narrowed_scope_mle_forecasts", tmp_path)
             == PINS["narrowed_scope_mle_forecasts"])
+
+
+def test_generate_digest(tmp_path, capsys):
+    assert run_digests("generate_default_stream", tmp_path) == PINS["generate_default_stream"]
 
 
 def test_config_file_keys():

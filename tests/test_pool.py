@@ -1,5 +1,7 @@
 """Pool lifecycle tests: retrieval, splitting, elimination, LR warming."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from driftpool.errors import NumericError, ValidationError
 from driftpool.forecasters import LinearForecaster, NaiveForecaster
-from driftpool.gene import (
-    GeneState,
-    GeneVector,
-    ema_update,
-    gene_distance,
-    global_update,
-    mle_cost,
-)
+from driftpool.gene import GeneState, GeneVector, distances, fold_moments, nlls
 from driftpool.pool import (
     RETRIEVAL_SCORES,
     CepConfig,
@@ -24,7 +19,7 @@ from driftpool.pool import (
     lr_tick,
     should_evolve,
 )
-from reference import effective_gene, retrieval_cost
+from reference import absorb, effective_gene, retrieval_cost
 
 
 def make_pool(config=None, lr_raw=0.01, lookback=4, horizon=2):
@@ -100,15 +95,15 @@ class TestNearest:
     def test_picks_closer_entry(self):
         pool = make_pool()
         pin_gene(pool.entries[0], 0.0)
-        other, _ = pool.evolve(pool.entries[0], GeneVector(10.0, 0.0))
-        assert pool.nearest(GeneVector(1.0, 0.0)) is pool.entries[0]
-        assert pool.nearest(GeneVector(9.0, 0.0)) is other
+        other, _ = pool.evolve(pool.entries[0], 10.0, 0.0)
+        assert pool.nearest(1.0, 0.0) is pool.entries[0]
+        assert pool.nearest(9.0, 0.0) is other
 
     def test_tie_breaks_to_smaller_id(self):
         pool = make_pool()
         pin_gene(pool.entries[0], 0.0)
-        pool.evolve(pool.entries[0], GeneVector(10.0, 0.0))
-        assert pool.nearest(GeneVector(5.0, 0.0)).id == 0
+        pool.evolve(pool.entries[0], 10.0, 0.0)
+        assert pool.nearest(5.0, 0.0).id == 0
 
     @pytest.mark.parametrize(
         "score, switches",
@@ -126,10 +121,7 @@ class TestNearest:
             pool = make_pool(cfg)
             pin_gene(pool.entries[0], rng.uniform(-50, 50), rng.uniform(0, 5))
             for _ in range(int(rng.integers(0, 49))):
-                e, _ = pool.evolve(
-                    pool.entries[0],
-                    GeneVector(rng.uniform(-50, 50), rng.uniform(0, 5)),
-                )
+                e, _ = pool.evolve(pool.entries[0], rng.uniform(-50, 50), rng.uniform(0, 5))
                 # desynchronize local/global so mixing matters
                 e.genes = GeneState(
                     GeneVector(rng.uniform(-50, 50), rng.uniform(0, 5)),
@@ -138,7 +130,7 @@ class TestNearest:
                 )
             for _ in range(20):
                 sample = GeneVector(rng.uniform(-60, 60), rng.uniform(0, 6))
-                assert pool.nearest(sample).id == brute_force_nearest(pool, sample)
+                assert pool.nearest(sample.mu, sample.sigma).id == brute_force_nearest(pool, sample)
 
     def test_scores_disagree_where_expected(self):
         # an offset same-width candidate wins on distance, but the
@@ -146,8 +138,10 @@ class TestNearest:
         wide_centered = GeneVector(0.0, 2.0)
         offset = GeneVector(1.4, 0.5)
         sample = GeneVector(0.0, 0.5)
-        assert gene_distance(sample, offset) < gene_distance(sample, wide_centered)
-        assert mle_cost(wide_centered, sample) < mle_cost(offset, sample)
+        euclidean = distances(sample.mu, sample.sigma, [wide_centered, offset])
+        likelihood = nlls(sample.mu, sample.sigma, [wide_centered, offset])
+        assert euclidean[1] < euclidean[0]
+        assert likelihood[0] < likelihood[1]
 
 
 class TestShouldEvolve:
@@ -156,21 +150,22 @@ class TestShouldEvolve:
         entry = pool.entries[0]
         pin_gene(entry, 0.0, 1.0)
         entry.n_pred = 20
-        assert should_evolve(entry, GeneVector(3.5, 1.0))
+        assert should_evolve(entry, 3.5)
 
     def test_holds_inside_threshold(self):
         pool = make_pool()
         entry = pool.entries[0]
         pin_gene(entry, 0.0, 1.0)
         entry.n_pred = 20
-        assert not should_evolve(entry, GeneVector(2.9, 1.0))
+        assert not should_evolve(entry, 2.9)
+        assert not should_evolve(entry, 3.0)  # exactly tau_mu sigmas is not beyond
 
     def test_safety_period_gates_splitting(self):
         pool = make_pool()
         entry = pool.entries[0]
         pin_gene(entry, 0.0, 1.0)
         entry.n_pred = 5
-        assert not should_evolve(entry, GeneVector(100.0, 1.0))
+        assert not should_evolve(entry, 100.0)
 
     def test_evolution_switch_gates_everything(self):
         cfg = CepConfig(evolution=False)
@@ -178,7 +173,7 @@ class TestShouldEvolve:
         entry = pool.entries[0]
         pin_gene(entry, 0.0, 1.0)
         entry.n_pred = 100
-        assert not should_evolve(entry, GeneVector(1e6, 1.0))
+        assert not should_evolve(entry, 1e6)
 
     def test_sigma_floor_on_constant_gene(self):
         pool = make_pool()
@@ -186,7 +181,7 @@ class TestShouldEvolve:
         pin_gene(entry, 0.0, 0.0)
         entry.n_pred = 100
         # any visible deviation clears 3 * floored sigma
-        assert should_evolve(entry, GeneVector(1e-6, 0.0))
+        assert should_evolve(entry, 1e-6)
 
 
 class TestEvolve:
@@ -194,7 +189,7 @@ class TestEvolve:
         pool = Pool(LinearForecaster(4, 2), 0.01, CepConfig())
         parent = pool.entries[0]
         parent.forecaster.train_step(np.ones(4), np.ones(2), 0.1)
-        child, _ = pool.evolve(parent, GeneVector(5.0, 1.0))
+        child, _ = pool.evolve(parent, 5.0, 1.0)
         assert len(pool) == 2
         rng = np.random.default_rng(0)
         for _ in range(25):  # knowledge carries over on arbitrary inputs
@@ -206,27 +201,27 @@ class TestEvolve:
 
     def test_initial_lr_reduced(self):
         pool = make_pool(CepConfig(tau_lr=0.5, t_lr=10), lr_raw=0.01)
-        child, _ = pool.evolve(pool.entries[0], GeneVector(1, 1))
+        child, _ = pool.evolve(pool.entries[0], 1, 1)
         assert child.lr_current == pytest.approx(0.005)
 
     def test_no_lr_adjustment_when_switched_off(self):
         pool = make_pool(CepConfig(optimizer_adjustment=False), lr_raw=0.01)
-        child, _ = pool.evolve(pool.entries[0], GeneVector(1, 1))
+        child, _ = pool.evolve(pool.entries[0], 1, 1)
         assert child.lr_current == 0.01
 
     def test_fifo_cap_evicts_oldest(self):
         pool = make_pool(CepConfig(max_pool_size=3))
         for i in range(2):
-            assert pool.evolve(pool.entries[0], GeneVector(float(i), 0.0))[1] == []
+            assert pool.evolve(pool.entries[0], float(i), 0.0)[1] == []
         assert [e.id for e in pool.entries] == [0, 1, 2]
-        child, evicted = pool.evolve(pool.entries[-1], GeneVector(9.0, 0.0))
+        child, evicted = pool.evolve(pool.entries[-1], 9.0, 0.0)
         assert (child.id, evicted) == (3, [0])
         assert [e.id for e in pool.entries] == [1, 2, 3]
         assert len(pool) == 3
 
     def test_ids_strictly_increase(self):
         pool = make_pool()
-        ids = [pool.evolve(pool.entries[0], GeneVector(i, 0))[0].id for i in range(5)]
+        ids = [pool.evolve(pool.entries[0], i, 0)[0].id for i in range(5)]
         assert ids == sorted(ids)
         assert len(set(ids)) == 5
 
@@ -235,7 +230,7 @@ class TestLrTick:
     def test_restores_exactly_after_t_lr_ticks(self):
         cfg = CepConfig(tau_lr=0.5, t_lr=10)
         pool = make_pool(cfg, lr_raw=0.01)
-        child, _ = pool.evolve(pool.entries[0], GeneVector(1, 1))
+        child, _ = pool.evolve(pool.entries[0], 1, 1)
         assert child.lr_current == pytest.approx(0.005)
         for _ in range(10):
             lr_tick(child, pool.lr_raw, cfg)
@@ -252,7 +247,7 @@ class TestLrTick:
     def test_tau_one_is_a_noop(self):
         cfg = CepConfig(tau_lr=1.0, t_lr=5)
         pool = make_pool(cfg, lr_raw=0.02)
-        child, _ = pool.evolve(pool.entries[0], GeneVector(1, 1))
+        child, _ = pool.evolve(pool.entries[0], 1, 1)
         assert child.lr_current == 0.02
         lr_tick(child, pool.lr_raw, cfg)
         assert child.lr_current == 0.02
@@ -260,7 +255,7 @@ class TestLrTick:
     def test_stays_within_band(self):
         cfg = CepConfig(tau_lr=0.3, t_lr=7)
         pool = make_pool(cfg, lr_raw=0.05)
-        child, _ = pool.evolve(pool.entries[0], GeneVector(1, 1))
+        child, _ = pool.evolve(pool.entries[0], 1, 1)
         for _ in range(30):
             lr_tick(child, pool.lr_raw, cfg)
             assert 0.3 * 0.05 - 1e-15 <= child.lr_current <= 0.05 + 1e-15
@@ -270,7 +265,7 @@ class TestMarkSelected:
     def test_counters_after_repeated_selection(self):
         pool = make_pool()
         a = pool.entries[0]
-        b, _ = pool.evolve(a, GeneVector(1, 1))
+        b, _ = pool.evolve(a, 1, 1)
         for _ in range(3):
             pool.mark_selected(a)
         assert (a.n_pred, a.n_wait) == (3, 0)
@@ -279,7 +274,7 @@ class TestMarkSelected:
     def test_alternating_resets_wait(self):
         pool = make_pool()
         a = pool.entries[0]
-        b, _ = pool.evolve(a, GeneVector(1, 1))
+        b, _ = pool.evolve(a, 1, 1)
         pool.mark_selected(a)
         pool.mark_selected(b)
         assert (a.n_wait, b.n_wait) == (1, 0)
@@ -301,7 +296,7 @@ class TestEliminateStale:
         """Pool of the seed entry and a child that served ``served`` and then idled ``idle``."""
         pool = make_pool(config)
         a = pool.entries[0]
-        b, _ = pool.evolve(a, GeneVector(1, 1))
+        b, _ = pool.evolve(a, 1, 1)
         for _ in range(served):
             pool.mark_selected(b)
         for _ in range(idle):
@@ -328,7 +323,7 @@ class TestEliminateStale:
         rng = np.random.default_rng(3)
         pool = make_pool()
         for i in range(9):
-            pool.evolve(pool.entries[0], GeneVector(float(i), 0.0))
+            pool.evolve(pool.entries[0], float(i), 0.0)
         picks = rng.integers(0, 10, 60)
         for i in picks:
             pool.mark_selected(pool.entries[i])
@@ -401,9 +396,9 @@ class TestAbsorbInstance:
                         use_local_gene=parts[0], use_global_gene=parts[1])
         entry = make_pool(cfg).entries[0]
         entry.genes = old = GeneState(local, global_, n)
+        expected = SimpleNamespace(genes=old)
         try:
-            expected = GeneState(ema_update(old.local, sample, tau_l),
-                                 *global_update(old.global_, old.n, sample))
+            absorb(expected, sample, cfg)
         except NumericError as exc:
             with pytest.raises(NumericError) as raised:
                 absorb_instance(entry, sample.mu, sample.sigma)
@@ -411,7 +406,7 @@ class TestAbsorbInstance:
             assert same_bits(entry.genes, old)
         else:
             absorb_instance(entry, sample.mu, sample.sigma)
-            assert same_bits(entry.genes, expected)
+            assert same_bits(entry.genes, expected.genes)
         assert cache_matches_reference(entry, cfg)
 
     def test_overflow_raises_the_reference_error_and_keeps_the_genes(self):
@@ -420,7 +415,7 @@ class TestAbsorbInstance:
         before = entry.genes
         sample = GeneVector(1e300, 0.0)
         with pytest.raises(NumericError) as reference:
-            global_update(before.global_, before.n, sample)
+            fold_moments(before.global_.mu, before.global_.sigma, before.n, sample.mu)
         with pytest.raises(NumericError) as raised:
             absorb_instance(entry, sample.mu, sample.sigma)
         assert str(raised.value) == str(reference.value)
@@ -489,14 +484,14 @@ def pool_machine(caps):
 
         @rule(gene=_GENES)
         def nearest(self, gene):
-            found = self.pool.nearest(gene)
+            found = self.pool.nearest(gene.mu, gene.sigma)
             assert found.id == brute_force_nearest(self.pool, gene)
 
         @rule(i=_PICK, gene=_GENES)
         def evolve(self, i, gene):
             parent = self.pick(i)
             before = [e.id for e in self.pool.entries]
-            child, reported = self.pool.evolve(parent, gene)
+            child, reported = self.pool.evolve(parent, gene.mu, gene.sigma)
             assert child.id > max(before)
             assert (child.n_pred, child.n_wait, child.genes.n) == (0, 0, 1)
             cap = self.config.max_pool_size

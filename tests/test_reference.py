@@ -134,6 +134,9 @@ def note_events(config, result):
 # a linear model diverging at a 1e6 offset: both sides abort
 @example(case=(stream([1e6, 1e6 + 50.0], [0, 1, 0], 60, 0.1),
                EngineConfig(lookback=6, horizon=3, lr_raw=1e-6, warm_epochs=1), False))
+# a spike in an abandoned step's ground truth overflows its mse: both sides abort
+@example(case=(np.where(np.arange(1200) == 409, 1.4e154, 0.0),
+               EngineConfig(lookback=8, horizon=4, forecaster="naive", warm_epochs=1), False))
 def test_engine_run_equals_reference_run(case):
     series, config, log_forecasts = case
     expected = outcome(reference.run, series, config, log_forecasts)
