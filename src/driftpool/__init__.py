@@ -20,7 +20,6 @@ from .data import (
 )
 from .engine import (
     EngineConfig,
-    Instance,
     RunResult,
     StepRecord,
     online_step,
@@ -44,7 +43,7 @@ from .forecasters import (
     make_forecaster,
     mse,
 )
-from .gene import SIGMA_FLOOR, GeneState, GeneVector, compute_gene
+from .gene import SIGMA_FLOOR, compute_gene
 from .manifest import RunManifest, load_manifest, save_manifest
 from .pool import CepConfig, Pool, PoolEntry, absorb_instance, lr_tick, should_evolve
 
@@ -58,9 +57,6 @@ __all__ = [
     "EngineConfig",
     "FileFormatError",
     "Forecaster",
-    "GeneState",
-    "GeneVector",
-    "Instance",
     "LabeledStream",
     "LinearForecaster",
     "MlpForecaster",

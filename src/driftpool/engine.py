@@ -12,7 +12,6 @@ shift, in which case the gradient is abandoned), and prunes the pool.
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,56 +19,33 @@ import numpy as np
 from .data import warm_split_index
 from .errors import NumericError, SizingError, ValidationError
 from .forecasters import FORECASTER_KINDS, KINDS, make_forecaster, mse
-from .gene import window_genes
+from .gene import reject_non_finite, window_genes
 from .gene import compute_gene  # unused: perfbench/child.py traces engine.compute_gene by name
 from .pool import CepConfig, Pool, absorb_instance, lr_tick, should_evolve
 
 log = logging.getLogger("driftpool.engine")
 
 
-@dataclass(frozen=True)
-class Instance:
-    """Input window, its ground truth, the stream index of the window start,
-    and both windows' signatures (mean, population std)."""
+class InstanceSet:
+    """Input/ground-truth window pairs over one series, every signature computed once.
 
-    x: np.ndarray
-    y: np.ndarray
-    t: int
-    x_mu: float
-    x_sigma: float
-    y_mu: float
-    y_sigma: float
-
-
-class InstanceSet(Sequence):
-    """Instance pairs over one series, every window's signature computed once.
-
-    Holds the window starts and the signature arrays rather than one object
-    per instance; indexing builds the ``Instance``.
+    The window starts and the input windows' ``x_mu``/``x_sigma`` are lists
+    of Python floats, converted once, so a step does no numpy indexing.
+    ``y_mu`` holds the ground-truth windows' means if signed, else None;
+    either way a window holding a non-finite value raises NumericError.
     """
 
     def __init__(self, series: np.ndarray, starts: np.ndarray, lookback: int,
-                 horizon: int, scope: int):
-        self.series, self.starts = series, starts
-        self.lookback, self.horizon = lookback, horizon
-        self.x_mu, self.x_sigma = window_genes(series, starts, lookback, scope)
-        self.y_mu, self.y_sigma = window_genes(series, starts + lookback, horizon, scope)
+                 horizon: int, scope: int, sign_truth: bool = False):
+        self.series, self.lookback, self.horizon = series, lookback, horizon
+        self.starts = starts.tolist()
+        self.x_mu, self.x_sigma = (a.tolist() for a in window_genes(series, starts, lookback, scope))
+        reject_non_finite(series, starts + lookback, horizon)  # the truths, signed or not
+        self.y_mu = (window_genes(series, starts + lookback, horizon, scope)[0].tolist()
+                     if sign_truth else None)
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def __getitem__(self, i: int) -> Instance:
-        t = int(self.starts[i])
-        mid = t + self.lookback
-        return Instance(
-            x=self.series[t:mid],
-            y=self.series[mid:mid + self.horizon],
-            t=t,
-            x_mu=float(self.x_mu[i]),
-            x_sigma=float(self.x_sigma[i]),
-            y_mu=float(self.y_mu[i]),
-            y_sigma=float(self.y_sigma[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -134,15 +110,17 @@ class RunResult:
 
 
 def make_instances(series: np.ndarray, start: int, stop: int, stride: int,
-                   lookback: int, horizon: int, scope: int) -> InstanceSet:
-    """Instance pairs with window starts in [start, stop) at the given stride.
+                   lookback: int, horizon: int, scope: int,
+                   sign_truth: bool = False) -> InstanceSet:
+    """Window pairs with starts in [start, stop) at the given stride.
 
     An instance is kept only if its ground truth fits inside the series;
     the ground truth begins exactly at t + lookback, never overlapping
     the input window. Signatures are taken over the last ``scope`` values.
     """
     limit = min(stop, len(series) - (lookback + horizon) + 1)
-    return InstanceSet(series, np.arange(start, limit, stride), lookback, horizon, scope)
+    return InstanceSet(series, np.arange(start, limit, stride), lookback, horizon, scope,
+                       sign_truth)
 
 
 def split_instances(series: np.ndarray, config: EngineConfig
@@ -159,7 +137,8 @@ def split_instances(series: np.ndarray, config: EngineConfig
             f"for lookback {lookback} and horizon {horizon}"
         )
     warm = make_instances(series, 0, warm_len - span + 1, 1, lookback, horizon, scope)
-    online = make_instances(series, warm_len, n, horizon, lookback, horizon, scope)
+    online = make_instances(series, warm_len, n, horizon, lookback, horizon, scope,
+                            sign_truth=True)
     return warm, online
 
 
@@ -176,8 +155,7 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]
     entry, lr_raw = pool.entries[0], pool.lr_raw
     series, lookback = warm_instances.series, warm_instances.lookback
     span = lookback + warm_instances.horizon
-    steps = list(zip(warm_instances.starts.tolist(), warm_instances.x_mu.tolist(),
-                     warm_instances.x_sigma.tolist()))
+    steps = list(zip(warm_instances.starts, warm_instances.x_mu, warm_instances.x_sigma))
     losses: list[float] = []
     for _ in range(epochs):
         for t, mu, sigma in steps:
@@ -188,48 +166,51 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]
     return losses
 
 
-def online_step(pool: Pool, instance: Instance, log_forecasts: bool = False) -> StepRecord:
-    """One delayed-feedback step: retrieve or split, forecast, maybe train, prune.
+def online_step(pool: Pool, online: InstanceSet, i: int,
+                log_forecasts: bool = False) -> StepRecord:
+    """Delayed-feedback step ``i``: retrieve or split, forecast, maybe train, prune.
 
     A trained step runs one forward pass: its recorded MSE is the loss
     ``train_step`` measures before the update. ``predict`` runs only on an
     abandoned step or when the forecast is logged.
     """
     cep = pool.config
-    mu, sigma = instance.x_mu, instance.x_sigma
+    t, mu, sigma = online.starts[i], online.x_mu[i], online.x_sigma[i]
+    mid = t + online.lookback
+    x, y = online.series[t:mid], online.series[mid:mid + online.horizon]
 
     near = pool.nearest(mu, sigma)
     evolved = should_evolve(near, mu)
     if evolved:
         current, evicted = pool.evolve(near, mu, sigma)
-        log.debug("t=%d evolved entry %d from %d", instance.t, current.id, near.id)
+        log.debug("t=%d evolved entry %d from %d", t, current.id, near.id)
     else:
         current, evicted = near, []
 
-    abandoned = cep.gradient_abandonment and should_evolve(current, instance.y_mu)
+    abandoned = cep.gradient_abandonment and should_evolve(current, online.y_mu[i])
     if abandoned or log_forecasts:
-        forecast = current.forecaster.predict(instance.x)
+        forecast = current.forecaster.predict(x)
         if not np.isfinite(forecast).all():
-            raise NumericError(f"non-finite forecast at t={instance.t}")
+            raise NumericError(f"non-finite forecast at t={t}")
         try:
-            err = mse(forecast, instance.y)
+            err = mse(forecast, y)
         except NumericError as exc:
-            raise NumericError(f"{exc} at t={instance.t}") from exc
+            raise NumericError(f"{exc} at t={t}") from exc
     if not abandoned:
         try:
-            err = current.forecaster.train_step(instance.x, instance.y, current.lr_current)
+            err = current.forecaster.train_step(x, y, current.lr_current)
         except NumericError as exc:
-            raise NumericError(f"{exc} at t={instance.t}") from exc
+            raise NumericError(f"{exc} at t={t}") from exc
         lr_tick(current, pool.lr_raw, cep)
         absorb_instance(current, mu, sigma)
 
     pool.mark_selected(current)
     removed = evicted + pool.eliminate_stale()
     if removed:
-        log.debug("t=%d eliminated %s", instance.t, removed)
+        log.debug("t=%d eliminated %s", t, removed)
 
     return StepRecord(
-        t=instance.t,
+        t=t,
         selected_entry_id=current.id,
         mse=err,
         evolved=evolved,
@@ -244,14 +225,19 @@ def online_step(pool: Pool, instance: Instance, log_forecasts: bool = False) -> 
 
 
 def run(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
-    """Full pipeline over one series: split, warm up, stream every online instance."""
-    warm, online = split_instances(series, config)
-    forecaster = make_forecaster(config.forecaster, config.lookback, config.horizon,
-                                 hidden=config.hidden, seed=config.seed)
-    pool = Pool(forecaster, config.resolved_lr(), config.cep)
-    warm_up(pool, warm, config.warm_epochs)
-    log.info("warm-up done: %d instances x %d epochs", len(warm), config.warm_epochs)
-    records = [online_step(pool, inst, log_forecasts) for inst in online]
+    """Full pipeline over one series: split, warm up, stream every online instance.
+
+    Numpy's overflow and invalid-value warnings are silenced for the run:
+    every non-finite signature, loss or forecast already raises NumericError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        warm, online = split_instances(series, config)
+        forecaster = make_forecaster(config.forecaster, config.lookback, config.horizon,
+                                     hidden=config.hidden, seed=config.seed)
+        pool = Pool(forecaster, config.resolved_lr(), config.cep)
+        warm_up(pool, warm, config.warm_epochs)
+        log.info("warm-up done: %d instances x %d epochs", len(warm), config.warm_epochs)
+        records = [online_step(pool, online, i, log_forecasts) for i in range(len(online))]
     return RunResult(
         records=records,
         mean_mse=float(np.mean([r.mse for r in records])) if records else float("nan"),

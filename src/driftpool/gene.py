@@ -10,7 +10,6 @@ shift detection, and the likelihood score all operate on these pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,33 +28,12 @@ SIGMA_FLOOR = 1e-8
 GENE_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class GeneVector:
-    """(mean, std) summary of a window, in the units of the series."""
-
-    mu: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class GeneState:
-    """One forecaster's pair of signatures plus its absorbed-sample count.
-
-    ``n`` counts the window means folded into the global moments,
-    including the seed value the state was created with, so it is always
-    at least 1.
-    """
-
-    local: GeneVector
-    global_: GeneVector
-    n: int
-
-
-def compute_gene(window: Sequence[float] | np.ndarray, scope: int) -> GeneVector:
-    """Signature of the most recent ``scope`` values of ``window``.
+def compute_gene(window: Sequence[float] | np.ndarray, scope: int) -> tuple[float, float]:
+    """Signature ``(mu, sigma)`` of the most recent ``scope`` values of ``window``.
 
     Uses the population std (divisor n); the streaming global update is
-    derived from 1/n second moments and both sides must agree.
+    derived from 1/n second moments and both sides must agree. Raises
+    NumericError on a non-finite value or a signature that overflows.
     """
     if scope < 1:
         raise ValidationError(f"scope must be >= 1, got {scope}")
@@ -65,7 +43,18 @@ def compute_gene(window: Sequence[float] | np.ndarray, scope: int) -> GeneVector
     if not np.isfinite(arr).all():
         raise NumericError("non-finite input")
     tail = arr[-scope:]
-    return GeneVector(float(tail.mean()), float(tail.std()))
+    mu, sigma = float(tail.mean()), float(tail.std())
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise NumericError(f"non-finite window signature ({mu!r}, {sigma!r})")
+    return mu, sigma
+
+
+def reject_non_finite(series: np.ndarray, starts: np.ndarray, length: int) -> None:
+    """Raise NumericError naming the first ``series[s:s + length]`` holding a non-finite value."""
+    bad = np.concatenate(([0], np.cumsum(~np.isfinite(series))))
+    hit = bad[starts + length] > bad[starts]
+    if hit.any():
+        raise NumericError(f"non-finite input in the window at t={starts[hit.argmax()]}")
 
 
 def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int
@@ -74,8 +63,9 @@ def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int
 
     Returns the means and the stds. The tails are gathered GENE_CHUNK at a
     time and reduced row-wise, which matches the 1-D reductions of
-    compute_gene bit for bit. Like compute_gene, it rejects a window with a
-    non-finite value anywhere in it and leaves its outputs unchecked.
+    compute_gene bit for bit. Like compute_gene, it raises NumericError on a
+    window with a non-finite value anywhere in it or with a signature that
+    overflows, naming the first such window's start.
     """
     if scope < 1:
         raise ValidationError(f"scope must be >= 1, got {scope}")
@@ -86,10 +76,7 @@ def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int
     mu, sigma = np.empty(len(starts)), np.empty(len(starts))
     if not len(starts):
         return mu, sigma
-    bad = np.concatenate(([0], np.cumsum(~np.isfinite(series))))
-    hit = bad[starts + length] > bad[starts]
-    if hit.any():
-        raise NumericError(f"non-finite input in the window at t={starts[hit.argmax()]}")
+    reject_non_finite(series, starts, length)
     tail = min(scope, length)
     tails = sliding_window_view(series, tail)
     first = starts + (length - tail)
@@ -97,6 +84,9 @@ def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int
         block = tails[first[lo:lo + GENE_CHUNK]]
         mu[lo:lo + GENE_CHUNK] = block.mean(axis=1)
         sigma[lo:lo + GENE_CHUNK] = block.std(axis=1)
+    finite = np.isfinite(mu) & np.isfinite(sigma)
+    if not finite.all():
+        raise NumericError(f"non-finite window signature at t={starts[finite.argmin()]}")
     return mu, sigma
 
 
@@ -123,8 +113,8 @@ def fold_moments(mu: float, sigma: float, n: int, x: float) -> tuple[float, floa
 def distances(mu: float, sigma: float, candidates: Iterable) -> list[float]:
     """Euclidean distance from (mu, sigma) to each candidate's (mu, sigma).
 
-    A candidate is anything with ``mu`` and ``sigma``: a GeneVector, or a
-    pool entry's cached mixed signature.
+    A candidate is anything with ``mu`` and ``sigma``, such as a pool
+    entry's cached mixed signature.
     """
     return [math.hypot(mu - c.mu, sigma - c.sigma) for c in candidates]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .forecasters import Forecaster
-from .gene import SIGMA_FLOOR, GeneState, GeneVector, blend, distances, fold_moments, nlls
+from .gene import SIGMA_FLOOR, blend, distances, fold_moments, nlls
 
 RETRIEVAL_SCORES = ("euclidean", "mle")
 
@@ -74,56 +74,39 @@ class CepConfig:
                 raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
-def _effective(config: CepConfig, local_mu: float, local_sigma: float,
-               global_mu: float, global_sigma: float) -> tuple[float, float]:
-    """Effective (mu, sigma) from the two signatures under the ablation switches."""
-    if config.use_local_gene and config.use_global_gene:
-        w = config.tau_gene
-        return blend(w, local_mu, global_mu), blend(w, local_sigma, global_sigma)
-    if config.use_local_gene:
-        return local_mu, local_sigma
-    return global_mu, global_sigma
-
-
 class PoolEntry:
     """One forecaster plus its signatures, counters, and LR state.
 
     The signatures are plain floats: ``local_mu``/``local_sigma``,
-    ``global_mu``/``global_sigma`` and the absorbed-sample count ``n``.
-    ``mu``/``sigma`` cache the effective (mixed) signature under
-    ``config``, which retrieval scores; every write of the signatures
-    goes through ``absorb_instance`` or the ``genes`` setter, which
-    refresh it.
+    ``global_mu``/``global_sigma`` and the absorbed-sample count ``n``,
+    seeded with one window's ``(mu, sigma)`` at ``n == 1``. ``mu``/``sigma``
+    cache the effective (mixed) signature under ``config`` that retrieval
+    scores; ``absorb_instance``, the only writer of the signatures, refreshes it.
     """
 
-    __slots__ = ("forecaster", "id", "config", "n_pred", "n_wait", "lr_current",
-                 "local_mu", "local_sigma", "global_mu", "global_sigma", "n",
-                 "mu", "sigma")
+    __slots__ = ("forecaster", "id", "config", "n_pred", "n_wait", "lr_current", "local_mu",
+                 "local_sigma", "global_mu", "global_sigma", "n", "mu", "sigma")
 
-    def __init__(self, forecaster: Forecaster, genes: GeneState, id: int, config: CepConfig,
-                 n_pred: int = 0, n_wait: int = 0, lr_current: float = 0.0):
+    def __init__(self, forecaster: Forecaster, id: int, config: CepConfig,
+                 mu: float, sigma: float, lr_current: float):
         self.forecaster, self.id, self.config = forecaster, id, config
-        self.n_pred, self.n_wait, self.lr_current = n_pred, n_wait, lr_current
-        self.genes = genes
-
-    @property
-    def genes(self) -> GeneState:
-        """A snapshot of the signatures; assigning one replaces them."""
-        return GeneState(GeneVector(self.local_mu, self.local_sigma),
-                         GeneVector(self.global_mu, self.global_sigma), self.n)
-
-    @genes.setter
-    def genes(self, state: GeneState) -> None:
-        if state.n < 1:
-            raise ValidationError(f"absorbed-sample count must be >= 1, got {state.n}")
-        self.local_mu, self.local_sigma = state.local.mu, state.local.sigma
-        self.global_mu, self.global_sigma = state.global_.mu, state.global_.sigma
-        self.n = state.n
+        self.n_pred, self.n_wait, self.lr_current = 0, 0, lr_current
+        self.local_mu = self.global_mu = mu
+        self.local_sigma = self.global_sigma = sigma
+        self.n = 1
         self._refresh()
 
     def _refresh(self) -> None:
-        self.mu, self.sigma = _effective(
-            self.config, self.local_mu, self.local_sigma, self.global_mu, self.global_sigma)
+        """Recompute the cached effective signature under the ablation switches."""
+        config = self.config
+        if config.use_local_gene and config.use_global_gene:
+            w = config.tau_gene
+            self.mu = blend(w, self.local_mu, self.global_mu)
+            self.sigma = blend(w, self.local_sigma, self.global_sigma)
+        elif config.use_local_gene:
+            self.mu, self.sigma = self.local_mu, self.local_sigma
+        else:
+            self.mu, self.sigma = self.global_mu, self.global_sigma
 
 
 def should_evolve(entry: PoolEntry, mu: float) -> bool:
@@ -167,18 +150,8 @@ class Pool:
             raise ValidationError(f"lr_raw must be finite and > 0, got {lr_raw}")
         self.lr_raw = float(lr_raw)
         self.config = config
-        self._next_id = 0
-        self.entries: list[PoolEntry] = []
-        self._append(first, 0.0, 0.0, lr_current=self.lr_raw)
-
-    def _append(self, forecaster: Forecaster, mu: float, sigma: float,
-                lr_current: float) -> PoolEntry:
-        g = GeneVector(mu, sigma)
-        entry = PoolEntry(forecaster, GeneState(g, g, 1), self._next_id, self.config,
-                          lr_current=lr_current)
-        self._next_id += 1
-        self.entries.append(entry)
-        return entry
+        self.entries = [PoolEntry(first, 0, config, 0.0, 0.0, self.lr_raw)]
+        self._next_id = 1
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -190,8 +163,6 @@ class Pool:
         minimal cost and ``index`` finds its first position, the oldest entry.
         """
         entries = self.entries
-        if not entries:
-            raise ValidationError("pool is empty")
         score = nlls if self.config.retrieval_score == "mle" else distances
         costs = score(mu, sigma, entries)
         return entries[costs.index(min(costs))]
@@ -207,7 +178,9 @@ class Pool:
         """
         cfg = self.config
         lr0 = cfg.tau_lr * self.lr_raw if cfg.optimizer_adjustment else self.lr_raw
-        child = self._append(parent.forecaster.deep_clone(), mu, sigma, lr0)
+        child = PoolEntry(parent.forecaster.deep_clone(), self._next_id, cfg, mu, sigma, lr0)
+        self._next_id += 1
+        self.entries.append(child)
         if cfg.max_pool_size is not None and len(self.entries) > cfg.max_pool_size:
             return child, [self.entries.pop(0).id]
         return child, []

@@ -8,6 +8,7 @@ import pytest
 from driftpool.engine import EngineConfig, online_step, split_instances, warm_up
 from driftpool.forecasters import LinearForecaster
 from driftpool.pool import Pool
+from reference import genes_of
 
 
 @pytest.fixture
@@ -28,16 +29,14 @@ def abandoned_step():
     pool = Pool(LinearForecaster(lookback, horizon), config.resolved_lr(), config.cep)
     warm_up(pool, warm, 1)
 
-    target = next(i for i in online if i.t + lookback == boundary)
-    for inst in online:
-        if inst.t == target.t:
-            break
-        online_step(pool, inst)
+    target = online.starts.index(boundary - lookback)
+    for i in range(target):
+        online_step(pool, online, i)
 
     before = {
-        e.id: SimpleNamespace(checksum=e.forecaster.parameter_checksum(), genes=e.genes,
+        e.id: SimpleNamespace(checksum=e.forecaster.parameter_checksum(), genes=genes_of(e),
                               n_pred=e.n_pred, n_wait=e.n_wait, lr_current=e.lr_current)
         for e in pool.entries
     }
-    record = online_step(pool, target)
+    record = online_step(pool, online, target)
     return SimpleNamespace(pool=pool, record=record, before=before)

@@ -6,8 +6,10 @@ signature, scores that cache in one pass and records a trained step's loss
 from ``train_step``'s own forward pass. This module does none of that:
 
 - every window is signed with ``compute_gene`` when the step reaches it;
-- each entry is a namespace holding a frozen ``GeneState``, mixed with
-  ``blend`` on every read (a lone part when an ablation switch is off);
+- each entry is a namespace holding its signatures as one tuple
+  ``(local, global, n)`` of two ``Gene`` pairs and a count, replaced
+  whole on every absorb and mixed with ``blend`` on every read (a lone
+  part when an ablation switch is off);
 - retrieval is ``min`` over ``(cost, id)``, the shift test reads the mixed
   signature, and a split clones the parent and evicts FIFO past the cap;
 - every online step runs ``predict`` and ``mse`` before ``train_step``;
@@ -17,9 +19,11 @@ from ``train_step``'s own forward pass. This module does none of that:
 ``tests/test_reference.py`` requires ``engine.run`` to equal ``run`` here
 record for record, bit for bit. This module imports no function and no
 pool class from ``driftpool.engine`` or ``driftpool.pool``, only their
-config and result dataclasses.
+config and result dataclasses. ``genes_of`` and ``set_genes`` read and
+write a library pool entry's signature floats in the same tuple form.
 """
 
+from collections import namedtuple
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -31,8 +35,6 @@ from driftpool.errors import NumericError, SizingError
 from driftpool.forecasters import KINDS, make_forecaster, mse
 from driftpool.gene import (
     SIGMA_FLOOR,
-    GeneState,
-    GeneVector,
     blend,
     compute_gene,
     distances,
@@ -41,18 +43,37 @@ from driftpool.gene import (
 )
 
 
-def effective_gene(state, config):
-    """Mixed signature under the ablation switches; a lone part is used as it is."""
+# A window signature; ``distances`` and ``nlls`` score it as a candidate.
+Gene = namedtuple("Gene", "mu sigma")
+
+
+def genes_of(entry):
+    """A library pool entry's signatures as ``(local, global, n)``."""
+    return (Gene(entry.local_mu, entry.local_sigma), Gene(entry.global_mu, entry.global_sigma),
+            entry.n)
+
+
+def set_genes(entry, genes):
+    """Write ``(local, global, n)`` into a library pool entry's float slots and
+    refresh its cached mixed signature."""
+    (entry.local_mu, entry.local_sigma), (entry.global_mu, entry.global_sigma), entry.n = genes
+    entry._refresh()
+
+
+def effective_gene(genes, config):
+    """Mixed signature of ``(local, global, n)`` under the ablation switches; a lone
+    part is used as it is."""
+    local, global_, _ = genes
     if config.use_local_gene and config.use_global_gene:
-        w, lo, gl = config.tau_gene, state.local, state.global_
-        return GeneVector(blend(w, lo.mu, gl.mu), blend(w, lo.sigma, gl.sigma))
-    return state.local if config.use_local_gene else state.global_
+        w = config.tau_gene
+        return Gene(blend(w, local.mu, global_.mu), blend(w, local.sigma, global_.sigma))
+    return local if config.use_local_gene else global_
 
 
-def retrieval_cost(entry, sample, config):
-    """The cost retrieval minimises for an entry (anything with ``genes``)."""
+def retrieval_cost(genes, sample, config):
+    """The cost retrieval minimises for the signatures ``genes`` and a sample ``Gene``."""
     score = nlls if config.retrieval_score == "mle" else distances
-    return score(sample.mu, sample.sigma, [effective_gene(entry.genes, config)])[0]
+    return score(sample.mu, sample.sigma, [effective_gene(genes, config)])[0]
 
 
 def shifted(entry, sample, config):
@@ -62,15 +83,16 @@ def shifted(entry, sample, config):
             and abs(sample.mu - g.mu) > config.tau_mu * max(g.sigma, SIGMA_FLOOR))
 
 
-def absorb(entry, z, config):
-    """Fold one window signature into the entry's local (EMA) and global (exact) genes.
+def absorb(genes, z, config):
+    """``genes`` after folding the window signature ``z`` into the local (EMA) and
+    global (exact) parts.
 
     Only the window's mean enters the global moments.
     """
-    old, tau_l = entry.genes, config.tau_l
-    new_global = GeneVector(*fold_moments(old.global_.mu, old.global_.sigma, old.n, z.mu))
-    local = GeneVector(blend(tau_l, z.mu, old.local.mu), blend(tau_l, z.sigma, old.local.sigma))
-    entry.genes = GeneState(local, new_global, old.n + 1)
+    local, global_, n = genes
+    tau_l = config.tau_l
+    return (Gene(blend(tau_l, z.mu, local.mu), blend(tau_l, z.sigma, local.sigma)),
+            Gene(*fold_moments(global_.mu, global_.sigma, n, z.mu)), n + 1)
 
 
 def run(series, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
@@ -86,7 +108,7 @@ def run(series, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
         raise SizingError(f"series too short: {n} points for a span of {span}")
 
     seed = SimpleNamespace(
-        id=0, genes=GeneState(GeneVector(0.0, 0.0), GeneVector(0.0, 0.0), 1),
+        id=0, genes=(Gene(0.0, 0.0), Gene(0.0, 0.0), 1),
         n_pred=0, n_wait=0, lr=lr_raw,
         forecaster=make_forecaster(config.forecaster, lookback, horizon,
                                    hidden=config.hidden, seed=config.seed),
@@ -97,23 +119,23 @@ def run(series, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
     for _ in range(config.warm_epochs):
         for t in range(warm_len - span + 1):
             x, y = series[t:t + lookback], series[t + lookback:t + span]
-            z = compute_gene(x, scope)
+            z = Gene(*compute_gene(x, scope))
             seed.forecaster.train_step(x, y, lr_raw)
-            absorb(seed, z, cep)
+            seed.genes = absorb(seed.genes, z, cep)
             seed.n_pred += 1
 
     # online: instances advance by the full horizon
     records = []
     for t in range(warm_len, n - span + 1, horizon):
         x, y = series[t:t + lookback], series[t + lookback:t + span]
-        z_x, z_y = compute_gene(x, scope), compute_gene(y, scope)
+        z_x, z_y = Gene(*compute_gene(x, scope)), Gene(*compute_gene(y, scope))
         removed = []
 
-        near = min(entries, key=lambda e: (retrieval_cost(e, z_x, cep), e.id))
+        near = min(entries, key=lambda e: (retrieval_cost(e.genes, z_x, cep), e.id))
         evolved = shifted(near, z_x, cep)
         if evolved:
             current = SimpleNamespace(
-                id=next_id, genes=GeneState(z_x, z_x, 1), n_pred=0, n_wait=0,
+                id=next_id, genes=(z_x, z_x, 1), n_pred=0, n_wait=0,
                 lr=cep.tau_lr * lr_raw if cep.optimizer_adjustment else lr_raw,
                 forecaster=near.forecaster.deep_clone(),
             )
@@ -132,7 +154,7 @@ def run(series, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
         if not abandoned:
             current.forecaster.train_step(x, y, current.lr)
             current.lr = min(lr_raw, cep.tau_lr ** (-1.0 / cep.t_lr) * current.lr)
-            absorb(current, z_x, cep)
+            current.genes = absorb(current.genes, z_x, cep)
 
         for e in entries:
             if e is current:

@@ -19,10 +19,10 @@ from driftpool.data import (
 )
 from driftpool.engine import EngineConfig, run
 from driftpool.forecasters import NaiveForecaster, make_forecaster, mse
-from driftpool.gene import GeneState, GeneVector, fold_moments
+from driftpool.gene import fold_moments
 from driftpool.manifest import RunManifest
 from driftpool.pool import CepConfig, Pool, lr_tick
-from reference import retrieval_cost, run_bare
+from reference import Gene, genes_of, retrieval_cost, run_bare, set_genes
 
 
 @contextmanager
@@ -91,26 +91,26 @@ def test_c03_retrieval_brute_force_equivalence():
             cfg = CepConfig(retrieval_score=score)
             for _ in range(500):
                 pool = Pool(NaiveForecaster(4, 2), 0.01, cfg)
-                genes = [GeneVector(rng.uniform(-50, 50), rng.uniform(0, 5))]
-                pool.entries[0].genes = GeneState(genes[0], genes[0], 1)
+                genes = [Gene(rng.uniform(-50, 50), rng.uniform(0, 5))]
+                set_genes(pool.entries[0], (genes[0], genes[0], 1))
                 for _ in range(int(rng.integers(0, 30))):
                     g = (
                         genes[int(rng.integers(0, len(genes)))]  # deliberate ties
                         if rng.random() < 0.2
-                        else GeneVector(rng.uniform(-50, 50), rng.uniform(0, 5))
+                        else Gene(rng.uniform(-50, 50), rng.uniform(0, 5))
                     )
                     genes.append(g)
                     child, _ = pool.evolve(pool.entries[0], g.mu, g.sigma)
                     if rng.random() < 0.5:  # desynchronize local vs global
-                        child.genes = GeneState(
+                        set_genes(child, (
                             g,
-                            GeneVector(rng.uniform(-50, 50), rng.uniform(0, 5)),
+                            Gene(rng.uniform(-50, 50), rng.uniform(0, 5)),
                             int(rng.integers(1, 9)),
-                        )
+                        ))
                 for _ in range(20):
-                    sample = GeneVector(rng.uniform(-60, 60), rng.uniform(0, 6))
+                    sample = Gene(rng.uniform(-60, 60), rng.uniform(0, 6))
                     expected = min(
-                        (retrieval_cost(e, sample, cfg), e.id) for e in pool.entries
+                        (retrieval_cost(genes_of(e), sample, cfg), e.id) for e in pool.entries
                     )[1]
                     assert pool.nearest(sample.mu, sample.sigma).id == expected
                     cases += 1
@@ -295,7 +295,7 @@ def test_c10_gradient_abandonment(abandoned_step):
         assert not record.evolved
         for entry in pool.entries:
             assert entry.forecaster.parameter_checksum() == before[entry.id].checksum
-            assert entry.genes == before[entry.id].genes
+            assert genes_of(entry) == before[entry.id].genes
         served = next(e for e in pool.entries if e.id == record.selected_entry_id)
         assert served.n_pred == before[served.id].n_pred + 1
 

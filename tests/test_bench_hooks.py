@@ -7,11 +7,13 @@ nothing under perfbench/ is written.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
-from driftpool import engine
+from driftpool import cli, engine
+from driftpool.data import write_column_csv
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -97,3 +99,29 @@ def test_traced_run_counts_warm_and_online_train_steps():
     # the engine keeps the name compute_gene only because the tracer patches it
     assert "gene.compute_gene" in names
     assert calls.count("gene.compute_gene") == 0
+
+
+def test_plain_mode_enters_warm_up_once_and_online_step_per_record(tmp_path, monkeypatch):
+    # plain mode replaces engine.run, engine.warm_up and engine.online_step with
+    # wrappers; run.py reads one warm-up span and one timed call per online record
+    entered = []
+
+    def wrapped(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            entered.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("run", "warm_up", "online_step"):
+        monkeypatch.setattr(engine, name, wrapped(name))
+    write_column_csv(tmp_path / "in.csv", np.sin(np.arange(400) / 5.0), "v")
+    rc = cli.main(["run", "--data", str(tmp_path / "in.csv"), "--column", "v",
+                   "--lookback", "8", "--horizon", "4", "--warm-epochs", "2",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    records = json.loads((tmp_path / "out" / "results.json").read_text())["records"]
+    assert entered[:2] == ["run", "warm_up"]
+    assert entered[2:] == ["online_step"] * len(records)
+    assert records

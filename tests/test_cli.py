@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -571,6 +574,37 @@ class TestMainExitCodes:
             ])
         assert rc == EXIT_RUNTIME
         assert re.search(r"non-finite mse at t=400$", capsys.readouterr().err.strip())
+        assert not (tmp_path / "out" / "results.json").exists()
+
+    @pytest.mark.parametrize("spike, flags, message", [
+        (None, ["--lr", "0.5", "--warm-epochs", "0", "--lookback", "20", "--horizon", "10"],
+         r"non-finite training loss at t=\d+"),
+        ((409, 1.4e154), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
+                          "--horizon", "4"], "non-finite mse at t=400"),
+        ((302, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--no-evolution",
+                        "--lookback", "8", "--horizon", "4"],
+         "non-finite window signature at t=300"),
+    ], ids=["diverging-trained-step", "abandoned-step-spike", "overflowing-spread"])
+    def test_numeric_failure_prints_only_its_error_line(self, tmp_path, spike, flags, message):
+        from driftpool.cli import EXIT_RUNTIME
+        from driftpool.data import write_column_csv
+
+        # a separate process: pytest would capture numpy's RuntimeWarning, not print it.
+        # A finite spike whose square overflows fails the abandoned step's mse at
+        # t=400, or, at 1e155, the std of online step t=300's input window.
+        values = np.full(900, 50.0) if spike is None else np.zeros(1200)
+        if spike is not None:
+            values[spike[0]] = spike[1]
+        write_column_csv(tmp_path / "in.csv", values, "v")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "driftpool.cli", "run", "--data", str(tmp_path / "in.csv"),
+             "--column", "v", "--out", str(tmp_path / "out"), *flags],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_RUNTIME
+        assert re.fullmatch(f"error: {message}\n", proc.stderr), proc.stderr
         assert not (tmp_path / "out" / "results.json").exists()
 
     @pytest.mark.parametrize("where, bad", [

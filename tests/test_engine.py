@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from driftpool import gene
+from driftpool.data import default_stream_spec, generate, normalize
 from driftpool.engine import (
     EngineConfig,
-    Instance,
     make_instances,
     online_step,
     run,
@@ -27,9 +27,9 @@ from driftpool.forecasters import (
     make_forecaster,
     mse,
 )
-from driftpool.gene import GeneState, GeneVector, compute_gene
+from driftpool.gene import compute_gene
 from driftpool.pool import CepConfig, Pool
-from reference import run_bare
+from reference import Gene, genes_of, run_bare, set_genes
 
 
 def enumerate_windows(n, start, stop, stride, lookback, horizon):
@@ -41,6 +41,13 @@ def enumerate_windows(n, start, stop, stride, lookback, horizon):
             out.append(t)
         t += stride
     return out
+
+
+def pairs(instances):
+    """``(t, x, y)`` of every instance, sliced from the set's series."""
+    series, lookback, horizon = instances.series, instances.lookback, instances.horizon
+    return [(t, series[t:t + lookback], series[t + lookback:t + lookback + horizon])
+            for t in instances.starts]
 
 
 def no_instances():
@@ -59,7 +66,7 @@ class TestSplit:
         warm, online = split_instances(series, EngineConfig(60, 30))
         assert warm_split_index(400) == 100
         assert len(warm) == 11  # stride-1 pairs inside the first 100 points
-        assert [i.t for i in online] == [100, 130, 160, 190, 220, 250, 280, 310]
+        assert online.starts == [100, 130, 160, 190, 220, 250, 280, 310]
         assert len(online) == (300 - 60 - 30) // 30 + 1 == 8
 
     def test_matches_enumeration_oracle(self):
@@ -72,26 +79,27 @@ class TestSplit:
             warm, online = split_instances(series, EngineConfig(lookback, horizon))
             w = warm_split_index(n)
             span = lookback + horizon
-            assert [i.t for i in warm] == enumerate_windows(n, 0, w - span + 1, 1, lookback, horizon)
-            assert [i.t for i in online] == enumerate_windows(n, w, n, horizon, lookback, horizon)
+            assert warm.starts == enumerate_windows(n, 0, w - span + 1, 1, lookback, horizon)
+            assert online.starts == enumerate_windows(n, w, n, horizon, lookback, horizon)
 
     def test_window_contents(self):
         series = np.arange(500, dtype=float)
         _, online = split_instances(series, EngineConfig(10, 5))
-        inst = online[0]
-        assert np.array_equal(inst.x, np.arange(inst.t, inst.t + 10))
-        assert np.array_equal(inst.y, np.arange(inst.t + 10, inst.t + 15))
+        t, x, y = pairs(online)[0]
+        assert np.array_equal(x, np.arange(t, t + 10))
+        assert np.array_equal(y, np.arange(t + 10, t + 15))
 
     def test_truth_never_overlaps_input(self):
-        series = np.zeros(600)
-        warm, online = split_instances(series, EngineConfig(12, 7))
-        for inst in [*warm, *online]:
-            assert inst.t + 12 == inst.t + len(inst.x)  # y starts right after x
+        # on a ramp a window's mean gives its position: y begins right after x
+        series = np.arange(600, dtype=float)
+        _, online = split_instances(series, EngineConfig(12, 7))
+        for t, x_mu, y_mu in zip(online.starts, online.x_mu, online.y_mu):
+            assert (x_mu, y_mu) == (t + 5.5, t + 12 + 3)
 
     def test_online_truths_are_disjoint(self):
         series = np.zeros(1000)
         _, online = split_instances(series, EngineConfig(17, 9))
-        spans = [(i.t + 17, i.t + 17 + 9) for i in online]
+        spans = [(t + 17, t + 17 + 9) for t in online.starts]
         for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
             assert a_hi <= b_lo
 
@@ -103,8 +111,8 @@ class TestSplit:
         # online stop is the series end; a y overrun must drop the pair
         series = np.zeros(4 * 30 + 7)
         warm, online = split_instances(series, EngineConfig(20, 10))
-        for inst in online:
-            assert inst.t + 30 <= len(series)
+        for t in online.starts:
+            assert t + 30 <= len(series)
 
 
 @st.composite
@@ -124,9 +132,11 @@ def signature_runs(draw):
 
 
 def assert_signatures_match_compute_gene(instances, scope):
-    for inst in instances:
-        assert GeneVector(inst.x_mu, inst.x_sigma) == compute_gene(inst.x, scope)
-        assert GeneVector(inst.y_mu, inst.y_sigma) == compute_gene(inst.y, scope)
+    """Input signatures, and the truths' means where signed, equal compute_gene's."""
+    for i, (_, x, y) in enumerate(pairs(instances)):
+        assert (instances.x_mu[i], instances.x_sigma[i]) == compute_gene(x, scope)
+        if instances.y_mu is not None:
+            assert instances.y_mu[i] == compute_gene(y, scope)[0]
 
 
 class TestSignatures:
@@ -138,6 +148,7 @@ class TestSignatures:
         series, config, chunk = drawn
         with mock.patch.object(gene, "GENE_CHUNK", chunk):
             warm, online = split_instances(series, config)
+        assert warm.y_mu is None and len(online.y_mu) == len(online)
         assert_signatures_match_compute_gene(warm, config.scope())
         assert_signatures_match_compute_gene(online, config.scope())
 
@@ -173,14 +184,18 @@ class TestSignatures:
         warm, online = split_instances(series, config)
         assert_signatures_match_compute_gene(online, config.scope())
 
-    def test_overflowing_std_is_not_rejected(self):
-        # finite inputs whose spread overflows: compute_gene passes them through
-        series = np.tile([1e200, -1e200, 3e199], 40)
-        config = EngineConfig(lookback=6, horizon=3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            warm, online = split_instances(series, config)
-            assert warm[0].x_sigma == np.inf
-            assert_signatures_match_compute_gene(warm, 6)
+    def test_overflowing_signature_raises_naming_its_window(self):
+        # a finite spike whose square overflows: the first window holding it is
+        # the input of online step t=300, or the truth starting at t=299
+        series = np.zeros(1200)
+        series[302] = 1e155
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=r"non-finite window signature at t=300$"):
+                split_instances(series, EngineConfig(lookback=8, horizon=4))
+            with pytest.raises(NumericError, match=r"non-finite window signature at t=299$"):
+                gene.window_genes(series, np.array([295, 299, 300]), 4, 4)
+            with pytest.raises(NumericError, match="non-finite window signature"):
+                compute_gene(series[299:303], 4)
 
 
 class TestWarmUp:
@@ -190,9 +205,9 @@ class TestWarmUp:
 
     def test_zero_instances_is_a_noop(self):
         pool = self.make_pool()
-        before = pool.entries[0].genes
+        before = genes_of(pool.entries[0])
         assert warm_up(pool, no_instances(), 5) == []
-        assert pool.entries[0].genes == before
+        assert genes_of(pool.entries[0]) == before
         assert len(pool) == 1
 
     def test_constant_series_gene_converges(self):
@@ -203,10 +218,10 @@ class TestWarmUp:
         pool = self.make_pool()
         warm_up(pool, warm, 2)
         entry = pool.entries[0]
-        assert entry.genes.local.mu == pytest.approx(c)
-        assert entry.genes.local.sigma == pytest.approx(0.0, abs=1e-12)
-        assert entry.genes.global_.mu == pytest.approx(c, rel=0.01)
-        assert entry.genes.global_.sigma < 0.05 * c
+        assert entry.local_mu == pytest.approx(c)
+        assert entry.local_sigma == pytest.approx(0.0, abs=1e-12)
+        assert entry.global_mu == pytest.approx(c, rel=0.01)
+        assert entry.global_sigma < 0.05 * c
 
     def test_counts_toward_safety_period(self):
         series = np.full(400, 1.0)
@@ -231,7 +246,7 @@ class TestWarmUp:
         for lr in (0.01, 0.002):
             pool = Pool(LinearForecaster(8, 4), lr, CepConfig())
             reference = LinearForecaster(8, 4)
-            expected = [reference.train_step(i.x, i.y, lr) for i in warm]
+            expected = [reference.train_step(x, y, lr) for _, x, y in pairs(warm)]
             assert warm_up(pool, warm, 1) == expected
             assert (pool.entries[0].forecaster.parameter_checksum()
                     == reference.parameter_checksum())
@@ -271,7 +286,7 @@ class TestOnlineStep:
         for e in pool.entries:
             served = e.id == record.selected_entry_id
             assert e.forecaster.parameter_checksum() == before[e.id].checksum
-            assert e.genes == before[e.id].genes
+            assert genes_of(e) == before[e.id].genes
             assert e.lr_current == before[e.id].lr_current
             assert e.n_pred == before[e.id].n_pred + served
             assert e.n_wait == (0 if served else before[e.id].n_wait + 1)
@@ -284,7 +299,7 @@ class TestOnlineStep:
         def stream(cep):
             pool = Pool(NaiveForecaster(16, 8), 0.01, cep)
             warm_up(pool, warm, 1)
-            return pool, [online_step(pool, inst) for inst in online]
+            return pool, [online_step(pool, online, i) for i in range(len(online))]
 
         _, records = stream(CepConfig())
         assert any(r.evolved for r in records)
@@ -330,16 +345,16 @@ class TestOnlineStep:
         # decides whether the step trains or abandons its gradient
         pool = Pool(LinearForecaster(4, 2), 0.01, CepConfig())
         entry = pool.entries[0]
-        g = GeneVector(0.0, 1.0)
-        entry.genes = GeneState(g, g, 50)
+        set_genes(entry, (Gene(0.0, 1.0), Gene(0.0, 1.0), 50))
         entry.n_pred = 50
         entry.forecaster.bias[:] = np.nan
-        inst = Instance(x=np.zeros(4), y=np.full(2, y_mu), t=7, x_mu=0.0, x_sigma=1.0,
-                        y_mu=y_mu, y_sigma=1.0)
+        # one instance at t=7: x is four zeros, y is two values at y_mu
+        series = np.concatenate([np.zeros(11), np.full(2, y_mu)])
+        online = make_instances(series, 7, 8, 1, 4, 2, 4, sign_truth=True)
         with mock.patch.object(LinearForecaster, "train_step",
                                wraps=entry.forecaster.train_step) as train:
             with pytest.raises(NumericError, match=message):
-                online_step(pool, inst)
+                online_step(pool, online, 0)
         assert train.call_count == (0 if abandoned else 1)
 
 
@@ -382,9 +397,9 @@ class TestRun:
         config = EngineConfig(lookback=20, horizon=10, lr_raw=1e-3, warm_epochs=1)
         result = run(series, config, log_forecasts=True)
         _, online = split_instances(series, config)
-        by_t = {i.t: i for i in online}
+        truth = {t: y for t, _, y in pairs(online)}
         for r in result.records:
-            recomputed = mse(np.array(r.forecast), by_t[r.t].y)
+            recomputed = mse(np.array(r.forecast), truth[r.t])
             assert recomputed == r.mse
 
     def test_forecasts_not_logged_by_default(self):
@@ -404,11 +419,11 @@ class TestRun:
         result = run(series, config)
         entry = result.pool.entries[0]
         means = [0.0]
-        means += [float(i.x.mean()) for i in warm] * config.warm_epochs
-        means += [float(i.x.mean()) for i in online]
-        assert entry.genes.n == len(means)
-        assert entry.genes.global_.mu == pytest.approx(np.mean(means), rel=1e-9)
-        assert entry.genes.global_.sigma == pytest.approx(np.std(means), rel=1e-9)
+        means += [float(x.mean()) for _, x, _ in pairs(warm)] * config.warm_epochs
+        means += [float(x.mean()) for _, x, _ in pairs(online)]
+        assert entry.n == len(means)
+        assert entry.global_mu == pytest.approx(np.mean(means), rel=1e-9)
+        assert entry.global_sigma == pytest.approx(np.std(means), rel=1e-9)
 
     def test_mle_score_routes_recurring_concepts(self):
         series = shifted_series([0.0, 8.0, 0.0, 8.0], 600, sigma=0.25, seed=14)
@@ -460,25 +475,69 @@ class TestOneForwardPass:
                     config.cep)
         warm_up(pool, warm, config.warm_epochs)
         trained = 0
-        for inst in online:
+        for i, (_, x, y) in enumerate(pairs(online)):
             before = {e.id: e.forecaster.deep_clone() for e in pool.entries}
-            r = online_step(pool, inst)
+            r = online_step(pool, online, i)
             # a split child starts as a clone of its parent's forecaster
             clone = before[r.evolved_from if r.evolved else r.selected_entry_id]
             if not r.abandoned:
                 trained += 1
-                assert r.mse == mse(clone.predict(inst.x), inst.y)
+                assert r.mse == mse(clone.predict(x), y)
         assert 0 < trained < len(online)
+
+
+@pytest.fixture(scope="module")
+def default_stream():
+    """The default labeled stream, normalized on its warm segment."""
+    source, _, _ = normalize(generate(default_stream_spec(seed=0)).source(seed=0),
+                             "warm_segment")
+    return source.values
+
+
+def blanked(records, *fields):
+    """The records with the named fields set to None."""
+    return [replace(r, **dict.fromkeys(fields)) for r in records]
+
+
+@pytest.mark.parametrize("score", ["euclidean", "mle"])
+class TestLifecycleMetamorphic:
+    """Routing, splits, abandonment, absorption, LR ticks and elimination read only
+    the window signatures and the counters, never the forecaster."""
+
+    def config(self, score, **kw):
+        return EngineConfig(lookback=60, horizon=30, warm_epochs=1, **kw,
+                            cep=CepConfig(max_pool_size=3, retrieval_score=score))
+
+    def test_lifecycle_is_the_same_for_every_forecaster(self, default_stream, score):
+        base = run(default_stream, self.config(score, forecaster="naive"))
+        assert base.total_evolutions and base.total_eliminations
+        assert any(r.abandoned for r in base.records)
+        for kind, lr in (("linear", 0.01), ("linear", 0.0005), ("mlp", None)):
+            other = run(default_stream, self.config(score, forecaster=kind, lr_raw=lr))
+            assert blanked(other.records, "mse") == blanked(base.records, "mse"), (kind, lr)
+            assert other.mean_mse != base.mean_mse
+
+    @pytest.mark.parametrize("power", [10, -3])
+    def test_power_of_two_scaling_scales_signatures_exactly(self, default_stream, score,
+                                                             power):
+        config, factor = self.config(score, forecaster="naive"), 2.0**power
+        base = run(default_stream, config)
+        scaled = run(default_stream * factor, config)
+        assert [(r.gene_mu, r.gene_sigma) for r in scaled.records] == [
+            (r.gene_mu * factor, r.gene_sigma * factor) for r in base.records]
+        scaled_fields = ("mse", "gene_mu", "gene_sigma")
+        assert blanked(scaled.records, *scaled_fields) == blanked(base.records, *scaled_fields)
 
 
 class TestInstances:
     def test_make_instances_respects_bounds(self):
         series = np.arange(100, dtype=float)
         out = make_instances(series, 0, 100, 7, 10, 5, 10)
-        for inst in out:
-            assert isinstance(inst, Instance)
-            assert len(inst.x) == 10 and len(inst.y) == 5
-            assert inst.t + 15 <= 100
+        assert out.starts == list(range(0, 86, 7))
+        assert out.y_mu is None  # the truths are signed only on request
+        for t, x, y in pairs(out):
+            assert len(x) == 10 and len(y) == 5
+            assert t + 15 <= 100
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -11,7 +11,6 @@ from driftpool.errors import NumericError, ValidationError
 from driftpool.forecasters import NaiveForecaster
 from driftpool.gene import (
     SIGMA_FLOOR,
-    GeneVector,
     blend,
     compute_gene,
     distances,
@@ -19,6 +18,7 @@ from driftpool.gene import (
     nlls,
 )
 from driftpool.pool import CepConfig, Pool, absorb_instance
+from reference import Gene, genes_of
 
 
 def two_pass(values):
@@ -35,22 +35,21 @@ finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 class TestComputeGene:
     def test_constant_window_has_zero_spread(self):
-        g = compute_gene([5, 5, 5, 5], 4)
-        assert g == GeneVector(5.0, 0.0)
+        assert compute_gene([5, 5, 5, 5], 4) == (5.0, 0.0)
 
     def test_matches_two_pass_oracle(self):
-        g = compute_gene([1, 2, 3, 4], 4)
+        g_mu, g_sigma = compute_gene([1, 2, 3, 4], 4)
         mu, sigma = two_pass([1, 2, 3, 4])
-        assert g.mu == pytest.approx(mu)
-        assert g.sigma == pytest.approx(sigma)
-        assert g.sigma == pytest.approx(1.1180339887, abs=1e-9)
+        assert g_mu == pytest.approx(mu)
+        assert g_sigma == pytest.approx(sigma)
+        assert g_sigma == pytest.approx(1.1180339887, abs=1e-9)
 
     def test_scope_takes_most_recent_values(self):
-        g = compute_gene([1, 2, 3, 4, 100], 4)
+        g_mu, g_sigma = compute_gene([1, 2, 3, 4, 100], 4)
         mu, sigma = two_pass([2, 3, 4, 100])
-        assert g.mu == pytest.approx(27.25)
-        assert g.mu == pytest.approx(mu)
-        assert g.sigma == pytest.approx(sigma)
+        assert g_mu == pytest.approx(27.25)
+        assert g_mu == pytest.approx(mu)
+        assert g_sigma == pytest.approx(sigma)
 
     def test_scope_larger_than_window_uses_whole_window(self):
         assert compute_gene([1, 2, 3], 10) == compute_gene([1, 2, 3], 3)
@@ -65,33 +64,41 @@ class TestComputeGene:
         with pytest.raises(NumericError, match="non-finite input"):
             compute_gene([1.0, float("inf")], 2)
 
+    def test_overflowing_signature_rejected(self):
+        # finite values whose spread, or whose mean, overflows a float
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="non-finite window signature"):
+                compute_gene([1e200, -1e200], 2)
+            with pytest.raises(NumericError, match="non-finite window signature"):
+                compute_gene([1.7e308, 1.7e308], 2)
+
     def test_bad_scope_rejected(self):
         with pytest.raises(ValidationError):
             compute_gene([1.0], 0)
 
     @given(st.lists(finite_floats, min_size=1, max_size=50), st.floats(-100, 100))
     def test_translation_equivariance(self, window, shift):
-        base = compute_gene(window, len(window))
-        moved = compute_gene([v + shift for v in window], len(window))
-        assert moved.mu == pytest.approx(base.mu + shift, abs=1e-6)
-        assert moved.sigma == pytest.approx(base.sigma, abs=1e-6)
+        base_mu, base_sigma = compute_gene(window, len(window))
+        mu, sigma = compute_gene([v + shift for v in window], len(window))
+        assert mu == pytest.approx(base_mu + shift, abs=1e-6)
+        assert sigma == pytest.approx(base_sigma, abs=1e-6)
 
     @given(st.lists(finite_floats, min_size=1, max_size=50), st.floats(1e-3, 1e3))
     def test_scale_equivariance(self, window, scale):
-        base = compute_gene(window, len(window))
-        scaled = compute_gene([v * scale for v in window], len(window))
-        assert scaled.mu == pytest.approx(scale * base.mu, rel=1e-9, abs=1e-6)
-        assert scaled.sigma == pytest.approx(scale * base.sigma, rel=1e-9, abs=1e-6)
+        base_mu, base_sigma = compute_gene(window, len(window))
+        mu, sigma = compute_gene([v * scale for v in window], len(window))
+        assert mu == pytest.approx(scale * base_mu, rel=1e-9, abs=1e-6)
+        assert sigma == pytest.approx(scale * base_sigma, rel=1e-9, abs=1e-6)
 
 
 def distance(a, b):
     """Euclidean distance between two (mu, sigma) pairs."""
-    return distances(*a, [GeneVector(*b)])[0]
+    return distances(*a, [Gene(*b)])[0]
 
 
 def nll(candidate, sample):
     """Likelihood score of the sample pair under the candidate pair."""
-    return nlls(*sample, [GeneVector(*candidate)])[0]
+    return nlls(*sample, [Gene(*candidate)])[0]
 
 
 class TestEmaUpdate:
@@ -145,8 +152,8 @@ class TestGlobalUpdate:
         a, b = (Pool(NaiveForecaster(4, 2), 0.01, CepConfig()).entries[0] for _ in range(2))
         absorb_instance(a, 5.0, 0.0)
         absorb_instance(b, 5.0, 99.0)
-        assert a.genes.global_ == b.genes.global_
-        assert a.genes.local != b.genes.local
+        assert genes_of(a)[1] == genes_of(b)[1]
+        assert genes_of(a)[0] != genes_of(b)[0]
 
     def test_overflowing_moments_raise_numeric_error(self):
         # (mu_g - x) ** 2 overflows a Python float: OverflowError before the fix
@@ -210,7 +217,7 @@ class TestGeneDistance:
     def test_three_four_five(self):
         assert distance((0, 0), (3, 4)) == 5.0
         assert distance((1, 2), (4, 6)) == 5.0
-        assert distances(0.0, 0.0, [GeneVector(3, 4), GeneVector(-6, 8)]) == [5.0, 10.0]
+        assert distances(0.0, 0.0, [Gene(3, 4), Gene(-6, 8)]) == [5.0, 10.0]
 
     def test_identity(self):
         assert distance((2.5, 7.1), (2.5, 7.1)) == 0.0
@@ -256,7 +263,7 @@ class TestMleCost:
         with pytest.raises(NumericError, match="non-finite likelihood"):
             nll((0, float("nan")), (0, 1))
         with pytest.raises(NumericError, match="non-finite likelihood"):  # at any candidate
-            nlls(0.0, 1.0, [GeneVector(0, 1), GeneVector(0, float("nan"))])
+            nlls(0.0, 1.0, [Gene(0, 1), Gene(0, float("nan"))])
 
     def test_minimized_at_sample_mean(self):
         rng = np.random.default_rng(2)

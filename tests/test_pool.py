@@ -1,7 +1,5 @@
 """Pool lifecycle tests: retrieval, splitting, elimination, LR warming."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,16 +8,17 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from driftpool.errors import NumericError, ValidationError
 from driftpool.forecasters import LinearForecaster, NaiveForecaster
-from driftpool.gene import GeneState, GeneVector, distances, fold_moments, nlls
+from driftpool.gene import distances, fold_moments, nlls
 from driftpool.pool import (
     RETRIEVAL_SCORES,
     CepConfig,
     Pool,
+    PoolEntry,
     absorb_instance,
     lr_tick,
     should_evolve,
 )
-from reference import absorb, effective_gene, retrieval_cost
+from reference import Gene, absorb, effective_gene, genes_of, retrieval_cost, set_genes
 
 
 def make_pool(config=None, lr_raw=0.01, lookback=4, horizon=2):
@@ -28,8 +27,8 @@ def make_pool(config=None, lr_raw=0.01, lookback=4, horizon=2):
 
 def pin_gene(entry, mu, sigma=0.0, n=1):
     """Force local == global so the mixed gene equals the given vector."""
-    g = GeneVector(mu, sigma)
-    entry.genes = GeneState(local=g, global_=g, n=n)
+    g = Gene(mu, sigma)
+    set_genes(entry, (g, g, n))
 
 
 def same_bits(a, b):
@@ -39,8 +38,7 @@ def same_bits(a, b):
 
 def cache_matches_reference(entry, config):
     """The entry's cached mixed signature equals the one recomputed from its genes."""
-    g = effective_gene(entry.genes, config)
-    return same_bits((entry.mu, entry.sigma), (g.mu, g.sigma))
+    return same_bits((entry.mu, entry.sigma), tuple(effective_gene(genes_of(entry), config)))
 
 
 _WIDE = st.floats(-1e300, 1e300)  # moments of means near 1e300 overflow
@@ -50,7 +48,7 @@ _PARTS = st.sampled_from([(True, True), (True, False), (False, True)])  # local,
 
 def brute_force_nearest(pool, sample):
     """Oracle: exhaustive scan with smallest-id tie-break."""
-    scored = [(retrieval_cost(e, sample, pool.config), e.id) for e in pool.entries]
+    scored = [(retrieval_cost(genes_of(e), sample, pool.config), e.id) for e in pool.entries]
     best_cost, best_id = min(scored)
     return best_id
 
@@ -123,21 +121,21 @@ class TestNearest:
             for _ in range(int(rng.integers(0, 49))):
                 e, _ = pool.evolve(pool.entries[0], rng.uniform(-50, 50), rng.uniform(0, 5))
                 # desynchronize local/global so mixing matters
-                e.genes = GeneState(
-                    GeneVector(rng.uniform(-50, 50), rng.uniform(0, 5)),
-                    GeneVector(rng.uniform(-50, 50), rng.uniform(0, 5)),
+                set_genes(e, (
+                    Gene(rng.uniform(-50, 50), rng.uniform(0, 5)),
+                    Gene(rng.uniform(-50, 50), rng.uniform(0, 5)),
                     int(rng.integers(1, 10)),
-                )
+                ))
             for _ in range(20):
-                sample = GeneVector(rng.uniform(-60, 60), rng.uniform(0, 6))
+                sample = Gene(rng.uniform(-60, 60), rng.uniform(0, 6))
                 assert pool.nearest(sample.mu, sample.sigma).id == brute_force_nearest(pool, sample)
 
     def test_scores_disagree_where_expected(self):
         # an offset same-width candidate wins on distance, but the
         # likelihood score prefers the wider candidate at the right mean
-        wide_centered = GeneVector(0.0, 2.0)
-        offset = GeneVector(1.4, 0.5)
-        sample = GeneVector(0.0, 0.5)
+        wide_centered = Gene(0.0, 2.0)
+        offset = Gene(1.4, 0.5)
+        sample = Gene(0.0, 0.5)
         euclidean = distances(sample.mu, sample.sigma, [wide_centered, offset])
         likelihood = nlls(sample.mu, sample.sigma, [wide_centered, offset])
         assert euclidean[1] < euclidean[0]
@@ -195,8 +193,7 @@ class TestEvolve:
         for _ in range(25):  # knowledge carries over on arbitrary inputs
             x = rng.normal(scale=3.0, size=4)
             assert np.array_equal(parent.forecaster.predict(x), child.forecaster.predict(x))
-        assert child.genes.local == child.genes.global_ == GeneVector(5.0, 1.0)
-        assert child.genes.n == 1
+        assert genes_of(child) == ((5.0, 1.0), (5.0, 1.0), 1)
         assert (child.n_pred, child.n_wait) == (0, 0)
 
     def test_initial_lr_reduced(self):
@@ -341,32 +338,34 @@ class TestAbsorbInstance:
         pool = make_pool()
         entry = pool.entries[0]
         absorb_instance(entry, 1.0, 1.0)
-        assert entry.genes.local.mu == pytest.approx(0.2)
-        assert entry.genes.local.sigma == pytest.approx(0.2)
-        assert entry.genes.global_.mu == pytest.approx(0.5)
+        assert entry.local_mu == pytest.approx(0.2)
+        assert entry.local_sigma == pytest.approx(0.2)
+        assert entry.global_mu == pytest.approx(0.5)
         # batch oracle over the absorbed means {0, 1}
-        assert entry.genes.global_.sigma == pytest.approx(np.std([0.0, 1.0]))
-        assert entry.genes.n == 2
+        assert entry.global_sigma == pytest.approx(np.std([0.0, 1.0]))
+        assert entry.n == 2
 
     def test_ablation_local_off_uses_global_only(self):
         cfg = CepConfig(use_local_gene=False)
         entry = make_pool(cfg).entries[0]
-        entry.genes = state = GeneState(GeneVector(1, 1), GeneVector(9, 3), 4)
-        assert effective_gene(state, cfg) == GeneVector(9, 3) == GeneVector(entry.mu, entry.sigma)
+        state = (Gene(1, 1), Gene(9, 3), 4)
+        set_genes(entry, state)
+        assert effective_gene(state, cfg) == (9, 3) == (entry.mu, entry.sigma)
 
     def test_ablation_global_off_uses_local_only(self):
         cfg = CepConfig(use_global_gene=False)
         entry = make_pool(cfg).entries[0]
-        entry.genes = state = GeneState(GeneVector(1, 1), GeneVector(9, 3), 4)
-        assert effective_gene(state, cfg) == GeneVector(1, 1) == GeneVector(entry.mu, entry.sigma)
+        state = (Gene(1, 1), Gene(9, 3), 4)
+        set_genes(entry, state)
+        assert effective_gene(state, cfg) == (1, 1) == (entry.mu, entry.sigma)
 
     def test_absorbing_own_mean_keeps_zero_spread(self):
         pool = make_pool()
         entry = pool.entries[0]
         pin_gene(entry, 2.5, 0.0, n=3)
         absorb_instance(entry, 2.5, 7.0)
-        assert entry.genes.global_.sigma == 0.0
-        assert entry.genes.n == 4
+        assert entry.global_sigma == 0.0
+        assert entry.n == 4
 
     def test_stream_matches_batch_oracle(self):
         rng = np.random.default_rng(21)
@@ -377,15 +376,15 @@ class TestAbsorbInstance:
             m = float(rng.uniform(-5, 5))
             absorb_instance(entry, m, rng.uniform(0, 2))
             means.append(m)
-        assert entry.genes.global_.mu == pytest.approx(np.mean(means), rel=1e-9)
-        assert entry.genes.global_.sigma == pytest.approx(np.std(means), rel=1e-9)
+        assert entry.global_mu == pytest.approx(np.mean(means), rel=1e-9)
+        assert entry.global_sigma == pytest.approx(np.std(means), rel=1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        local=st.builds(GeneVector, _WIDE, _SPREAD),
-        global_=st.builds(GeneVector, _WIDE, _SPREAD),
+        local=st.builds(Gene, _WIDE, _SPREAD),
+        global_=st.builds(Gene, _WIDE, _SPREAD),
         n=st.integers(1, 10**6),
-        sample=st.builds(GeneVector, _WIDE, _SPREAD),
+        sample=st.builds(Gene, _WIDE, _SPREAD),
         tau_l=st.floats(0.0, 1.0, exclude_min=True),
         tau_gene=st.floats(0.0, 1.0),
         parts=_PARTS,
@@ -395,53 +394,47 @@ class TestAbsorbInstance:
         cfg = CepConfig(tau_l=tau_l, tau_gene=tau_gene,
                         use_local_gene=parts[0], use_global_gene=parts[1])
         entry = make_pool(cfg).entries[0]
-        entry.genes = old = GeneState(local, global_, n)
-        expected = SimpleNamespace(genes=old)
+        old = (local, global_, n)
+        set_genes(entry, old)
         try:
-            absorb(expected, sample, cfg)
+            expected = absorb(old, sample, cfg)
         except NumericError as exc:
             with pytest.raises(NumericError) as raised:
                 absorb_instance(entry, sample.mu, sample.sigma)
             assert str(raised.value) == str(exc)
-            assert same_bits(entry.genes, old)
+            assert same_bits(genes_of(entry), old)
         else:
             absorb_instance(entry, sample.mu, sample.sigma)
-            assert same_bits(entry.genes, expected.genes)
+            assert same_bits(genes_of(entry), expected)
         assert cache_matches_reference(entry, cfg)
 
     def test_overflow_raises_the_reference_error_and_keeps_the_genes(self):
         pool = make_pool()
         entry = pool.entries[0]
-        before = entry.genes
-        sample = GeneVector(1e300, 0.0)
+        before = genes_of(entry)
         with pytest.raises(NumericError) as reference:
-            fold_moments(before.global_.mu, before.global_.sigma, before.n, sample.mu)
+            fold_moments(entry.global_mu, entry.global_sigma, entry.n, 1e300)
         with pytest.raises(NumericError) as raised:
-            absorb_instance(entry, sample.mu, sample.sigma)
+            absorb_instance(entry, 1e300, 0.0)
         assert str(raised.value) == str(reference.value)
-        assert same_bits(entry.genes, before)
+        assert same_bits(genes_of(entry), before)
 
 
-class TestGenesProperty:
-    def test_snapshot_and_assignment(self):
+class TestPoolEntry:
+    def test_new_entry_seeds_both_signatures_once(self):
         cfg = CepConfig(tau_gene=0.25)
-        entry = make_pool(cfg).entries[0]
-        state = GeneState(GeneVector(4.0, 1.0), GeneVector(-2.0, 3.0), 7)
-        entry.genes = state
-        assert entry.genes == state
-        assert entry.genes is not entry.genes  # a fresh snapshot per read
+        entry = PoolEntry(NaiveForecaster(4, 2), 3, cfg, 4.0, 1.0, 0.02)
+        assert genes_of(entry) == ((4.0, 1.0), (4.0, 1.0), 1)
+        assert (entry.id, entry.n_pred, entry.n_wait, entry.lr_current) == (3, 0, 0, 0.02)
+        assert (entry.mu, entry.sigma) == (4.0, 1.0)
+        set_genes(entry, ((4.0, 1.0), (-2.0, 3.0), 7))
         assert (entry.mu, entry.sigma) == (0.25 * 4.0 + 0.75 * -2.0, 0.25 * 1.0 + 0.75 * 3.0)
-
-    def test_rejects_a_count_below_one(self):
-        entry = make_pool().entries[0]
-        with pytest.raises(ValidationError, match="absorbed-sample count"):
-            entry.genes = GeneState(GeneVector(0.0, 0.0), GeneVector(0.0, 0.0), 0)
 
 
 # --- pool invariants under arbitrary operation sequences --------------------
 
-_GENES = st.builds(GeneVector, st.floats(-50, 50), st.floats(0, 5))
-_STATES = st.builds(GeneState, _GENES, _GENES, st.integers(1, 50))
+_GENES = st.builds(Gene, st.floats(-50, 50), st.floats(0, 5))
+_STATES = st.tuples(_GENES, _GENES, st.integers(1, 50))
 _PICK = st.integers(0, 1_000)  # an index into the current entries, taken modulo their count
 
 
@@ -493,7 +486,7 @@ def pool_machine(caps):
             before = [e.id for e in self.pool.entries]
             child, reported = self.pool.evolve(parent, gene.mu, gene.sigma)
             assert child.id > max(before)
-            assert (child.n_pred, child.n_wait, child.genes.n) == (0, 0, 1)
+            assert (child.n_pred, child.n_wait, child.n) == (0, 0, 1)
             cap = self.config.max_pool_size
             evicted = before[:1] if cap is not None and len(before) + 1 > cap else []
             assert reported == evicted
@@ -528,15 +521,15 @@ def pool_machine(caps):
         @rule(i=_PICK, gene=_GENES)
         def absorb_instance(self, i, gene):
             entry = self.pick(i)
-            n = entry.genes.n
+            n = entry.n
             absorb_instance(entry, gene.mu, gene.sigma)
-            assert entry.genes.n == n + 1
+            assert entry.n == n + 1
 
         @rule(i=_PICK, state=_STATES)
         def assign_genes(self, i, state):
             entry = self.pick(i)
-            entry.genes = state
-            assert entry.genes == state
+            set_genes(entry, state)
+            assert genes_of(entry) == state
 
         @rule(i=_PICK)
         def lr_tick(self, i):
