@@ -21,6 +21,7 @@ from .data import (
 from .engine import (
     EngineConfig,
     RunResult,
+    StepLog,
     StepRecord,
     online_step,
     run,
@@ -70,6 +71,7 @@ __all__ = [
     "SIGMA_FLOOR",
     "SeriesSource",
     "SizingError",
+    "StepLog",
     "StepRecord",
     "SyntheticSpec",
     "ValidationError",

@@ -6,24 +6,25 @@ online segment whose instances advance by the full horizon, so no
 ground-truth point is ever revealed before an earlier forecast of it
 resolves. Each online step retrieves or splits a pool entry, forecasts,
 scores, optionally trains (unless the ground truth itself signals a
-shift, in which case the gradient is abandoned), and prunes the pool.
+shift, in which case the gradient is abandoned), and prunes the pool;
+it appends what happened to a columnar ``StepLog``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import warm_split_index
 from .errors import NumericError, SizingError, ValidationError
 from .forecasters import FORECASTER_KINDS, KINDS, make_forecaster, mse
-from .gene import reject_non_finite, window_genes
+from .gene import blend, fold_moments, reject_non_finite, window_genes
 from .gene import compute_gene  # unused: perfbench/child.py traces engine.compute_gene by name
 from .pool import CepConfig, Pool, absorb_instance, lr_tick, should_evolve
 
-log = logging.getLogger("driftpool.engine")
+logger = logging.getLogger("driftpool.engine")
 
 
 class InstanceSet:
@@ -32,7 +33,8 @@ class InstanceSet:
     The window starts and the input windows' ``x_mu``/``x_sigma`` are lists
     of Python floats, converted once, so a step does no numpy indexing.
     ``y_mu`` holds the ground-truth windows' means if signed, else None;
-    either way a window holding a non-finite value raises NumericError.
+    either way a window holding a non-finite value raises NumericError, and
+    a ground-truth window's error names its step ``t``, not its own start.
     """
 
     def __init__(self, series: np.ndarray, starts: np.ndarray, lookback: int,
@@ -40,8 +42,8 @@ class InstanceSet:
         self.series, self.lookback, self.horizon = series, lookback, horizon
         self.starts = starts.tolist()
         self.x_mu, self.x_sigma = (a.tolist() for a in window_genes(series, starts, lookback, scope))
-        reject_non_finite(series, starts + lookback, horizon)  # the truths, signed or not
-        self.y_mu = (window_genes(series, starts + lookback, horizon, scope)[0].tolist()
+        reject_non_finite(series, starts, horizon, lookback)  # the truths, signed or not
+        self.y_mu = (window_genes(series, starts, horizon, scope, lookback)[0].tolist()
                      if sign_truth else None)
 
     def __len__(self) -> int:
@@ -98,15 +100,48 @@ class StepRecord:
 
 
 @dataclass
-class RunResult:
-    """Per-instance records plus run-level aggregates."""
+class StepLog:
+    """The online steps as columns: one list per ``StepRecord`` field, in its order.
 
-    records: list[StepRecord]
+    ``online_step`` appends one value to every column, so a step builds no
+    object of its own; ``records`` builds the ``StepRecord`` view on demand.
+    """
+
+    t: list[int] = field(default_factory=list)
+    selected_entry_id: list[int] = field(default_factory=list)
+    mse: list[float] = field(default_factory=list)
+    evolved: list[bool] = field(default_factory=list)
+    evolved_from: list[int | None] = field(default_factory=list)
+    abandoned: list[bool] = field(default_factory=list)
+    eliminated_ids: list[tuple[int, ...]] = field(default_factory=list)
+    pool_size: list[int] = field(default_factory=list)
+    gene_mu: list[float] = field(default_factory=list)
+    gene_sigma: list[float] = field(default_factory=list)
+    forecast: list[tuple[float, ...] | None] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def records(self) -> list[StepRecord]:
+        """One ``StepRecord`` per step, its fields zipped from the columns."""
+        return list(map(StepRecord, *(getattr(self, f.name) for f in fields(self))))
+
+
+@dataclass
+class RunResult:
+    """The online stage's step log plus run-level aggregates."""
+
+    log: StepLog
     mean_mse: float
     final_pool_size: int
     total_evolutions: int
     total_eliminations: int
     pool: Pool | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def records(self) -> list[StepRecord]:
+        """One ``StepRecord`` per online step, built from the log on each read."""
+        return self.log.records()
 
 
 def make_instances(series: np.ndarray, start: int, stop: int, stride: int,
@@ -145,34 +180,63 @@ def split_instances(series: np.ndarray, config: EngineConfig
 def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]:
     """Train the seed forecaster at the pool's raw learning rate; absorb every window.
 
-    Each training step counts toward the entry's prediction total, so it
-    leaves the safety period before the online stage begins. Returns the
-    per-step losses (handy for convergence checks); an empty warm set is
-    a no-op.
+    The signatures are folded in one pass (``absorb_instance``'s arithmetic,
+    window after window, epoch after epoch), and each training step counts
+    toward the entry's prediction total, so it leaves the safety period
+    before the online stage begins. The fold runs first; should it fail at
+    some step, training still runs up to that step, so a training failure
+    there or earlier is the one raised, as in a loop that trains and absorbs
+    step by step. A training failure names its step and epoch. Returns the
+    per-step losses (handy for convergence checks); an empty warm set is a
+    no-op.
     """
     if len(pool.entries) != 1:
         raise ValidationError(f"warm-up expects a single-entry pool, got {len(pool.entries)}")
     entry, lr_raw = pool.entries[0], pool.lr_raw
     series, lookback = warm_instances.series, warm_instances.lookback
     span = lookback + warm_instances.horizon
-    steps = list(zip(warm_instances.starts, warm_instances.x_mu, warm_instances.x_sigma))
+
+    tau_l, n = entry.config.tau_l, entry.n
+    g_mu, g_sigma, l_mu, l_sigma = (entry.global_mu, entry.global_sigma,
+                                    entry.local_mu, entry.local_sigma)
+    failure = None
+    try:
+        for _ in range(epochs):
+            for mu, sigma in zip(warm_instances.x_mu, warm_instances.x_sigma):
+                g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)
+                n += 1
+                l_mu = blend(tau_l, mu, l_mu)
+                l_sigma = blend(tau_l, sigma, l_sigma)
+    except NumericError as exc:
+        failure = exc
+    folded = n - entry.n
+
     losses: list[float] = []
-    for _ in range(epochs):
-        for t, mu, sigma in steps:
-            x, y = series[t:t + lookback], series[t + lookback:t + span]
-            losses.append(entry.forecaster.train_step(x, y, lr_raw))
-            absorb_instance(entry, mu, sigma)
-            pool.mark_selected(entry)
+    train_step = entry.forecaster.train_step
+    for epoch in range(1, epochs + 1):
+        for t in warm_instances.starts:
+            try:
+                losses.append(train_step(series[t:t + lookback], series[t + lookback:t + span],
+                                         lr_raw))
+            except NumericError as exc:
+                raise NumericError(f"{exc} at t={t} in warm-up epoch {epoch}") from exc
+            if failure is not None and len(losses) > folded:
+                raise failure
+
+    entry.global_mu, entry.global_sigma, entry.local_mu, entry.local_sigma, entry.n = (
+        g_mu, g_sigma, l_mu, l_sigma, n)
+    entry._refresh()
+    entry.n_pred += folded  # a lone entry never idles: the serve clock need not move
     return losses
 
 
-def online_step(pool: Pool, online: InstanceSet, i: int,
-                log_forecasts: bool = False) -> StepRecord:
+def online_step(pool: Pool, online: InstanceSet, i: int, log: StepLog,
+                log_forecasts: bool = False) -> None:
     """Delayed-feedback step ``i``: retrieve or split, forecast, maybe train, prune.
 
-    A trained step runs one forward pass: its recorded MSE is the loss
-    ``train_step`` measures before the update. ``predict`` runs only on an
-    abandoned step or when the forecast is logged.
+    Appends the step to ``log``. A trained step runs one forward pass: its
+    recorded MSE is the loss ``train_step`` measures before the update.
+    ``predict`` runs only on an abandoned step or when the forecast is logged.
     """
     cep = pool.config
     t, mu, sigma = online.starts[i], online.x_mu[i], online.x_sigma[i]
@@ -183,7 +247,7 @@ def online_step(pool: Pool, online: InstanceSet, i: int,
     evolved = should_evolve(near, mu)
     if evolved:
         current, evicted = pool.evolve(near, mu, sigma)
-        log.debug("t=%d evolved entry %d from %d", t, current.id, near.id)
+        logger.debug("t=%d evolved entry %d from %d", t, current.id, near.id)
     else:
         current, evicted = near, []
 
@@ -207,21 +271,19 @@ def online_step(pool: Pool, online: InstanceSet, i: int,
     pool.mark_selected(current)
     removed = evicted + pool.eliminate_stale()
     if removed:
-        log.debug("t=%d eliminated %s", t, removed)
+        logger.debug("t=%d eliminated %s", t, removed)
 
-    return StepRecord(
-        t=t,
-        selected_entry_id=current.id,
-        mse=err,
-        evolved=evolved,
-        evolved_from=near.id if evolved else None,
-        abandoned=abandoned,
-        eliminated_ids=tuple(removed),
-        pool_size=len(pool),
-        gene_mu=current.mu,
-        gene_sigma=current.sigma,
-        forecast=tuple(float(v) for v in forecast) if log_forecasts else None,
-    )
+    log.t.append(t)
+    log.selected_entry_id.append(current.id)
+    log.mse.append(err)
+    log.evolved.append(evolved)
+    log.evolved_from.append(near.id if evolved else None)
+    log.abandoned.append(abandoned)
+    log.eliminated_ids.append(tuple(removed))
+    log.pool_size.append(len(pool))
+    log.gene_mu.append(current.mu)
+    log.gene_sigma.append(current.sigma)
+    log.forecast.append(tuple(forecast.tolist()) if log_forecasts else None)
 
 
 def run(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
@@ -236,13 +298,15 @@ def run(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -
                                      hidden=config.hidden, seed=config.seed)
         pool = Pool(forecaster, config.resolved_lr(), config.cep)
         warm_up(pool, warm, config.warm_epochs)
-        log.info("warm-up done: %d instances x %d epochs", len(warm), config.warm_epochs)
-        records = [online_step(pool, online, i, log_forecasts) for i in range(len(online))]
+        logger.info("warm-up done: %d instances x %d epochs", len(warm), config.warm_epochs)
+        log = StepLog()
+        for i in range(len(online)):
+            online_step(pool, online, i, log, log_forecasts)
     return RunResult(
-        records=records,
-        mean_mse=float(np.mean([r.mse for r in records])) if records else float("nan"),
+        log=log,
+        mean_mse=float(np.mean(log.mse)) if log.mse else float("nan"),
         final_pool_size=len(pool),
-        total_evolutions=sum(1 for r in records if r.evolved),
-        total_eliminations=sum(len(r.eliminated_ids) for r in records),
+        total_evolutions=sum(log.evolved),
+        total_eliminations=sum(map(len, log.eliminated_ids)),
         pool=pool,
     )

@@ -49,23 +49,27 @@ def compute_gene(window: Sequence[float] | np.ndarray, scope: int) -> tuple[floa
     return mu, sigma
 
 
-def reject_non_finite(series: np.ndarray, starts: np.ndarray, length: int) -> None:
-    """Raise NumericError naming the first ``series[s:s + length]`` holding a non-finite value."""
+def reject_non_finite(series: np.ndarray, starts: np.ndarray, length: int,
+                      offset: int = 0) -> None:
+    """Raise NumericError naming the first s whose ``series[s + offset:s + offset + length]``
+    holds a non-finite value."""
     bad = np.concatenate(([0], np.cumsum(~np.isfinite(series))))
-    hit = bad[starts + length] > bad[starts]
+    hit = bad[starts + offset + length] > bad[starts + offset]
     if hit.any():
         raise NumericError(f"non-finite input in the window at t={starts[hit.argmax()]}")
 
 
-def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """``compute_gene(series[s:s + length], scope)`` for every s in ``starts``, as arrays.
+def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int,
+                 offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``compute_gene(series[s + offset:s + offset + length], scope)`` for every s in
+    ``starts``, as arrays.
 
     Returns the means and the stds. The tails are gathered GENE_CHUNK at a
     time and reduced row-wise, which matches the 1-D reductions of
     compute_gene bit for bit. Like compute_gene, it raises NumericError on a
     window with a non-finite value anywhere in it or with a signature that
-    overflows, naming the first such window's start.
+    overflows, naming the first such window's s: a step's ground truth,
+    signed at ``offset=lookback``, is named by the step.
     """
     if scope < 1:
         raise ValidationError(f"scope must be >= 1, got {scope}")
@@ -76,10 +80,10 @@ def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int
     mu, sigma = np.empty(len(starts)), np.empty(len(starts))
     if not len(starts):
         return mu, sigma
-    reject_non_finite(series, starts, length)
+    reject_non_finite(series, starts, length, offset)
     tail = min(scope, length)
     tails = sliding_window_view(series, tail)
-    first = starts + (length - tail)
+    first = starts + (offset + length - tail)
     for lo in range(0, len(starts), GENE_CHUNK):
         block = tails[first[lo:lo + GENE_CHUNK]]
         mu[lo:lo + GENE_CHUNK] = block.mean(axis=1)

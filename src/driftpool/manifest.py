@@ -257,30 +257,34 @@ def manifest_from_settings(settings: dict, out_dir: str | None = None) -> RunMan
 # --- results bundles --------------------------------------------------------
 
 def build_bundle(manifest: RunManifest, result: RunResult, n_points: int) -> dict:
+    log = result.log
     created = [{"id": 0, "t": None, "parent": None}]  # the warm-up seed entry
     created += [
-        {"id": r.selected_entry_id, "t": r.t, "parent": r.evolved_from}
-        for r in result.records if r.evolved
+        {"id": eid, "t": t, "parent": parent}
+        for t, eid, parent, evolved in zip(log.t, log.selected_entry_id, log.evolved_from,
+                                           log.evolved) if evolved
     ]
     eliminated = [
-        {"id": eid, "t": r.t}
-        for r in result.records for eid in r.eliminated_ids
+        {"id": eid, "t": t}
+        for t, ids in zip(log.t, log.eliminated_ids) for eid in ids
     ]
     records = []
-    for r in result.records:
+    for t, eid, err, evolved, abandoned, ids, size, mu, sigma, forecast in zip(
+            log.t, log.selected_entry_id, log.mse, log.evolved, log.abandoned,
+            log.eliminated_ids, log.pool_size, log.gene_mu, log.gene_sigma, log.forecast):
         rec = {
-            "t": r.t,
-            "entry_id": r.selected_entry_id,
-            "mse": r.mse,
-            "evolved": r.evolved,
-            "abandoned": r.abandoned,
-            "eliminated_ids": list(r.eliminated_ids),
-            "pool_size": r.pool_size,
-            "gene_mu": r.gene_mu,
-            "gene_sigma": r.gene_sigma,
+            "t": t,
+            "entry_id": eid,
+            "mse": err,
+            "evolved": evolved,
+            "abandoned": abandoned,
+            "eliminated_ids": list(ids),
+            "pool_size": size,
+            "gene_mu": mu,
+            "gene_sigma": sigma,
         }
-        if r.forecast is not None:
-            rec["forecast"] = list(r.forecast)
+        if forecast is not None:
+            rec["forecast"] = list(forecast)
         records.append(rec)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -289,7 +293,7 @@ def build_bundle(manifest: RunManifest, result: RunResult, n_points: int) -> dic
         "n_points": n_points,
         "aggregate": {
             "mean_mse": result.mean_mse,
-            "n_instances": len(result.records),
+            "n_instances": len(log),
             "final_pool_size": result.final_pool_size,
             "total_evolutions": result.total_evolutions,
             "total_eliminations": result.total_eliminations,

@@ -5,7 +5,8 @@ and its gene state. Entries are created by splitting the nearest
 existing forecaster when a window's mean deviates beyond the configured
 multiple of the matched gene's sigma, and removed when their idle count
 outgrows their prediction count. All mutation happens through the
-methods here, driven by one sequential engine loop.
+methods here, driven by one sequential engine loop; the warm-up alone
+folds its windows into the seed entry in one pass.
 """
 
 from __future__ import annotations
@@ -81,16 +82,19 @@ class PoolEntry:
     ``global_mu``/``global_sigma`` and the absorbed-sample count ``n``,
     seeded with one window's ``(mu, sigma)`` at ``n == 1``. ``mu``/``sigma``
     cache the effective (mixed) signature under ``config`` that retrieval
-    scores; ``absorb_instance``, the only writer of the signatures, refreshes it.
+    scores; ``_refresh`` recomputes it after ``absorb_instance`` or the
+    warm-up's fold writes the signatures. ``last_served`` is the value of
+    the pool's serve clock (``Pool.served``) when the entry last served a
+    step, or when it was created; ``Pool.n_wait`` reads its idleness off it.
     """
 
-    __slots__ = ("forecaster", "id", "config", "n_pred", "n_wait", "lr_current", "local_mu",
-                 "local_sigma", "global_mu", "global_sigma", "n", "mu", "sigma")
+    __slots__ = ("forecaster", "id", "config", "n_pred", "last_served", "lr_current",
+                 "local_mu", "local_sigma", "global_mu", "global_sigma", "n", "mu", "sigma")
 
     def __init__(self, forecaster: Forecaster, id: int, config: CepConfig,
                  mu: float, sigma: float, lr_current: float):
         self.forecaster, self.id, self.config = forecaster, id, config
-        self.n_pred, self.n_wait, self.lr_current = 0, 0, lr_current
+        self.n_pred, self.last_served, self.lr_current = 0, 0, lr_current
         self.local_mu = self.global_mu = mu
         self.local_sigma = self.global_sigma = sigma
         self.n = 1
@@ -143,7 +147,11 @@ def absorb_instance(entry: PoolEntry, mu: float, sigma: float) -> None:
 
 
 class Pool:
-    """Ordered collection of entries; ids increase in list order, oldest first."""
+    """Ordered collection of entries; ids increase in list order, oldest first.
+
+    ``served`` counts the steps ``mark_selected`` has marked; an entry's idle
+    count is the steps marked since it last served one (``n_wait``).
+    """
 
     def __init__(self, first: Forecaster, lr_raw: float, config: CepConfig):
         if not 0 < lr_raw < float("inf"):
@@ -152,9 +160,14 @@ class Pool:
         self.config = config
         self.entries = [PoolEntry(first, 0, config, 0.0, 0.0, self.lr_raw)]
         self._next_id = 1
+        self.served = 0
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def n_wait(self, entry: PoolEntry) -> int:
+        """Steps served since ``entry`` last served one (or was created)."""
+        return self.served - entry.last_served
 
     def nearest(self, mu: float, sigma: float) -> PoolEntry:
         """Entry with minimal retrieval cost for (mu, sigma); ties go to the smallest id.
@@ -179,6 +192,7 @@ class Pool:
         cfg = self.config
         lr0 = cfg.tau_lr * self.lr_raw if cfg.optimizer_adjustment else self.lr_raw
         child = PoolEntry(parent.forecaster.deep_clone(), self._next_id, cfg, mu, sigma, lr0)
+        child.last_served = self.served
         self._next_id += 1
         self.entries.append(child)
         if cfg.max_pool_size is not None and len(self.entries) > cfg.max_pool_size:
@@ -186,26 +200,24 @@ class Pool:
         return child, []
 
     def mark_selected(self, selected: PoolEntry) -> None:
-        """Update prediction/idle counters after the entry served an instance."""
-        for entry in self.entries:
-            if entry is selected:
-                entry.n_pred += 1
-                entry.n_wait = 0
-            else:
-                entry.n_wait += 1
+        """Count a step the entry served: one more prediction, and the serve clock
+        ticks, so every other entry idles one step longer."""
+        self.served += 1
+        selected.n_pred += 1
+        selected.last_served = self.served
 
     def eliminate_stale(self) -> list[int]:
         """Drop entries idle beyond tau_e times their prediction count.
 
         The most recently selected entry always survives, and so the pool
         never empties: ``mark_selected`` leaves it at ``n_wait == 0``, a
-        split's child also starts at 0, and only ``mark_selected`` raises
-        ``n_wait``. Since ``tau_e > 0``, an entry at 0 is never stale.
+        split's child also starts at 0, and only ``mark_selected`` advances
+        the serve clock. Since ``tau_e > 0``, an entry at 0 is never stale.
         """
         if not self.config.elimination:
             return []
-        tau_e = self.config.tau_e
-        removed = [e.id for e in self.entries if e.n_wait > tau_e * e.n_pred]
+        served, tau_e = self.served, self.config.tau_e
+        removed = [e.id for e in self.entries if served - e.last_served > tau_e * e.n_pred]
         if removed:
             self.entries = [e for e in self.entries if e.id not in removed]
         return removed

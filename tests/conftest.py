@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from driftpool.engine import EngineConfig, online_step, split_instances, warm_up
+from driftpool.engine import EngineConfig, StepLog, online_step, split_instances, warm_up
 from driftpool.forecasters import LinearForecaster
 from driftpool.pool import Pool
 from reference import genes_of
@@ -30,13 +30,14 @@ def abandoned_step():
     warm_up(pool, warm, 1)
 
     target = online.starts.index(boundary - lookback)
+    log = StepLog()
     for i in range(target):
-        online_step(pool, online, i)
+        online_step(pool, online, i, log)
 
     before = {
         e.id: SimpleNamespace(checksum=e.forecaster.parameter_checksum(), genes=genes_of(e),
-                              n_pred=e.n_pred, n_wait=e.n_wait, lr_current=e.lr_current)
+                              n_pred=e.n_pred, n_wait=pool.n_wait(e), lr_current=e.lr_current)
         for e in pool.entries
     }
-    record = online_step(pool, online, target)
-    return SimpleNamespace(pool=pool, record=record, before=before)
+    online_step(pool, online, target, log)
+    return SimpleNamespace(pool=pool, record=log.records()[-1], before=before)

@@ -24,13 +24,13 @@ write a library pool entry's signature floats in the same tuple form.
 """
 
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from driftpool.data import warm_split_index
-from driftpool.engine import EngineConfig, RunResult, StepRecord
+from driftpool.engine import EngineConfig, RunResult, StepLog, StepRecord
 from driftpool.errors import NumericError, SizingError
 from driftpool.forecasters import KINDS, make_forecaster, mse
 from driftpool.gene import (
@@ -182,7 +182,8 @@ def run(series, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
         ))
 
     return RunResult(
-        records=records,
+        log=StepLog(**{f.name: [getattr(r, f.name) for r in records]
+                       for f in fields(StepRecord)}),
         mean_mse=float(np.mean([r.mse for r in records])),
         final_pool_size=len(entries),
         total_evolutions=sum(r.evolved for r in records),

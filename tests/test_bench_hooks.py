@@ -93,7 +93,9 @@ def test_traced_run_counts_warm_and_online_train_steps():
     # the pool's per-layer numbers come from spans the engine's calls pass through
     calls = [names[s[0]] for s in spans]
     assert calls.count("pool.nearest") == len(online)
-    assert calls.count("pool.absorb_instance") == 2 * len(warm) + trained
+    # the warm-up folds its windows in one pass: only trained online steps absorb
+    assert calls.count("pool.absorb_instance") == trained
+    assert calls.count("pool.mark_selected") == len(online)
     assert calls.count("pool.should_evolve") >= len(online)
     # windows are signed in one pass per instance set, never one at a time per step;
     # the engine keeps the name compute_gene only because the tracer patches it

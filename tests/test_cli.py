@@ -584,14 +584,23 @@ class TestMainExitCodes:
         ((302, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--no-evolution",
                         "--lookback", "8", "--horizon", "4"],
          "non-finite window signature at t=300"),
-    ], ids=["diverging-trained-step", "abandoned-step-spike", "overflowing-spread"])
+        ((298, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
+                        "--horizon", "4"],
+         "non-finite training loss at t=287 in warm-up epoch 1"),
+        ((1199, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
+                         "--horizon", "4"],
+         "non-finite window signature at t=1188"),
+    ], ids=["diverging-trained-step", "abandoned-step-spike", "overflowing-spread",
+            "warm-truth-spike", "last-truth-spike"])
     def test_numeric_failure_prints_only_its_error_line(self, tmp_path, spike, flags, message):
         from driftpool.cli import EXIT_RUNTIME
         from driftpool.data import write_column_csv
 
         # a separate process: pytest would capture numpy's RuntimeWarning, not print it.
         # A finite spike whose square overflows fails the abandoned step's mse at
-        # t=400, or, at 1e155, the std of online step t=300's input window.
+        # t=400, or, at 1e155, the std of online step t=300's input window. At
+        # row 298 it lies only in warm ground truths, first in t=287's; at row
+        # 1199, only in the ground truth of the last step, t=1188.
         values = np.full(900, 50.0) if spike is None else np.zeros(1200)
         if spike is not None:
             values[spike[0]] = spike[1]

@@ -1,17 +1,20 @@
 """Engine orchestration tests: splits, warm-up, online semantics, determinism."""
 
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftpool import gene
 from driftpool.data import default_stream_spec, generate, normalize
 from driftpool.engine import (
     EngineConfig,
+    StepLog,
+    StepRecord,
     make_instances,
     online_step,
     run,
@@ -28,7 +31,7 @@ from driftpool.forecasters import (
     mse,
 )
 from driftpool.gene import compute_gene
-from driftpool.pool import CepConfig, Pool
+from driftpool.pool import CepConfig, Pool, absorb_instance
 from reference import Gene, genes_of, run_bare, set_genes
 
 
@@ -197,6 +200,27 @@ class TestSignatures:
             with pytest.raises(NumericError, match="non-finite window signature"):
                 compute_gene(series[299:303], 4)
 
+    @pytest.mark.parametrize("last, message", [
+        (1e155, "non-finite window signature at t=1188"),
+        (np.inf, "non-finite input in the window at t=1188"),
+    ])
+    def test_truth_window_error_names_its_step(self, last, message):
+        # the last value lies only in the ground truth of the last step, t=1188,
+        # whose window starts at 1196
+        series = np.zeros(1200)
+        series[-1] = last
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=f"^{message}$"):
+                split_instances(series, EngineConfig(lookback=8, horizon=4))
+
+    def test_offset_windows_equal_the_shifted_starts(self):
+        series = 1e3 + np.random.default_rng(8).normal(size=500)
+        starts = np.arange(0, 480, 3)
+        for scope in (2, 4, 9):
+            shifted = gene.window_genes(series, starts + 12, 6, scope)
+            offset = gene.window_genes(series, starts, 6, scope, offset=12)
+            assert all(np.array_equal(a, b) for a, b in zip(shifted, offset))
+
 
 class TestWarmUp:
     def make_pool(self, lookback=8, horizon=4, kind="naive"):
@@ -257,8 +281,71 @@ class TestWarmUp:
         with pytest.raises(ValidationError, match="single-entry"):
             warm_up(pool, no_instances(), 1)
 
+    @settings(max_examples=80, deadline=None)
+    @given(offset=st.sampled_from([0.0, 1e3, -1e6, 1e6]) | st.floats(-1e6, 1e6),
+           spread=st.sampled_from([0.0, 1e-3, 1.0, 50.0]),
+           n_windows=st.integers(0, 40), epochs=st.integers(0, 3),
+           tau_l=st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True),
+           tau_gene=st.floats(0.0, 1.0),
+           parts=st.sampled_from([(True, True), (True, False), (False, True)]),
+           scope=st.integers(1, 8), seed=st.integers(0, 2**16))
+    @example(offset=1e6, spread=1.0, n_windows=0, epochs=3, tau_l=1.0, tau_gene=0.8,
+             parts=(True, True), scope=8, seed=0)
+    @example(offset=-1e6, spread=50.0, n_windows=40, epochs=3, tau_l=1.0, tau_gene=0.8,
+             parts=(True, True), scope=3, seed=1)
+    def test_fold_equals_absorbing_step_by_step(self, offset, spread, n_windows, epochs,
+                                                tau_l, tau_gene, parts, scope, seed):
+        # the one-pass fold against absorb_instance + mark_selected per warm step
+        cep = CepConfig(tau_l=tau_l, tau_gene=tau_gene, scope_s=scope,
+                        use_local_gene=parts[0], use_global_gene=parts[1])
+        series = offset + spread * np.random.default_rng(seed).normal(size=60)
+        warm = make_instances(series, 0, n_windows, 1, 8, 4, scope)
+        folded = Pool(NaiveForecaster(8, 4), 0.01, cep)
+        warm_up(folded, warm, epochs)
+        stepped = Pool(NaiveForecaster(8, 4), 0.01, cep)
+        for _ in range(epochs):
+            for mu, sigma in zip(warm.x_mu, warm.x_sigma):
+                absorb_instance(stepped.entries[0], mu, sigma)
+                stepped.mark_selected(stepped.entries[0])
+        a, b = folded.entries[0], stepped.entries[0]
+        assert repr(genes_of(a)) == repr(genes_of(b))  # tells 0.0 from -0.0
+        assert repr((a.mu, a.sigma)) == repr((b.mu, b.sigma))
+        assert (a.n_pred, folded.n_wait(a)) == (b.n_pred, stepped.n_wait(b))
+        assert a.n_pred == epochs * len(warm)
+
+    # 150 x -1e154, a ramp to 1e154, 60 x 1e154, then -1e154 to 1,200 points:
+    # at scope 1 the fold overflows on the ramp (t=157), before any training
+    # loss does (t=218); at the full scope the input window of t=222 overflows
+    RAMP = np.concatenate([np.full(150, -1e154), np.linspace(-1e154, 1e154, 21)[1:-1],
+                           np.full(60, 1e154), np.full(971, -1e154)])
+    # a spike at row 20: training overflows at t=9, the fold at t=13 (scope 1)
+    SPIKE = np.where(np.arange(1200) == 20, 1e155, 0.0)
+
+    @pytest.mark.parametrize("series, scope, message", [
+        (RAMP, 1, "global moments overflow absorbing a window mean of 5.000000000000001e+153"),
+        (RAMP, None, "non-finite window signature at t=222"),
+        (SPIKE, 1, "non-finite training loss at t=9 in warm-up epoch 1"),
+    ], ids=["fold-first", "signature", "training-first"])
+    def test_raises_the_first_failing_step(self, series, scope, message):
+        config = EngineConfig(lookback=8, horizon=4, forecaster="naive", warm_epochs=1,
+                              cep=CepConfig(scope_s=scope))
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            run(series, config)
+
+    def test_training_failure_names_its_step_and_epoch(self):
+        # just past the stable rate, the weights outgrow a float in the second epoch
+        series = np.full(1200, 50.0) + 0.1 * np.sin(np.arange(1200))
+        config = EngineConfig(lookback=20, horizon=10, lr_raw=0.0003, warm_epochs=3)
+        with pytest.raises(NumericError,
+                           match="^non-finite training loss at t=234 in warm-up epoch 2$"):
+            run(series, config)
+
 
 class TestOnlineStep:
+    def test_step_log_columns_follow_the_record_fields(self):
+        # StepLog.records zips the columns into StepRecord positionally
+        assert [f.name for f in fields(StepLog)] == [f.name for f in fields(StepRecord)]
+
     def test_stationary_stream_never_splits(self):
         rng = np.random.default_rng(0)
         series = rng.normal(0, 1, 3200)
@@ -289,7 +376,7 @@ class TestOnlineStep:
             assert genes_of(e) == before[e.id].genes
             assert e.lr_current == before[e.id].lr_current
             assert e.n_pred == before[e.id].n_pred + served
-            assert e.n_wait == (0 if served else before[e.id].n_wait + 1)
+            assert pool.n_wait(e) == (0 if served else before[e.id].n_wait + 1)
 
     def test_pool_config_governs_the_step(self):
         # a shifting stream that splits under the default thresholds
@@ -299,7 +386,10 @@ class TestOnlineStep:
         def stream(cep):
             pool = Pool(NaiveForecaster(16, 8), 0.01, cep)
             warm_up(pool, warm, 1)
-            return pool, [online_step(pool, online, i) for i in range(len(online))]
+            log = StepLog()
+            for i in range(len(online)):
+                online_step(pool, online, i, log)
+            return pool, log.records()
 
         _, records = stream(CepConfig())
         assert any(r.evolved for r in records)
@@ -354,7 +444,7 @@ class TestOnlineStep:
         with mock.patch.object(LinearForecaster, "train_step",
                                wraps=entry.forecaster.train_step) as train:
             with pytest.raises(NumericError, match=message):
-                online_step(pool, online, 0)
+                online_step(pool, online, 0, StepLog())
         assert train.call_count == (0 if abandoned else 1)
 
 
@@ -474,10 +564,12 @@ class TestOneForwardPass:
         pool = Pool(make_forecaster(kind, 16, 8, hidden=6, seed=0), config.resolved_lr(),
                     config.cep)
         warm_up(pool, warm, config.warm_epochs)
+        log, befores = StepLog(), []
+        for i in range(len(online)):
+            befores.append({e.id: e.forecaster.deep_clone() for e in pool.entries})
+            online_step(pool, online, i, log)
         trained = 0
-        for i, (_, x, y) in enumerate(pairs(online)):
-            before = {e.id: e.forecaster.deep_clone() for e in pool.entries}
-            r = online_step(pool, online, i)
+        for r, before, (_, x, y) in zip(log.records(), befores, pairs(online)):
             # a split child starts as a clone of its parent's forecaster
             clone = before[r.evolved_from if r.evolved else r.selected_entry_id]
             if not r.abandoned:

@@ -194,7 +194,7 @@ class TestEvolve:
             x = rng.normal(scale=3.0, size=4)
             assert np.array_equal(parent.forecaster.predict(x), child.forecaster.predict(x))
         assert genes_of(child) == ((5.0, 1.0), (5.0, 1.0), 1)
-        assert (child.n_pred, child.n_wait) == (0, 0)
+        assert (child.n_pred, pool.n_wait(child)) == (0, 0)
 
     def test_initial_lr_reduced(self):
         pool = make_pool(CepConfig(tau_lr=0.5, t_lr=10), lr_raw=0.01)
@@ -265,8 +265,8 @@ class TestMarkSelected:
         b, _ = pool.evolve(a, 1, 1)
         for _ in range(3):
             pool.mark_selected(a)
-        assert (a.n_pred, a.n_wait) == (3, 0)
-        assert (b.n_pred, b.n_wait) == (0, 3)
+        assert (a.n_pred, pool.n_wait(a)) == (3, 0)
+        assert (b.n_pred, pool.n_wait(b)) == (0, 3)
 
     def test_alternating_resets_wait(self):
         pool = make_pool()
@@ -274,15 +274,15 @@ class TestMarkSelected:
         b, _ = pool.evolve(a, 1, 1)
         pool.mark_selected(a)
         pool.mark_selected(b)
-        assert (a.n_wait, b.n_wait) == (1, 0)
+        assert (pool.n_wait(a), pool.n_wait(b)) == (1, 0)
         pool.mark_selected(a)
-        assert (a.n_wait, b.n_wait) == (0, 1)
+        assert (pool.n_wait(a), pool.n_wait(b)) == (0, 1)
 
     def test_single_entry_never_waits(self):
         pool = make_pool()
         for _ in range(10):
             pool.mark_selected(pool.entries[0])
-        assert pool.entries[0].n_wait == 0
+        assert pool.n_wait(pool.entries[0]) == 0
         assert pool.entries[0].n_pred == 10
 
 
@@ -298,7 +298,7 @@ class TestEliminateStale:
             pool.mark_selected(b)
         for _ in range(idle):
             pool.mark_selected(a)
-        assert (b.n_pred, b.n_wait) == (served, idle)
+        assert (b.n_pred, pool.n_wait(b)) == (served, idle)
         return pool, a, b
 
     def test_removes_beyond_ratio(self):
@@ -330,7 +330,7 @@ class TestEliminateStale:
         cfg = pool.config
         assert last in [e.id for e in pool.entries]
         for e in pool.entries:
-            assert e.n_wait <= cfg.tau_e * e.n_pred
+            assert pool.n_wait(e) <= cfg.tau_e * e.n_pred
 
 
 class TestAbsorbInstance:
@@ -425,7 +425,7 @@ class TestPoolEntry:
         cfg = CepConfig(tau_gene=0.25)
         entry = PoolEntry(NaiveForecaster(4, 2), 3, cfg, 4.0, 1.0, 0.02)
         assert genes_of(entry) == ((4.0, 1.0), (4.0, 1.0), 1)
-        assert (entry.id, entry.n_pred, entry.n_wait, entry.lr_current) == (3, 0, 0, 0.02)
+        assert (entry.id, entry.n_pred, entry.last_served, entry.lr_current) == (3, 0, 0, 0.02)
         assert (entry.mu, entry.sigma) == (4.0, 1.0)
         set_genes(entry, ((4.0, 1.0), (-2.0, 3.0), 7))
         assert (entry.mu, entry.sigma) == (0.25 * 4.0 + 0.75 * -2.0, 0.25 * 1.0 + 0.75 * 3.0)
@@ -486,7 +486,7 @@ def pool_machine(caps):
             before = [e.id for e in self.pool.entries]
             child, reported = self.pool.evolve(parent, gene.mu, gene.sigma)
             assert child.id > max(before)
-            assert (child.n_pred, child.n_wait, child.n) == (0, 0, 1)
+            assert (child.n_pred, self.pool.n_wait(child), child.n) == (0, 0, 1)
             cap = self.config.max_pool_size
             evicted = before[:1] if cap is not None and len(before) + 1 > cap else []
             assert reported == evicted
@@ -549,8 +549,8 @@ def pool_machine(caps):
             low = self.config.tau_lr * self.lr_raw
             for e in entries:
                 assert low <= e.lr_current <= self.lr_raw
-            assert {e.id: (e.n_pred, e.n_wait) for e in entries} == self.shadow
-            assert any(e.n_wait == 0 for e in entries)
+            assert {e.id: (e.n_pred, self.pool.n_wait(e)) for e in entries} == self.shadow
+            assert any(self.pool.n_wait(e) == 0 for e in entries)
             for e in entries:
                 assert cache_matches_reference(e, self.config)
 

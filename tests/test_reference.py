@@ -151,7 +151,7 @@ def test_engine_run_equals_reference_run(case):
 def test_reference_imports_no_engine_or_pool_logic():
     """Only the logic-free config and result dataclasses come from engine and pool."""
     allowed = {
-        "driftpool.engine": {"EngineConfig", "StepRecord", "RunResult"},
+        "driftpool.engine": {"EngineConfig", "StepLog", "StepRecord", "RunResult"},
         "driftpool.pool": {"CepConfig"},
         "driftpool.data": {"warm_split_index"},
         "driftpool.gene": None,  # any name
