@@ -186,7 +186,7 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]
     before the online stage begins. The fold runs first; should it fail at
     some step, training still runs up to that step, so a training failure
     there or earlier is the one raised, as in a loop that trains and absorbs
-    step by step. A training failure names its step and epoch. Returns the
+    step by step. Either failure names its step and epoch. Returns the
     per-step losses (handy for convergence checks); an empty warm set is a
     no-op.
     """
@@ -220,8 +220,8 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]
                                          lr_raw))
             except NumericError as exc:
                 raise NumericError(f"{exc} at t={t} in warm-up epoch {epoch}") from exc
-            if failure is not None and len(losses) > folded:
-                raise failure
+            if failure is not None and len(losses) > folded:  # this step's fold failed
+                raise NumericError(f"{failure} at t={t} in warm-up epoch {epoch}") from failure
 
     entry.global_mu, entry.global_sigma, entry.local_mu, entry.local_sigma, entry.n = (
         g_mu, g_sigma, l_mu, l_sigma, n)
@@ -263,10 +263,10 @@ def online_step(pool: Pool, online: InstanceSet, i: int, log: StepLog,
     if not abandoned:
         try:
             err = current.forecaster.train_step(x, y, current.lr_current)
+            lr_tick(current, pool.lr_raw, cep)
+            absorb_instance(current, mu, sigma)
         except NumericError as exc:
             raise NumericError(f"{exc} at t={t}") from exc
-        lr_tick(current, pool.lr_raw, cep)
-        absorb_instance(current, mu, sigma)
 
     pool.mark_selected(current)
     removed = evicted + pool.eliminate_stale()

@@ -1,21 +1,25 @@
 """Forecaster pool lifecycle: retrieval, splitting, elimination, LR warming.
 
-The pool is a plain ordered list of entries, each owning one forecaster
-and its gene state. Entries are created by splitting the nearest
-existing forecaster when a window's mean deviates beyond the configured
-multiple of the matched gene's sigma, and removed when their idle count
-outgrows their prediction count. All mutation happens through the
-methods here, driven by one sequential engine loop; the warm-up alone
-folds its windows into the seed entry in one pass.
+The pool keeps its entries in creation order, each owning one forecaster
+and its gene state. Under the euclidean score it also keeps them sorted by
+their mixed signature's mean, so retrieval scores only the entries near a
+window's mean; an entry moves in that order whenever its mean changes. Entries
+are created by splitting the nearest existing forecaster when a window's
+mean deviates beyond the configured multiple of the matched gene's sigma,
+and removed when their idle count outgrows their prediction count. All
+mutation happens through the methods here, driven by one sequential engine
+loop; the warm-up alone folds its windows into the seed entry in one pass.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .forecasters import Forecaster
-from .gene import SIGMA_FLOOR, blend, distances, fold_moments, nlls
+from .gene import SIGMA_FLOOR, blend, fold_moments, nlls
 
 RETRIEVAL_SCORES = ("euclidean", "mle")
 
@@ -86,10 +90,13 @@ class PoolEntry:
     warm-up's fold writes the signatures. ``last_served`` is the value of
     the pool's serve clock (``Pool.served``) when the entry last served a
     step, or when it was created; ``Pool.n_wait`` reads its idleness off it.
+    ``index`` is the ``Pool.index`` of the pool that holds the entry under
+    the euclidean score, else None.
     """
 
     __slots__ = ("forecaster", "id", "config", "n_pred", "last_served", "lr_current",
-                 "local_mu", "local_sigma", "global_mu", "global_sigma", "n", "mu", "sigma")
+                 "local_mu", "local_sigma", "global_mu", "global_sigma", "n", "mu", "sigma",
+                 "index")
 
     def __init__(self, forecaster: Forecaster, id: int, config: CepConfig,
                  mu: float, sigma: float, lr_current: float):
@@ -98,19 +105,44 @@ class PoolEntry:
         self.local_mu = self.global_mu = mu
         self.local_sigma = self.global_sigma = sigma
         self.n = 1
+        self.index = None
         self._refresh()
 
     def _refresh(self) -> None:
-        """Recompute the cached effective signature under the ablation switches."""
+        """Recompute the cached effective signature under the ablation switches.
+
+        The only writer of ``mu``: it moves the entry to its new mean in
+        ``index``, rewriting the mean in place when the order holds.
+        """
         config = self.config
         if config.use_local_gene and config.use_global_gene:
             w = config.tau_gene
-            self.mu = blend(w, self.local_mu, self.global_mu)
+            mu = blend(w, self.local_mu, self.global_mu)
             self.sigma = blend(w, self.local_sigma, self.global_sigma)
         elif config.use_local_gene:
-            self.mu, self.sigma = self.local_mu, self.local_sigma
+            mu, self.sigma = self.local_mu, self.local_sigma
         else:
-            self.mu, self.sigma = self.global_mu, self.global_sigma
+            mu, self.sigma = self.global_mu, self.global_sigma
+        index = self.index
+        if index is not None:
+            means, ranked = index
+            k = _rank(means, ranked, self)
+            if (k and mu < means[k - 1]) or (k + 1 < len(means) and means[k + 1] < mu):
+                del means[k], ranked[k]
+                k = bisect_left(means, mu)
+                means.insert(k, mu)
+                ranked.insert(k, self)
+            else:
+                means[k] = mu
+        self.mu = mu
+
+
+def _rank(means: list[float], ranked: list[PoolEntry], entry: PoolEntry) -> int:
+    """Position of ``entry`` in a pool's index, looked up among the entries of its mean."""
+    k = bisect_left(means, entry.mu)
+    while ranked[k] is not entry:
+        k += 1
+    return k
 
 
 def should_evolve(entry: PoolEntry, mu: float) -> bool:
@@ -150,7 +182,12 @@ class Pool:
     """Ordered collection of entries; ids increase in list order, oldest first.
 
     ``served`` counts the steps ``mark_selected`` has marked; an entry's idle
-    count is the steps marked since it last served one (``n_wait``).
+    count is the steps marked since it last served one (``n_wait``). Under
+    the euclidean score, ``index`` is a pair of lists, ``(means, ranked)``,
+    for ``nearest`` to search: the cached ``mu`` of every live entry, sorted
+    (equal means in any order), and the entries in the same order.
+    ``evolve`` and the removals add and drop entries, and
+    ``PoolEntry._refresh`` moves them. Under ``mle`` it is None.
     """
 
     def __init__(self, first: Forecaster, lr_raw: float, config: CepConfig):
@@ -158,9 +195,11 @@ class Pool:
             raise ValidationError(f"lr_raw must be finite and > 0, got {lr_raw}")
         self.lr_raw = float(lr_raw)
         self.config = config
-        self.entries = [PoolEntry(first, 0, config, 0.0, 0.0, self.lr_raw)]
-        self._next_id = 1
+        self.entries = []
+        self.index = ([], []) if config.retrieval_score == "euclidean" else None
+        self._next_id = 0
         self.served = 0
+        self._add(first, 0.0, 0.0, self.lr_raw)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -172,13 +211,59 @@ class Pool:
     def nearest(self, mu: float, sigma: float) -> PoolEntry:
         """Entry with minimal retrieval cost for (mu, sigma); ties go to the smallest id.
 
-        Scores each entry's cached mixed signature; ``min`` keeps the first
-        minimal cost and ``index`` finds its first position, the oldest entry.
+        Scores each entry's cached mixed signature. Under ``mle`` every entry
+        is scored (``nlls``), and the first minimal cost wins, the oldest
+        entry. Under the euclidean score the index is searched outward from
+        ``mu``, nearest mean first, each candidate scored as ``distances``
+        does, ``hypot(mu - m, sigma - s)``. The search stops once the next
+        mean is farther than the best cost: ``hypot(a, b) >= |a|`` holds in
+        floats too (``math.hypot`` errs by under 1 ulp), so no entry left
+        unscored can reach the best cost, and the result is the full scan's.
         """
-        entries = self.entries
-        score = nlls if self.config.retrieval_score == "mle" else distances
-        costs = score(mu, sigma, entries)
-        return entries[costs.index(min(costs))]
+        if self.index is None:
+            entries = self.entries
+            costs = nlls(mu, sigma, entries)
+            return entries[costs.index(min(costs))]
+        means, ranked = self.index
+        hypot = math.hypot
+        hi = bisect_left(means, mu)
+        lo, n = hi - 1, len(means)
+        best = best_id = math.inf
+        while lo >= 0 or hi < n:
+            if hi == n or (lo >= 0 and mu - means[lo] <= means[hi] - mu):
+                k, lo = lo, lo - 1
+            else:
+                k, hi = hi, hi + 1
+            d = mu - means[k]
+            if abs(d) > best:
+                break
+            entry = ranked[k]
+            cost = hypot(d, sigma - entry.sigma)
+            if cost < best or (cost == best and entry.id < best_id):
+                best, best_id, found = cost, entry.id, entry
+        return found
+
+    def _add(self, forecaster: Forecaster, mu: float, sigma: float, lr: float) -> PoolEntry:
+        """Append a new entry with the next id, and index it."""
+        entry = PoolEntry(forecaster, self._next_id, self.config, mu, sigma, lr)
+        entry.last_served = self.served
+        self._next_id += 1
+        self.entries.append(entry)
+        if self.index is not None:
+            means, ranked = entry.index = self.index
+            k = bisect_left(means, entry.mu)
+            means.insert(k, entry.mu)
+            ranked.insert(k, entry)
+        return entry
+
+    def _unindex(self, removed: list[PoolEntry]) -> None:
+        """Drop entries that left ``entries`` from the index."""
+        for entry in removed:
+            if entry.index is not None:
+                means, ranked = entry.index
+                k = _rank(means, ranked, entry)
+                del means[k], ranked[k]
+                entry.index = None
 
     def evolve(self, parent: PoolEntry, mu: float, sigma: float
                ) -> tuple[PoolEntry, list[int]]:
@@ -191,12 +276,11 @@ class Pool:
         """
         cfg = self.config
         lr0 = cfg.tau_lr * self.lr_raw if cfg.optimizer_adjustment else self.lr_raw
-        child = PoolEntry(parent.forecaster.deep_clone(), self._next_id, cfg, mu, sigma, lr0)
-        child.last_served = self.served
-        self._next_id += 1
-        self.entries.append(child)
+        child = self._add(parent.forecaster.deep_clone(), mu, sigma, lr0)
         if cfg.max_pool_size is not None and len(self.entries) > cfg.max_pool_size:
-            return child, [self.entries.pop(0).id]
+            oldest = self.entries.pop(0)
+            self._unindex([oldest])
+            return child, [oldest.id]
         return child, []
 
     def mark_selected(self, selected: PoolEntry) -> None:
@@ -217,7 +301,9 @@ class Pool:
         if not self.config.elimination:
             return []
         served, tau_e = self.served, self.config.tau_e
-        removed = [e.id for e in self.entries if served - e.last_served > tau_e * e.n_pred]
-        if removed:
-            self.entries = [e for e in self.entries if e.id not in removed]
-        return removed
+        stale = [e for e in self.entries if served - e.last_served > tau_e * e.n_pred]
+        if not stale:
+            return []
+        self._unindex(stale)
+        self.entries = [e for e in self.entries if e not in stale]
+        return [e.id for e in stale]

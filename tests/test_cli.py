@@ -616,6 +616,29 @@ class TestMainExitCodes:
         assert re.fullmatch(f"error: {message}\n", proc.stderr), proc.stderr
         assert not (tmp_path / "out" / "results.json").exists()
 
+    def test_online_moments_overflow_names_its_step(self, tmp_path):
+        from driftpool.cli import EXIT_RUNTIME
+        from driftpool.data import write_column_csv
+
+        # a ramp to 3e154 in the online stage: with a one-value scope, a trained
+        # step's window mean first overflows the seed entry's global moments
+        values = np.concatenate([np.zeros(1000), np.linspace(0, 3e154, 201)[1:]])
+        write_column_csv(tmp_path / "in.csv", values)
+        (tmp_path / "c.cfg").write_text("scope_s = 1\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "driftpool.cli", "run", "--data", str(tmp_path / "in.csv"),
+             "--column", "value", "--lookback", "8", "--horizon", "4", "--forecaster", "naive",
+             "--warm-epochs", "1", "--no-evolution", "--no-abandonment",
+             "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_RUNTIME
+        assert proc.stderr == ("error: global moments overflow absorbing a window mean of "
+                               "1.3800000000000002e+154 at t=1084\n")
+        assert not (tmp_path / "out" / "results.json").exists()
+
     @pytest.mark.parametrize("where, bad", [
         ("config", "hidden = none"),
         ("config", "tau_mu = none"),

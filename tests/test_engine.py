@@ -322,7 +322,8 @@ class TestWarmUp:
     SPIKE = np.where(np.arange(1200) == 20, 1e155, 0.0)
 
     @pytest.mark.parametrize("series, scope, message", [
-        (RAMP, 1, "global moments overflow absorbing a window mean of 5.000000000000001e+153"),
+        (RAMP, 1, "global moments overflow absorbing a window mean of 5.000000000000001e+153"
+                  " at t=157 in warm-up epoch 1"),
         (RAMP, None, "non-finite window signature at t=222"),
         (SPIKE, 1, "non-finite training loss at t=9 in warm-up epoch 1"),
     ], ids=["fold-first", "signature", "training-first"])

@@ -1,8 +1,10 @@
 """Pool lifecycle tests: retrieval, splitting, elimination, LR warming."""
 
+from contextlib import suppress
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -51,6 +53,19 @@ def brute_force_nearest(pool, sample):
     scored = [(retrieval_cost(genes_of(e), sample, pool.config), e.id) for e in pool.entries]
     best_cost, best_id = min(scored)
     return best_id
+
+
+def assert_index_holds_live_entries(pool):
+    """Under the euclidean score, ``pool.index`` holds each live entry once, beside its
+    current mean to the bit, sorted by mean; under mle it is None."""
+    if pool.config.retrieval_score == "mle":
+        assert pool.index is None and all(e.index is None for e in pool.entries)
+        return
+    means, ranked = pool.index
+    assert all(a <= b for a, b in zip(means, means[1:]))
+    assert sorted(ranked, key=lambda e: e.id) == pool.entries
+    for mu, e in zip(means, ranked, strict=True):
+        assert same_bits(mu, e.mu) and e.index is pool.index
 
 
 class TestConfigValidation:
@@ -129,6 +144,27 @@ class TestNearest:
             for _ in range(20):
                 sample = Gene(rng.uniform(-60, 60), rng.uniform(0, 6))
                 assert pool.nearest(sample.mu, sample.sigma).id == brute_force_nearest(pool, sample)
+
+    @pytest.mark.parametrize("mus, query, expected", [
+        ((1.0, -1.0), 0.0, 0),  # a mirror pair: the smaller id lies right of the query
+        ((-1.0, 1.0), 0.0, 0),  # and left of it
+        ((2.0, -1.0, 1.0), 0.0, 1),
+        ((0.0, -0.0), -0.0, 0),  # -0.0 == 0.0: an exact tie at cost 0
+        ((-0.0, 0.0, -0.0), 0.0, 0),
+        ((1e300, -1e300), 1e300, 0),
+        ((-1e300, 1e300), 0.0, 0),
+        ((-1e300, 1e300, 5.0), -1e300, 0),
+        ((-1.7e308, -1.6e308), 1.7e308, 0),  # both costs overflow to inf
+        ((1.6e308, -1.7e308, -1.6e308), -1.7e308, 1),
+    ])
+    def test_ties_go_to_the_smallest_id(self, mus, query, expected):
+        pool = make_pool()
+        pin_gene(pool.entries[0], mus[0])
+        for mu in mus[1:]:
+            pool.evolve(pool.entries[0], mu, 0.0)
+        assert pool.nearest(query, 0.0).id == expected
+        costs = distances(query, 0.0, pool.entries)
+        assert costs.index(min(costs)) == expected
 
     def test_scores_disagree_where_expected(self):
         # an offset same-width candidate wins on distance, but the
@@ -434,6 +470,15 @@ class TestPoolEntry:
 # --- pool invariants under arbitrary operation sequences --------------------
 
 _GENES = st.builds(Gene, st.floats(-50, 50), st.floats(0, 5))
+# Few distinct values, so exact ties are common: 0.0 against -0.0, equal means
+# under different ids, mirror pairs about a query, and, at +-1.7e308, costs that
+# overflow to inf.
+_TIE_GENES = st.builds(
+    Gene,
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e300, -1e300,
+                     1.7e308, -1.7e308]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e300]),
+)
 _STATES = st.tuples(_GENES, _GENES, st.integers(1, 50))
 _PICK = st.integers(0, 1_000)  # an index into the current entries, taken modulo their count
 
@@ -553,6 +598,7 @@ def pool_machine(caps):
             assert any(self.pool.n_wait(e) == 0 for e in entries)
             for e in entries:
                 assert cache_matches_reference(e, self.config)
+            assert_index_holds_live_entries(self.pool)
 
     return PoolMachine
 
@@ -562,3 +608,54 @@ TestPoolMachineUncapped = pool_machine(st.none()).TestCase
 TestPoolMachineUncapped.settings = _MACHINE_SETTINGS
 TestPoolMachineCapped = pool_machine(st.integers(1, 4)).TestCase
 TestPoolMachineCapped.settings = _MACHINE_SETTINGS
+
+
+_INDEX_OPS = st.one_of(
+    *[st.tuples(st.just("evolve"), _PICK, _TIE_GENES)] * 3,
+    st.tuples(st.just("absorb_instance"), _PICK, _TIE_GENES),
+    st.tuples(st.just("set_genes"), _PICK, st.tuples(_TIE_GENES, _TIE_GENES, st.integers(1, 5))),
+    st.tuples(st.just("mark_selected"), _PICK),
+    st.tuples(st.just("eliminate_stale")),
+)
+
+
+class TestSortedIndex:
+    """``nearest`` under the euclidean score against a full scan, on tie-heavy pools."""
+
+    # no explain phase: on a failure it adds minutes to the shrink
+    @settings(max_examples=100, deadline=None, phases=set(Phase) - {Phase.explain})
+    @given(
+        # a drawn length: a plain list strategy keeps to a few ops, and pools to a few entries
+        ops=st.integers(1, 150).flatmap(lambda n: st.lists(_INDEX_OPS, min_size=n, max_size=n)),
+        queries=st.lists(_TIE_GENES, min_size=1, max_size=6),
+        tau_gene=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+        tau_l=st.sampled_from([0.5, 1.0]),
+        parts=_PARTS,
+        cap=st.sampled_from([None, None, 2, 40]),
+        elimination=st.booleans(),
+    )
+    def test_nearest_is_the_scan_first_min(self, ops, queries, tau_gene, tau_l, parts, cap,
+                                           elimination):
+        cfg = CepConfig(tau_gene=tau_gene, tau_l=tau_l, use_local_gene=parts[0],
+                        use_global_gene=parts[1], max_pool_size=cap, elimination=elimination)
+        pool = make_pool(cfg)
+        for op, *args in ops:
+            before = list(pool.entries)
+            entry = before[args[0] % len(before)] if args else before[0]
+            if op == "evolve":
+                entry, _ = pool.evolve(entry, *args[1])
+            elif op == "absorb_instance":
+                with suppress(NumericError):  # moments near 1e300 overflow; nothing changes
+                    absorb_instance(entry, *args[1])
+            elif op == "set_genes":
+                set_genes(entry, args[1])
+            elif op == "mark_selected":
+                pool.mark_selected(entry)
+            else:
+                pool.eliminate_stale()
+            assert all(e.index is None for e in before if e not in pool.entries)
+            assert_index_holds_live_entries(pool)
+            # the touched entry's own signature too: a cost-0 hit, tied wherever means repeat
+            for mu, sigma in [*queries, (entry.mu, entry.sigma)]:
+                costs = distances(mu, sigma, pool.entries)
+                assert pool.nearest(mu, sigma) is pool.entries[costs.index(min(costs))]
