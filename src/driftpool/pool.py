@@ -129,12 +129,17 @@ class PoolEntry:
             k = _rank(means, ranked, self)
             if (k and mu < means[k - 1]) or (k + 1 < len(means) and means[k + 1] < mu):
                 del means[k], ranked[k]
-                k = bisect_left(means, mu)
-                means.insert(k, mu)
-                ranked.insert(k, self)
+                _insert(means, ranked, mu, self)
             else:
                 means[k] = mu
         self.mu = mu
+
+
+def _insert(means: list[float], ranked: list[PoolEntry], mu: float, entry: PoolEntry) -> None:
+    """Put ``entry`` into a pool's index at the mean ``mu``."""
+    k = bisect_left(means, mu)
+    means.insert(k, mu)
+    ranked.insert(k, entry)
 
 
 def _rank(means: list[float], ranked: list[PoolEntry], entry: PoolEntry) -> int:
@@ -250,10 +255,8 @@ class Pool:
         self._next_id += 1
         self.entries.append(entry)
         if self.index is not None:
-            means, ranked = entry.index = self.index
-            k = bisect_left(means, entry.mu)
-            means.insert(k, entry.mu)
-            ranked.insert(k, entry)
+            entry.index = self.index
+            _insert(*self.index, entry.mu, entry)
         return entry
 
     def _unindex(self, removed: list[PoolEntry]) -> None:
