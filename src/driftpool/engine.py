@@ -30,11 +30,12 @@ logger = logging.getLogger("driftpool.engine")
 class InstanceSet:
     """Input/ground-truth window pairs over one series, every signature computed once.
 
-    The window starts and the input windows' ``x_mu``/``x_sigma`` are lists
-    of Python floats, converted once, so a step does no numpy indexing.
-    ``y_mu`` holds the ground-truth windows' means if signed, else None;
-    either way a window holding a non-finite value raises NumericError, and
-    a ground-truth window's error names its step ``t``, not its own start.
+    ``split_instances`` builds a run's two sets. The window starts and the input
+    windows' ``x_mu``/``x_sigma`` are lists of Python floats, converted once, so
+    a step does no numpy indexing. ``y_mu`` holds the ground-truth windows'
+    means if signed, else None; either way each truth window is scanned once, a
+    window holding a non-finite value raises NumericError, and a ground-truth
+    window's error names its step ``t``, not its own start.
     """
 
     def __init__(self, series: np.ndarray, starts: np.ndarray, lookback: int,
@@ -42,9 +43,11 @@ class InstanceSet:
         self.series, self.lookback, self.horizon = series, lookback, horizon
         self.starts = starts.tolist()
         self.x_mu, self.x_sigma = (a.tolist() for a in window_genes(series, starts, lookback, scope))
-        reject_non_finite(series, starts, horizon, lookback)  # the truths, signed or not
-        self.y_mu = (window_genes(series, starts, horizon, scope, lookback)[0].tolist()
-                     if sign_truth else None)
+        if sign_truth:
+            self.y_mu = window_genes(series, starts, horizon, scope, lookback)[0].tolist()
+        else:
+            reject_non_finite(series, starts, horizon, lookback)
+            self.y_mu = None
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -144,23 +147,14 @@ class RunResult:
         return self.log.records()
 
 
-def make_instances(series: np.ndarray, start: int, stop: int, stride: int,
-                   lookback: int, horizon: int, scope: int,
-                   sign_truth: bool = False) -> InstanceSet:
-    """Window pairs with starts in [start, stop) at the given stride.
-
-    An instance is kept only if its ground truth fits inside the series;
-    the ground truth begins exactly at t + lookback, never overlapping
-    the input window. Signatures are taken over the last ``scope`` values.
-    """
-    limit = min(stop, len(series) - (lookback + horizon) + 1)
-    return InstanceSet(series, np.arange(start, limit, stride), lookback, horizon, scope,
-                       sign_truth)
-
-
 def split_instances(series: np.ndarray, config: EngineConfig
                     ) -> tuple[InstanceSet, InstanceSet]:
-    """Warm (stride 1) and online (stride = horizon) instance sets for ``config``."""
+    """Warm (stride 1) and online (stride = horizon) instance sets for ``config``.
+
+    An instance is kept only if its ground truth fits: in the warm segment for
+    the warm set, in the series for the online set. The ground truth begins
+    exactly at t + lookback, never overlapping the input window.
+    """
     series = np.asarray(series, dtype=float)
     n = len(series)
     lookback, horizon, scope = config.lookback, config.horizon, config.scope()
@@ -171,9 +165,9 @@ def split_instances(series: np.ndarray, config: EngineConfig
             f"series too short: {n} points; need at least {4 * span} "
             f"for lookback {lookback} and horizon {horizon}"
         )
-    warm = make_instances(series, 0, warm_len - span + 1, 1, lookback, horizon, scope)
-    online = make_instances(series, warm_len, n, horizon, lookback, horizon, scope,
-                            sign_truth=True)
+    warm = InstanceSet(series, np.arange(warm_len - span + 1), lookback, horizon, scope)
+    online = InstanceSet(series, np.arange(warm_len, n - span + 1, horizon), lookback, horizon,
+                         scope, sign_truth=True)
     return warm, online
 
 
@@ -237,36 +231,33 @@ def online_step(pool: Pool, online: InstanceSet, i: int, log: StepLog,
     Appends the step to ``log``. A trained step runs one forward pass: its
     recorded MSE is the loss ``train_step`` measures before the update.
     ``predict`` runs only on an abandoned step or when the forecast is logged.
+    Every NumericError of the step, retrieval included, is re-raised ending ``at t=<t>``.
     """
     cep = pool.config
     t, mu, sigma = online.starts[i], online.x_mu[i], online.x_sigma[i]
     mid = t + online.lookback
     x, y = online.series[t:mid], online.series[mid:mid + online.horizon]
 
-    near = pool.nearest(mu, sigma)
-    evolved = should_evolve(near, mu)
-    if evolved:
-        current, evicted = pool.evolve(near, mu, sigma)
-        logger.debug("t=%d evolved entry %d from %d", t, current.id, near.id)
-    else:
-        current, evicted = near, []
-
-    abandoned = cep.gradient_abandonment and should_evolve(current, online.y_mu[i])
-    if abandoned or log_forecasts:
-        forecast = current.forecaster.predict(x)
-        if not np.isfinite(forecast).all():
-            raise NumericError(f"non-finite forecast at t={t}")
-        try:
+    try:
+        near = pool.nearest(mu, sigma)
+        evolved = should_evolve(near, mu)
+        if evolved:
+            current, evicted = pool.evolve(near, mu, sigma)
+            logger.debug("t=%d evolved entry %d from %d", t, current.id, near.id)
+        else:
+            current, evicted = near, []
+        abandoned = cep.gradient_abandonment and should_evolve(current, online.y_mu[i])
+        if abandoned or log_forecasts:
+            forecast = current.forecaster.predict(x)
+            if not np.isfinite(forecast).all():
+                raise NumericError("non-finite forecast")
             err = mse(forecast, y)
-        except NumericError as exc:
-            raise NumericError(f"{exc} at t={t}") from exc
-    if not abandoned:
-        try:
+        if not abandoned:
             err = current.forecaster.train_step(x, y, current.lr_current)
             lr_tick(current, pool.lr_raw, cep)
             absorb_instance(current, mu, sigma)
-        except NumericError as exc:
-            raise NumericError(f"{exc} at t={t}") from exc
+    except NumericError as exc:
+        raise NumericError(f"{exc} at t={t}") from exc
 
     pool.mark_selected(current)
     removed = evicted + pool.eliminate_stale()
@@ -290,7 +281,7 @@ def run(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -
     """Full pipeline over one series: split, warm up, stream every online instance.
 
     Numpy's overflow and invalid-value warnings are silenced for the run:
-    every non-finite signature, loss or forecast already raises NumericError.
+    every non-finite signature, loss, forecast or mean MSE raises NumericError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         warm, online = split_instances(series, config)
@@ -302,9 +293,12 @@ def run(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -
         log = StepLog()
         for i in range(len(online)):
             online_step(pool, online, i, log, log_forecasts)
+        mean_mse = float(np.mean(log.mse))
+    if not np.isfinite(mean_mse):
+        raise NumericError(f"non-finite mean mse over {len(log)} online steps")
     return RunResult(
         log=log,
-        mean_mse=float(np.mean(log.mse)) if log.mse else float("nan"),
+        mean_mse=mean_mse,
         final_pool_size=len(pool),
         total_evolutions=sum(log.evolved),
         total_eliminations=sum(map(len, log.eliminated_ids)),

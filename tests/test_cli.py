@@ -58,6 +58,23 @@ def synthetic_manifest(data=None, out_dir=None, **engine):
     return RunManifest(data=data, engine=EngineConfig(**engine), out_dir=out_dir)
 
 
+def spiked(row, value):
+    """1,200 zeros but ``value`` at ``row``."""
+    values = np.zeros(1200)
+    values[row] = value
+    return values
+
+
+def run_cli_process(*args):
+    """``driftpool`` in a separate process, its output captured: pytest would
+    capture numpy's RuntimeWarning, not print it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "driftpool.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestManifest:
     def test_round_trip_is_idempotent(self, tmp_path):
         manifest = synthetic_manifest(seed=9)
@@ -576,44 +593,48 @@ class TestMainExitCodes:
         assert re.search(r"non-finite mse at t=400$", capsys.readouterr().err.strip())
         assert not (tmp_path / "out" / "results.json").exists()
 
-    @pytest.mark.parametrize("spike, flags, message", [
-        (None, ["--lr", "0.5", "--warm-epochs", "0", "--lookback", "20", "--horizon", "10"],
+    @pytest.mark.parametrize("values, flags, message", [
+        (np.full(900, 50.0),
+         ["--lr", "0.5", "--warm-epochs", "0", "--lookback", "20", "--horizon", "10"],
          r"non-finite training loss at t=\d+"),
-        ((409, 1.4e154), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
-                          "--horizon", "4"], "non-finite mse at t=400"),
-        ((302, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--no-evolution",
-                        "--lookback", "8", "--horizon", "4"],
+        (spiked(409, 1.4e154), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
+                                "--horizon", "4"], "non-finite mse at t=400"),
+        (spiked(302, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--no-evolution",
+                              "--lookback", "8", "--horizon", "4"],
          "non-finite window signature at t=300"),
-        ((298, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
-                        "--horizon", "4"],
+        (spiked(298, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
+                              "--horizon", "4"],
          "non-finite training loss at t=287 in warm-up epoch 1"),
-        ((1199, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
-                         "--horizon", "4"],
+        (spiked(1199, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
+                               "--horizon", "4"],
          "non-finite window signature at t=1188"),
+        (spiked(1000, 1e150), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
+                               "--horizon", "4", "--score", "mle"],
+         re.escape("non-finite likelihood score for (1.25e+149, 3.307189138830738e+149)"
+                   " under (0.0, 0.0) at t=996")),
+        (np.concatenate([np.zeros(300), np.arange(900) // 4 % 2 * 5e153]),
+         ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8", "--horizon", "4"],
+         "non-finite mean mse over 223 online steps"),
     ], ids=["diverging-trained-step", "abandoned-step-spike", "overflowing-spread",
-            "warm-truth-spike", "last-truth-spike"])
-    def test_numeric_failure_prints_only_its_error_line(self, tmp_path, spike, flags, message):
+            "warm-truth-spike", "last-truth-spike", "mle-retrieval-overflow",
+            "mean-mse-overflow"])
+    def test_numeric_failure_prints_only_its_error_line(self, tmp_path, values, flags, message):
         from driftpool.cli import EXIT_RUNTIME
         from driftpool.data import write_column_csv
 
-        # a separate process: pytest would capture numpy's RuntimeWarning, not print it.
         # A finite spike whose square overflows fails the abandoned step's mse at
         # t=400, or, at 1e155, the std of online step t=300's input window. At
         # row 298 it lies only in warm ground truths, first in t=287's; at row
-        # 1199, only in the ground truth of the last step, t=1188.
-        values = np.full(900, 50.0) if spike is None else np.zeros(1200)
-        if spike is not None:
-            values[spike[0]] = spike[1]
+        # 1199, only in the ground truth of the last step, t=1188. At 1e150 in
+        # row 1000, the likelihood score of t=996's window overflows in retrieval.
+        # On the online square wave of 5e153 every step's MSE (2.5e307) is
+        # finite, but their sum, and so np.mean, overflows.
         write_column_csv(tmp_path / "in.csv", values, "v")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "driftpool.cli", "run", "--data", str(tmp_path / "in.csv"),
-             "--column", "v", "--out", str(tmp_path / "out"), *flags],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli_process("run", "--data", tmp_path / "in.csv", "--column", "v",
+                               "--out", tmp_path / "out", *flags)
         assert proc.returncode == EXIT_RUNTIME
         assert re.fullmatch(f"error: {message}\n", proc.stderr), proc.stderr
+        assert proc.stdout == ""
         assert not (tmp_path / "out" / "results.json").exists()
 
     def test_online_moments_overflow_names_its_step(self, tmp_path):
@@ -625,15 +646,10 @@ class TestMainExitCodes:
         values = np.concatenate([np.zeros(1000), np.linspace(0, 3e154, 201)[1:]])
         write_column_csv(tmp_path / "in.csv", values)
         (tmp_path / "c.cfg").write_text("scope_s = 1\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "driftpool.cli", "run", "--data", str(tmp_path / "in.csv"),
-             "--column", "value", "--lookback", "8", "--horizon", "4", "--forecaster", "naive",
-             "--warm-epochs", "1", "--no-evolution", "--no-abandonment",
-             "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli_process(
+            "run", "--data", tmp_path / "in.csv", "--column", "value", "--lookback", "8",
+            "--horizon", "4", "--forecaster", "naive", "--warm-epochs", "1", "--no-evolution",
+            "--no-abandonment", "--config", tmp_path / "c.cfg", "--out", tmp_path / "out")
         assert proc.returncode == EXIT_RUNTIME
         assert proc.stderr == ("error: global moments overflow absorbing a window mean of "
                                "1.3800000000000002e+154 at t=1084\n")

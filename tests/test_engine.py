@@ -13,9 +13,9 @@ from driftpool import gene
 from driftpool.data import default_stream_spec, generate, normalize
 from driftpool.engine import (
     EngineConfig,
+    InstanceSet,
     StepLog,
     StepRecord,
-    make_instances,
     online_step,
     run,
     split_instances,
@@ -55,7 +55,7 @@ def pairs(instances):
 
 def no_instances():
     """An empty warm set for an 8/4 run with the default scope."""
-    return make_instances(np.zeros(12), 0, 0, 1, 8, 4, 8)
+    return InstanceSet(np.zeros(12), np.arange(0), 8, 4, 8)
 
 
 def shifted_series(levels, seg, sigma=0.25, seed=0):
@@ -299,7 +299,7 @@ class TestWarmUp:
         cep = CepConfig(tau_l=tau_l, tau_gene=tau_gene, scope_s=scope,
                         use_local_gene=parts[0], use_global_gene=parts[1])
         series = offset + spread * np.random.default_rng(seed).normal(size=60)
-        warm = make_instances(series, 0, n_windows, 1, 8, 4, scope)
+        warm = InstanceSet(series, np.arange(n_windows), 8, 4, scope)
         folded = Pool(NaiveForecaster(8, 4), 0.01, cep)
         warm_up(folded, warm, epochs)
         stepped = Pool(NaiveForecaster(8, 4), 0.01, cep)
@@ -441,7 +441,7 @@ class TestOnlineStep:
         entry.forecaster.bias[:] = np.nan
         # one instance at t=7: x is four zeros, y is two values at y_mu
         series = np.concatenate([np.zeros(11), np.full(2, y_mu)])
-        online = make_instances(series, 7, 8, 1, 4, 2, 4, sign_truth=True)
+        online = InstanceSet(series, np.arange(7, 8), 4, 2, 4, sign_truth=True)
         with mock.patch.object(LinearForecaster, "train_step",
                                wraps=entry.forecaster.train_step) as train:
             with pytest.raises(NumericError, match=message):
@@ -623,14 +623,17 @@ class TestLifecycleMetamorphic:
 
 
 class TestInstances:
-    def test_make_instances_respects_bounds(self):
-        series = np.arange(100, dtype=float)
-        out = make_instances(series, 0, 100, 7, 10, 5, 10)
-        assert out.starts == list(range(0, 86, 7))
-        assert out.y_mu is None  # the truths are signed only on request
-        for t, x, y in pairs(out):
+    def test_split_instances_respects_bounds(self):
+        # the last pair that fits is kept and the next dropped: warm t=10's truth
+        # ends at the split (25), online t=85's one point before the series end
+        series = np.arange(101, dtype=float)
+        warm, online = split_instances(series, EngineConfig(10, 5))
+        assert warm.starts == list(range(0, 11))
+        assert online.starts == list(range(25, 86, 5))
+        assert warm.y_mu is None  # only the online truths are signed
+        assert len(online.y_mu) == len(online)
+        for t, x, y in pairs(warm) + pairs(online):
             assert len(x) == 10 and len(y) == 5
-            assert t + 15 <= 100
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -4,7 +4,7 @@ from contextlib import suppress
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -634,6 +634,31 @@ class TestSortedIndex:
         cap=st.sampled_from([None, None, 2, 40]),
         elimination=st.booleans(),
     )
+    # One example per tie shape, so a broken walk fails before any shrinking.
+    # Mirror pairs about -0.5 (smaller id on the right) and 0.5 (on the left):
+    @example(ops=[("evolve", 0, Gene(-1.0, 0.0)), ("evolve", 0, Gene(1.0, 0.0))],
+             queries=[Gene(-0.5, 0.0), Gene(0.5, 0.0)], tau_gene=0.8, tau_l=0.5,
+             parts=(True, True), cap=None, elimination=False)
+    # 0.0 against -0.0, every cost 0:
+    @example(ops=[("evolve", 0, Gene(-0.0, 0.0)), ("evolve", 0, Gene(0.0, 0.0))],
+             queries=[Gene(0.0, 0.0), Gene(-0.0, 0.0)], tau_gene=0.8, tau_l=0.5,
+             parts=(True, True), cap=None, elimination=False)
+    # equal means under three ids, then entry 0 moves past both:
+    @example(ops=[("evolve", 0, Gene(1.0, 0.5)), ("evolve", 0, Gene(1.0, 0.5)),
+                  ("set_genes", 0, (Gene(1.0, 0.5), Gene(1.0, 0.5), 3)),
+                  ("set_genes", 0, (Gene(2.0, 0.0), Gene(2.0, 0.0), 2))],
+             queries=[Gene(1.0, 0.5), Gene(1.5, 0.0)], tau_gene=0.8, tau_l=0.5,
+             parts=(True, True), cap=None, elimination=False)
+    # means of 1.7e308, whose costs from -1.7e308 all overflow to inf:
+    @example(ops=[("evolve", 0, Gene(1.7e308, 0.0)), ("evolve", 0, Gene(1.7e308, 0.0)),
+                  ("set_genes", 0, (Gene(1.7e308, 0.0), Gene(1.7e308, 0.0), 1))],
+             queries=[Gene(-1.7e308, 0.0), Gene(-1.7e308, 1e300)], tau_gene=0.8, tau_l=0.5,
+             parts=(True, True), cap=None, elimination=False)
+    # a cap eviction (entry 0), then a stale removal (entry 1):
+    @example(ops=[("evolve", 0, Gene(1.0, 0.0)), ("evolve", 0, Gene(2.0, 0.0)),
+                  ("mark_selected", 1), ("mark_selected", 1), ("eliminate_stale",)],
+             queries=[Gene(1.5, 0.0), Gene(0.0, 0.0)], tau_gene=0.8, tau_l=0.5,
+             parts=(True, True), cap=2, elimination=True)
     def test_nearest_is_the_scan_first_min(self, ops, queries, tau_gene, tau_l, parts, cap,
                                            elimination):
         cfg = CepConfig(tau_gene=tau_gene, tau_l=tau_l, use_local_gene=parts[0],
