@@ -10,8 +10,6 @@ instances advance by the full forecast horizon.
 
 from .data import (
     ConceptSpec,
-    LabeledStream,
-    SeriesSource,
     SyntheticSpec,
     default_stream_spec,
     generate,
@@ -58,7 +56,6 @@ __all__ = [
     "EngineConfig",
     "FileFormatError",
     "Forecaster",
-    "LabeledStream",
     "LinearForecaster",
     "MlpForecaster",
     "NaiveForecaster",
@@ -69,7 +66,6 @@ __all__ = [
     "RunManifest",
     "RunResult",
     "SIGMA_FLOOR",
-    "SeriesSource",
     "SizingError",
     "StepLog",
     "StepRecord",

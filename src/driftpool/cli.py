@@ -61,11 +61,11 @@ EXIT_IO = 4
 def cmd_run(manifest: RunManifest, out_dir: str | None = None,
             log_forecasts: bool = False) -> dict:
     """Execute one manifest; write the bundle when an output dir is known."""
-    source, labels = resolve_series(manifest)
-    config = manifest.engine
-    log.info("running %s on %s (%d points)", config.forecaster, source.origin, source.n)
-    result = engine.run(source.values, config, log_forecasts=log_forecasts)
-    bundle = build_bundle(manifest, result, source.n)
+    series, labels = resolve_series(manifest)
+    log.info("running %s on %s (%d points)", manifest.engine.forecaster,
+             manifest.data.get("path", "synthetic"), len(series))
+    result = engine.run(series, manifest.engine, log_forecasts=log_forecasts)
+    bundle = build_bundle(manifest, result, len(series))
     target = out_dir if out_dir is not None else manifest.out_dir
     if target is not None:
         paths = write_bundle(bundle, target, labels=labels)
@@ -102,16 +102,17 @@ def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
         raise ValidationError("compare needs at least 2 manifests")
     head = manifests[0]
     for i, m in enumerate(manifests[1:], start=2):
-        if (m.data, m.engine.lookback, m.engine.horizon) != (
-                head.data, head.engine.lookback, head.engine.horizon):
+        # MSEs over differently scaled series are not comparable, hence normalize
+        if (m.data, m.engine.lookback, m.engine.horizon, m.normalize) != (
+                head.data, head.engine.lookback, head.engine.horizon, head.normalize):
             raise ValidationError(
-                f"manifest #{i} differs from the baseline in data/lookback/horizon"
+                f"manifest #{i} differs from the baseline in data/lookback/horizon/normalize"
             )
     names = names if names is not None else [f"manifest{i}" for i in range(len(manifests))]
     rows = []
     for name, m in zip(names, manifests):
-        source, _ = resolve_series(m)
-        result = engine.run(source.values, m.engine)
+        series, _ = resolve_series(m)
+        result = engine.run(series, m.engine)
         rows.append({"name": name, "mean_mse": result.mean_mse})
     base = rows[0]["mean_mse"]
     for row in rows:  # no relative delta exists against a zero-error baseline
@@ -150,24 +151,24 @@ def _compare_command(args) -> int:
 
 def cmd_generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
     """Write values.csv and labels.csv for a synthetic spec; print a summary."""
-    stream = generate(spec)
+    values, labels = generate(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     values_path = out / "values.csv"
     labels_path = out / "labels.csv"
-    write_column_csv(values_path, stream.values)
-    write_column_csv(labels_path, stream.labels, "label", "%d")
+    write_column_csv(values_path, values)
+    write_column_csv(labels_path, labels, "label", "%d")
 
-    print(f"points={len(stream.values)} segments={len(spec.schedule)} seed={spec.seed}")
+    print(f"points={len(values)} segments={len(spec.schedule)} seed={spec.seed}")
     for idx, concept in enumerate(spec.concepts):
-        mask = stream.labels == idx
+        mask = labels == idx
         if mask.any():
-            seg_vals = stream.values[mask]
+            seg_vals = values[mask]
             print(
                 f"concept {idx}: level={concept.level} points={int(mask.sum())} "
                 f"mean={seg_vals.mean():.4f} std={seg_vals.std():.4f}"
             )
-    return {"values": values_path, "labels": labels_path, "n": len(stream.values)}
+    return {"values": values_path, "labels": labels_path, "n": len(values)}
 
 
 def _generate_command(args) -> int:
@@ -257,7 +258,7 @@ def cmd_purity(results_path: str | Path, labels_path: str | Path,
                skip_safety: bool = False) -> dict:
     """Score how cleanly a labeled synthetic run routed instances to entries."""
     bundle = read_bundle(results_path)
-    values = load_csv(labels_path, "label", has_header=True).values
+    values = load_csv(labels_path, "label", has_header=True)
     fractional = values != np.round(values)
     if fractional.any():
         raise ValidationError(

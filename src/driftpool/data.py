@@ -1,9 +1,8 @@
 """Series ingestion, synthetic recurring-concept streams, normalization.
 
-The synthetic generator emits piecewise-stationary sine-plus-noise
-segments according to a schedule over a small set of named concepts,
-and keeps the true concept index of every point so routing quality can
-be measured after a run.
+A series is a plain float ndarray: ``load_csv`` returns one, ``normalize``
+maps one to another, and ``generate`` returns one with the true concept
+index of every point, so routing quality can be measured after a run.
 """
 
 from __future__ import annotations
@@ -25,19 +24,6 @@ from .errors import (
     RowParseError,
     ValidationError,
 )
-
-
-@dataclass(frozen=True)
-class SeriesSource:
-    """A univariate series plus where it came from."""
-
-    values: np.ndarray
-    name: str
-    origin: str
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -84,18 +70,6 @@ class SyntheticSpec:
         return sum(dur for _, dur in self.schedule)
 
 
-@dataclass(frozen=True)
-class LabeledStream:
-    """Generated values with the true concept index of every point."""
-
-    values: np.ndarray
-    labels: np.ndarray
-
-    def source(self, name: str = "synthetic", seed: int | None = None) -> SeriesSource:
-        origin = f"synthetic(seed={seed})" if seed is not None else "synthetic"
-        return SeriesSource(values=self.values, name=name, origin=origin)
-
-
 def spec_from_dict(d: dict) -> SyntheticSpec:
     """Parse the JSON form of a spec: concept objects, [index, duration] pairs, a seed."""
     try:
@@ -129,8 +103,8 @@ def default_stream_spec(noise_sigma: float = 0.25, seed: int = 0,
     return SyntheticSpec(concepts=concepts, schedule=schedule, seed=seed)
 
 
-def generate(spec: SyntheticSpec) -> LabeledStream:
-    """Materialize a spec into values and labels, deterministically per seed."""
+def generate(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(values, labels) of a spec, deterministically per seed; labels are int64 indices."""
     rng = np.random.default_rng(spec.seed)
     total = spec.total_points
     values = np.empty(total)
@@ -143,7 +117,7 @@ def generate(spec: SyntheticSpec) -> LabeledStream:
         values[pos:pos + dur] = base + rng.normal(0.0, c.noise_sigma, dur)
         labels[pos:pos + dur] = idx
         pos += dur
-    return LabeledStream(values=values, labels=labels)
+    return values, labels
 
 
 @contextmanager
@@ -168,8 +142,8 @@ def atomic_open(path: str | Path, newline: str | None = None):
         tmp.unlink(missing_ok=True)
 
 
-def load_csv(path: str | Path, column: str, has_header: bool = True) -> SeriesSource:
-    """One named (or zero-based indexed) column of a comma-separated file.
+def load_csv(path: str | Path, column: str, has_header: bool = True) -> np.ndarray:
+    """One named (or zero-based indexed) column of a comma-separated file, as floats.
 
     Every selected cell must parse as a finite number; the first bad row
     aborts the load, naming the file and its 1-based line number.
@@ -219,9 +193,7 @@ def load_csv(path: str | Path, column: str, has_header: bool = True) -> SeriesSo
             raise RowParseError(f"{path}: row {line_no}: non-finite value {cell!r}")
         values.append(v)
 
-    return SeriesSource(
-        values=np.asarray(values), name=str(column), origin=f"file:{path}#{column}",
-    )
+    return np.asarray(values)
 
 
 def write_column_csv(path: str | Path, values: np.ndarray, name: str = "value",
@@ -236,12 +208,12 @@ def write_column_csv(path: str | Path, values: np.ndarray, name: str = "value",
         fh.writelines([f"{name}\n", *map(line.__mod__, np.asarray(values).tolist())])
 
 
-def normalize(source: SeriesSource, stats_from: str = "warm_segment"
-              ) -> tuple[SeriesSource, float, float]:
-    """Z-normalize; stats come from the warm segment (leakage-safe) or the whole series."""
+def normalize(values: np.ndarray, stats_from: str = "warm_segment"
+              ) -> tuple[np.ndarray, float, float]:
+    """Z-normalize to (series, mean, std), so series * std + mean undoes it; the stats
+    come from the warm segment (leakage-safe) or the whole series."""
     if stats_from not in ("warm_segment", "whole"):
         raise ValidationError(f"stats_from must be warm_segment or whole, got {stats_from!r}")
-    values = source.values
     seg = values[: warm_split_index(len(values))] if stats_from == "warm_segment" else values
     if len(seg) == 0:
         raise ValidationError("normalization segment is empty")
@@ -252,9 +224,4 @@ def normalize(source: SeriesSource, stats_from: str = "warm_segment"
                            f"std={std!r}), cannot normalize")
     if std <= 0.0:
         raise ValidationError(f"zero-variance {stats_from} segment, cannot normalize")
-    out = SeriesSource(
-        values=(values - mean) / std,
-        name=source.name,
-        origin=f"{source.origin}|z({stats_from})",
-    )
-    return out, mean, std
+    return (values - mean) / std, mean, std

@@ -2,9 +2,11 @@
 
 A manifest pins everything a run depends on, so re-running it
 reproduces the result bit for bit; its hash doubles as a result
-provenance tag. Bundles are written as one self-describing JSON file
-plus flat CSV extracts (per-instance errors, gene trajectories) that
-external plotting can consume directly.
+provenance tag. ``RunManifest.from_dict`` builds every manifest: from a
+saved one, or from flags and config files via ``manifest_from_settings``.
+Bundles are written as one self-describing JSON file plus flat CSV
+extracts (per-instance errors, gene trajectories) that external plotting
+can consume directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Any
 import numpy as np
 
 from .data import (
-    SeriesSource,
     atomic_open,
     generate,
     load_csv,
@@ -86,8 +87,8 @@ class RunManifest:
         if not isinstance(cep, dict):
             raise ValidationError("cep must be an object of threshold/switch fields")
         _check_fields(cep, _CEP_TYPES, "cep")
-        run = {k: v for k, v in top.items() if k not in _ENGINE_TYPES}
-        return cls(data=d["data"], engine=_engine(top, cep), **run)
+        engine = {k: top.pop(k) for k in list(top) if k in _ENGINE_TYPES}  # top keeps the rest
+        return cls(data=d["data"], engine=EngineConfig(cep=CepConfig(**cep), **engine), **top)
 
     def config_hash(self) -> str:
         """Hash of everything that affects the result (the output dir does not)."""
@@ -149,14 +150,6 @@ def _check_fields(d: dict, types: dict, what: str) -> None:
             raise ValidationError(f"{what} field {key} must be {expected}, got {value!r}")
 
 
-def _pick(settings: dict, types: dict) -> dict:
-    return {k: v for k, v in settings.items() if k in types}
-
-
-def _engine(settings: dict, cep: dict) -> EngineConfig:
-    return EngineConfig(cep=CepConfig(**cep), **_pick(settings, _ENGINE_TYPES))
-
-
 def save_manifest(manifest: RunManifest, path: str | Path) -> None:
     with atomic_open(path) as fh:
         json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
@@ -178,20 +171,17 @@ def load_manifest(path: str | Path) -> RunManifest:
     return RunManifest.from_dict(d)
 
 
-def resolve_series(manifest: RunManifest) -> tuple[SeriesSource, np.ndarray | None]:
-    """Materialize the manifest's data source; labels only exist for synthetic."""
-    if manifest.data["kind"] == "csv":
-        data = manifest.data
-        source = load_csv(data["path"], data["column"], data.get("has_header", True))
+def resolve_series(manifest: RunManifest) -> tuple[np.ndarray, np.ndarray | None]:
+    """The manifest's series, normalized as it says, and its labels (synthetic only)."""
+    data = manifest.data
+    if data["kind"] == "csv":
+        values = load_csv(data["path"], data["column"], data.get("has_header", True))
         labels = None
     else:
-        spec = spec_from_dict(manifest.data)
-        stream = generate(spec)
-        source = stream.source(seed=spec.seed)
-        labels = stream.labels
+        values, labels = generate(spec_from_dict(data))
     if manifest.normalize != "off":
-        source, _, _ = normalize(source, manifest.normalize)
-    return source, labels
+        values, _, _ = normalize(values, manifest.normalize)
+    return values, labels
 
 
 # --- flat key = value config files -----------------------------------------
@@ -236,22 +226,25 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def manifest_from_settings(settings: dict, out_dir: str | None = None) -> RunManifest:
-    """A CSV-source manifest from parsed config keys; absent keys take the defaults."""
+    """A CSV-source manifest from config keys, laid out in the JSON form and typed by
+    ``RunManifest.from_dict``; absent keys take the defaults."""
     missing = [k for k in ("data", *_REQUIRED) if k not in settings]
     if missing:
         raise ValidationError(
             f"missing required setting(s) {', '.join(missing)}: set by flag or config file"
         )
-    data = {
+    d = {k: v for k, v in settings.items()
+         if k not in _CEP_TYPES and k not in ("column", "has_header")}
+    d["data"] = {
         "kind": "csv",
         "path": settings["data"],
         "column": settings.get("column", "0"),
         "has_header": settings.get("has_header", True),
     }
-    return RunManifest(
-        data=data, engine=_engine(settings, _pick(settings, _CEP_TYPES)), out_dir=out_dir,
-        **_pick(settings, _RUN_TYPES),
-    )
+    d["cep"] = {k: v for k, v in settings.items() if k in _CEP_TYPES}
+    if out_dir is not None:
+        d["out_dir"] = out_dir
+    return RunManifest.from_dict(d)
 
 
 # --- results bundles --------------------------------------------------------
@@ -425,7 +418,9 @@ def read_bundle(path: str | Path) -> dict:
         fields += [v for r in bundle["records"] for v in (r["t"], r["entry_id"])]
     except (KeyError, TypeError):  # a field is missing, or a JSON type is wrong
         fields = [None]
-    if not all(type(v) is int for v in fields):
-        raise ValidationError(f"{path}: not a results bundle: purity needs integer lookback, "
-                              "cep.tau_safe, and t and entry_id in every record")
+    # fields: lookback, tau_safe, then t and entry_id of each record in turn
+    if not (all(type(v) is int for v in fields) and fields[0] >= 1
+            and min(fields[2::2], default=0) >= 0):
+        raise ValidationError(f"{path}: not a results bundle: purity needs integer lookback "
+                              ">= 1, cep.tau_safe, and t >= 0 and entry_id in every record")
     return bundle

@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .forecasters import Forecaster
 from .gene import SIGMA_FLOOR, blend, fold_moments, nlls
 
@@ -246,6 +246,8 @@ class Pool:
             cost = hypot(d, sigma - entry.sigma)
             if cost < best or (cost == best and entry.id < best_id):
                 best, best_id, found = cost, entry.id, entry
+        if best_id == math.inf:  # every cost was NaN
+            raise NumericError(f"non-finite window signature ({mu!r}, {sigma!r})")
         return found
 
     def _add(self, forecaster: Forecaster, mu: float, sigma: float, lr: float) -> PoolEntry:

@@ -42,9 +42,9 @@ RECURRENCE_CONFIG = EngineConfig(lookback=60, horizon=30, forecaster="linear",
 
 
 def normalized_default_stream(noise_sigma, seed):
-    stream = generate(default_stream_spec(noise_sigma=noise_sigma, seed=seed))
-    source, _, _ = normalize(stream.source(seed=seed), "warm_segment")
-    return source.values, stream.labels
+    values, labels = generate(default_stream_spec(noise_sigma=noise_sigma, seed=seed))
+    series, _, _ = normalize(values, "warm_segment")
+    return series, labels
 
 
 @pytest.fixture(scope="module")
@@ -245,9 +245,9 @@ def test_c08_elimination_behavior():
             (1, seg), (2, seg), (1, seg), (2, seg),
         ]
         spec = SyntheticSpec(concepts=concepts, schedule=tuple(schedule), seed=0)
-        stream = generate(spec)
+        values, _ = generate(spec)
         config = EngineConfig(lookback=16, horizon=8, forecaster="naive", warm_epochs=1)
-        result = run(stream.values, config)
+        result = run(values, config)
 
         # the noise concept occupies the 8th segment; find who served it
         n_start, n_stop = 7 * seg, 8 * seg

@@ -1,5 +1,6 @@
 """CLI surface tests: manifests, bundles, comparisons, purity, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from driftpool.errors import ValidationError
 from driftpool.manifest import (
     RunManifest,
     load_manifest,
+    manifest_from_settings,
     parse_config_file,
     read_bundle,
     save_manifest,
@@ -124,6 +126,10 @@ class TestManifest:
         assert type(loaded.engine.cep.tau_e) is int
         assert json.dumps(loaded.to_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
 
+    def test_settings_are_typed_as_a_manifest(self):
+        with pytest.raises(ValidationError, match="manifest field lookback must be int, got 1.5"):
+            manifest_from_settings({"data": "x.csv", "lookback": 1.5, "horizon": 4})
+
     def test_data_kind_required(self):
         with pytest.raises(ValidationError, match="kind"):
             synthetic_manifest(data={"path": "x.csv"})
@@ -194,6 +200,30 @@ class TestConfigFile:
         bundle = read_bundle(tmp_path / "out" / "results.json")
         assert bundle["manifest"]["data"]["column"] == "value"
 
+    def test_flags_config_file_and_saved_manifest_hash_alike(self, tmp_path, capsys):
+        cmd_generate(default_stream_spec(noise_sigma=0.2, seed=1, segment=300), tmp_path)
+        data = str(tmp_path / "values.csv")
+        (tmp_path / "run.cfg").write_text(
+            f"data = {data}\ncolumn = value\nlookback = 16\nhorizon = 8\n"
+            "forecaster = naive\nwarm_epochs = 1\nlr_raw = 0.01\nnormalize = whole\n"
+            "elimination = off\nretrieval_score = mle\nmax_pool_size = 4\n"
+        )
+        flags = ["--data", data, "--column", "value", "--lookback", "16", "--horizon", "8",
+                 "--forecaster", "naive", "--warm-epochs", "1", "--lr", "0.01",
+                 "--normalize", "whole", "--no-elimination", "--score", "mle",
+                 "--max-pool", "4"]
+        runs = {
+            "flags": flags,
+            "config": ["--config", str(tmp_path / "run.cfg")],
+            "manifest": ["--manifest", str(tmp_path / "flags" / "manifest.json")],
+        }
+        for name, argv in runs.items():
+            assert main(["run", *argv, "--out", str(tmp_path / name)]) == EXIT_OK
+        hashes = {read_bundle(tmp_path / name / "results.json")["config_hash"] for name in runs}
+        assert len(hashes) == 1
+        cep = load_manifest(tmp_path / "config" / "manifest.json").engine.cep
+        assert (cep.elimination, cep.retrieval_score, cep.max_pool_size) == (False, "mle", 4)
+
 
 class TestCmdRun:
     def test_writes_bundle_and_extracts(self, tmp_path, capsys):
@@ -207,11 +237,11 @@ class TestCmdRun:
         assert on_disk["schema_version"] == 1
         # every emitted CSV parses back through load_csv
         mse_col = load_csv(tmp_path / "out" / "instances.csv", "mse")
-        assert len(mse_col.values) == on_disk["aggregate"]["n_instances"]
+        assert len(mse_col) == on_disk["aggregate"]["n_instances"]
         mu_col = load_csv(tmp_path / "out" / "trajectories.csv", "mu")
-        assert len(mu_col.values) == len(mse_col.values)
+        assert len(mu_col) == len(mse_col)
         labels = load_csv(tmp_path / "out" / "labels.csv", "label")
-        assert len(labels.values) == on_disk["n_points"]
+        assert len(labels) == on_disk["n_points"]
         assert (tmp_path / "out" / "manifest.json").exists()
 
     def test_rerun_reproduces_hash_and_metrics(self, tmp_path, capsys):
@@ -272,9 +302,8 @@ class TestCmdRun:
             forecaster="linear", lr_raw=1e-3, cep=CepConfig(evolution=False)
         )
         bundle = cmd_run(manifest, out_dir=None)
-        source, _ = resolve_series(manifest)
-        bare = build_bundle(manifest, run_bare(source.values, manifest.engine),
-                            source.n)
+        series, _ = resolve_series(manifest)
+        bare = build_bundle(manifest, run_bare(series, manifest.engine), len(series))
         assert bundle["records"] == bare["records"]
         assert bundle["aggregate"] == bare["aggregate"]
 
@@ -385,7 +414,7 @@ class TestCmdCompare:
         csv_text = (tmp_path / "compare.csv").read_text()
         assert csv_text.startswith("manifest,mean_mse,delta_pct\n")
         reread = load_csv(tmp_path / "compare.csv", "mean_mse")
-        assert reread.values[0] == pytest.approx(rows[0]["mean_mse"])
+        assert reread[0] == pytest.approx(rows[0]["mean_mse"])
 
     def test_three_rows_against_first(self, capsys):
         rows = cmd_compare(
@@ -396,9 +425,11 @@ class TestCmdCompare:
 
     def test_mismatched_data_rejected(self):
         a = synthetic_manifest()
-        b = synthetic_manifest(lookback=20)
-        with pytest.raises(ValidationError, match="differs from the baseline"):
-            cmd_compare([a, b])
+        # MSEs over a raw and a normalized series differ in scale, not in quality
+        for b in (synthetic_manifest(lookback=20),
+                  dataclasses.replace(a, normalize="warm_segment")):
+            with pytest.raises(ValidationError, match="differs from the baseline"):
+                cmd_compare([a, b])
 
     def test_zero_mse_baseline(self, tmp_path, capsys):
         from driftpool.data import write_column_csv
@@ -428,7 +459,7 @@ class TestCmdGenerate:
         assert "points=18000 segments=6" in out
         values = load_csv(paths["values"], "value")
         labels = load_csv(paths["labels"], "label")
-        assert len(values.values) == len(labels.values) == 18000
+        assert len(values) == len(labels) == 18000
 
     def test_same_seed_byte_identical(self, tmp_path, capsys):
         a = cmd_generate(default_stream_spec(seed=5), tmp_path / "a")
@@ -490,7 +521,7 @@ class TestPurity:
         manifest = synthetic_manifest()
         records = self.run_records(manifest)
         spec = spec_from_dict(manifest.data)
-        labels = generate(spec).labels
+        _, labels = generate(spec)
         plain = compute_purity(records, labels, 16, 15, skip_safety=False)
         skipped = compute_purity(records, labels, 16, 15, skip_safety=True)
         assert skipped["n_excluded_safety"] > 0
@@ -716,7 +747,7 @@ class TestMainExitCodes:
         save_manifest(synthetic_manifest(), tmp_path / "m.json")
         assert main(["run", "--manifest", str(tmp_path / "m.json"),
                      "--out", str(tmp_path)]) == EXIT_OK
-        labels = load_csv(tmp_path / "labels.csv", "label").values
+        labels = load_csv(tmp_path / "labels.csv", "label")
         (tmp_path / "whole.csv").write_text("label\n" + "".join(f"{v:.1f}\n" for v in labels))
         (tmp_path / "frac.csv").write_text("label\n" + "".join(f"{v - 0.1}\n" for v in labels))
         argv = ["purity", "--results", str(tmp_path / "results.json"), "--labels"]
@@ -732,7 +763,7 @@ class TestMainExitCodes:
         assert main(["run", "--manifest", str(tmp_path / "m.json"),
                      "--out", str(tmp_path)]) == EXIT_OK
         # integral, but past int64: each concept would cast to -2**63 and score purity 1
-        huge = ((load_csv(tmp_path / "labels.csv", "label").values + 1) * scale).tolist()
+        huge = ((load_csv(tmp_path / "labels.csv", "label") + 1) * scale).tolist()
         (tmp_path / "huge.csv").write_text("label\n" + "".join(f"{v!r}\n" for v in huge))
         capsys.readouterr()
         assert main(["purity", "--results", str(tmp_path / "results.json"),
@@ -806,6 +837,10 @@ class TestMainExitCodes:
         {"manifest": {"lookback": 8, "cep": []}, "records": []},
         {"manifest": {"lookback": 8, "cep": {"tau_safe": 1}}, "records": 3},
         [],
+        {"manifest": {"lookback": 8, "cep": {"tau_safe": 1}},
+         "records": [{"t": -10, "entry_id": 0}]},
+        {"manifest": {"lookback": 0, "cep": {"tau_safe": 1}},
+         "records": [{"t": 0, "entry_id": 0}]},
     ])
     def test_bundle_without_purity_fields(self, tmp_path, capsys, bundle):
         (tmp_path / "results.json").write_text(json.dumps(bundle))

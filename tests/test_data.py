@@ -19,10 +19,9 @@ class TestLoadCsv:
     def test_selects_named_column(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("a,b\n10,1\n20,2\n30,3\n")
-        source = load_csv(path, "b")
-        assert np.array_equal(source.values, [1.0, 2.0, 3.0])
-        assert source.name == "b"
-        assert "two.csv" in source.origin
+        values = load_csv(path, "b")
+        assert values.dtype == np.float64
+        assert np.array_equal(values, [1.0, 2.0, 3.0])
 
     def test_missing_column_names_available(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -50,8 +49,8 @@ class TestLoadCsv:
     def test_headerless_index_selection(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("1,10\n2,20\n")
-        source = load_csv(path, "1", has_header=False)
-        assert np.array_equal(source.values, [10.0, 20.0])
+        values = load_csv(path, "1", has_header=False)
+        assert np.array_equal(values, [10.0, 20.0])
 
     def test_headerless_requires_index(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -62,8 +61,8 @@ class TestLoadCsv:
     def test_numeric_header_fallback_to_index(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b\n1,2\n")
-        source = load_csv(path, "1")
-        assert np.array_equal(source.values, [2.0])
+        values = load_csv(path, "1")
+        assert np.array_equal(values, [2.0])
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -71,7 +70,7 @@ class TestLoadCsv:
         path = tmp_path / "rt.csv"
         write_column_csv(path, values, "v")
         back = load_csv(path, "v")
-        assert np.array_equal(back.values, values)
+        assert np.array_equal(back, values)
 
     def test_short_row_cites_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -86,9 +85,10 @@ class TestGenerate:
             concepts=(ConceptSpec(level=5.0, amplitude=0.0, period=24, noise_sigma=0.0),),
             schedule=((0, 10),),
         )
-        stream = generate(spec)
-        assert np.array_equal(stream.values, np.full(10, 5.0))
-        assert np.array_equal(stream.labels, np.zeros(10, dtype=int))
+        values, labels = generate(spec)
+        assert np.array_equal(values, np.full(10, 5.0))
+        assert np.array_equal(labels, np.zeros(10, dtype=int))
+        assert labels.dtype == np.int64
 
     def test_segment_means_concentrate_on_levels(self):
         for seed in range(5):
@@ -100,25 +100,25 @@ class TestGenerate:
                 schedule=((0, 1000), (1, 1000), (0, 1000)),
                 seed=seed,
             )
-            stream = generate(spec)
-            assert abs(stream.values[:1000].mean() - 0.0) < 0.02
-            assert abs(stream.values[1000:2000].mean() - 10.0) < 0.02
-            assert abs(stream.values[2000:].mean() - 0.0) < 0.02
+            values, _ = generate(spec)
+            assert abs(values[:1000].mean() - 0.0) < 0.02
+            assert abs(values[1000:2000].mean() - 10.0) < 0.02
+            assert abs(values[2000:].mean() - 0.0) < 0.02
 
     def test_deterministic_per_seed(self):
         spec = default_stream_spec(seed=7)
-        a, b = generate(spec), generate(spec)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.labels, b.labels)
-        other = generate(default_stream_spec(seed=8))
-        assert not np.array_equal(a.values, other.values)
+        (a_values, a_labels), (b_values, b_labels) = generate(spec), generate(spec)
+        assert np.array_equal(a_values, b_values)
+        assert np.array_equal(a_labels, b_labels)
+        other, _ = generate(default_stream_spec(seed=8))
+        assert not np.array_equal(a_values, other)
 
     def test_labels_follow_schedule(self):
         spec = default_stream_spec()
-        stream = generate(spec)
-        assert len(stream.values) == len(stream.labels) == 18000
+        values, labels = generate(spec)
+        assert len(values) == len(labels) == 18000
         expected = np.repeat([0, 1, 0, 2, 1, 0], 3000)
-        assert np.array_equal(stream.labels, expected)
+        assert np.array_equal(labels, expected)
 
     def test_spec_validation(self):
         concept = ConceptSpec(level=0.0)
@@ -145,44 +145,35 @@ class TestGenerate:
 
 
 class TestNormalize:
-    def make_source(self, values):
-        from driftpool.data import SeriesSource
-
-        return SeriesSource(values=np.asarray(values, dtype=float), name="v", origin="test")
-
     def test_whole_series_stats(self):
-        source = self.make_source([0.0, 0.0, 10.0, 10.0])
-        out, mean, std = normalize(source, "whole")
+        out, mean, std = normalize(np.array([0.0, 0.0, 10.0, 10.0]), "whole")
         assert (mean, std) == (5.0, 5.0)
-        assert np.array_equal(out.values, [-1.0, -1.0, 1.0, 1.0])
+        assert np.array_equal(out, [-1.0, -1.0, 1.0, 1.0])
 
     def test_constant_series_rejected(self):
-        source = self.make_source(np.full(40, 3.0))
         with pytest.raises(ValidationError, match="zero-variance"):
-            normalize(source, "whole")
+            normalize(np.full(40, 3.0), "whole")
 
     @pytest.mark.parametrize("stats_from", ["warm_segment", "whole"])
     def test_overflowing_spread_rejected(self, stats_from):
         # finite values whose variance overflows would otherwise scale to all zeros
-        source = self.make_source(np.tile([1e200, -1e200], 40))
+        values = np.tile([1e200, -1e200], 40)
         with pytest.raises(NumericError, match=f"{stats_from} segment moments overflow"):
-            normalize(source, stats_from)
+            normalize(values, stats_from)
 
     def test_warm_segment_stats_leave_online_shifted(self):
         values = np.concatenate([np.zeros(100) + np.sin(np.arange(100)), np.full(300, 10.0)])
-        source = self.make_source(values)
-        out, mean, std = normalize(source, "warm_segment")
-        online = out.values[100:]
+        out, mean, std = normalize(values, "warm_segment")
+        online = out[100:]
         assert abs(online.mean()) > 1.0  # drift survives leakage-safe scaling
 
     def test_round_trip_recovers_series(self):
         rng = np.random.default_rng(1)
         values = rng.normal(3.0, 2.0, 400)
-        source = self.make_source(values)
-        out, mean, std = normalize(source, "whole")
-        recovered = out.values * std + mean
+        out, mean, std = normalize(values, "whole")
+        recovered = out * std + mean
         assert np.allclose(recovered, values, rtol=1e-12, atol=1e-12)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValidationError, match="stats_from"):
-            normalize(self.make_source([1.0, 2.0]), "online")
+            normalize(np.array([1.0, 2.0]), "online")

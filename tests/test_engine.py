@@ -582,9 +582,9 @@ class TestOneForwardPass:
 @pytest.fixture(scope="module")
 def default_stream():
     """The default labeled stream, normalized on its warm segment."""
-    source, _, _ = normalize(generate(default_stream_spec(seed=0)).source(seed=0),
-                             "warm_segment")
-    return source.values
+    values, _ = generate(default_stream_spec(seed=0))
+    series, _, _ = normalize(values, "warm_segment")
+    return series
 
 
 def blanked(records, *fields):

@@ -1,5 +1,6 @@
 """Pool lifecycle tests: retrieval, splitting, elimination, LR warming."""
 
+import math
 from contextlib import suppress
 
 import numpy as np
@@ -156,6 +157,8 @@ class TestNearest:
         ((-1e300, 1e300, 5.0), -1e300, 0),
         ((-1.7e308, -1.6e308), 1.7e308, 0),  # both costs overflow to inf
         ((1.6e308, -1.7e308, -1.6e308), -1.7e308, 1),
+        ((1.0, -1.0), math.inf, 0),  # every cost is inf
+        ((-1.0, 1.0), -math.inf, 0),
     ])
     def test_ties_go_to_the_smallest_id(self, mus, query, expected):
         pool = make_pool()
@@ -165,6 +168,15 @@ class TestNearest:
         assert pool.nearest(query, 0.0).id == expected
         costs = distances(query, 0.0, pool.entries)
         assert costs.index(min(costs)) == expected
+
+    @pytest.mark.parametrize("score", RETRIEVAL_SCORES)
+    @pytest.mark.parametrize("mu, sigma", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_signature_raises_numeric_error(self, score, mu, sigma):
+        pool = make_pool(CepConfig(retrieval_score=score))
+        pin_gene(pool.entries[0], 0.0)
+        pool.evolve(pool.entries[0], 10.0, 0.0)
+        with pytest.raises(NumericError, match="non-finite"):
+            pool.nearest(mu, sigma)
 
     def test_scores_disagree_where_expected(self):
         # an offset same-width candidate wins on distance, but the

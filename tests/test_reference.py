@@ -25,7 +25,7 @@ def stream(levels, schedule, seg_len, noise, seed=0):
     """Concatenated sine-plus-noise segments, one per schedule entry."""
     concepts = tuple(ConceptSpec(level, 1.0, 12, noise) for level in levels)
     spec = SyntheticSpec(concepts, tuple((i, seg_len) for i in schedule), seed)
-    return generate(spec).values
+    return generate(spec)[0]
 
 
 def stable_lr(series, lookback, horizon, fraction):
