@@ -20,7 +20,6 @@ from .engine import (
     EngineConfig,
     RunResult,
     StepLog,
-    StepRecord,
     online_step,
     run,
     warm_up,
@@ -68,7 +67,6 @@ __all__ = [
     "SIGMA_FLOOR",
     "SizingError",
     "StepLog",
-    "StepRecord",
     "SyntheticSpec",
     "ValidationError",
     "absorb_instance",

@@ -11,6 +11,7 @@ for progress logging.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import logging
 import os
@@ -37,6 +38,7 @@ from .manifest import (
     NORMALIZE_MODES,
     RunManifest,
     build_bundle,
+    data_source,
     load_manifest,
     manifest_from_settings,
     parse_config_file,
@@ -100,11 +102,11 @@ def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
     """Run every manifest and report mean MSE deltas against the first one."""
     if len(manifests) < 2:
         raise ValidationError("compare needs at least 2 manifests")
-    head = manifests[0]
-    for i, m in enumerate(manifests[1:], start=2):
-        # MSEs over differently scaled series are not comparable, hence normalize
-        if (m.data, m.engine.lookback, m.engine.horizon, m.normalize) != (
-                head.data, head.engine.lookback, head.engine.horizon, head.normalize):
+    # MSEs over differently scaled series are not comparable, hence normalize
+    settings = [(data_source(m.data), m.engine.lookback, m.engine.horizon, m.normalize)
+                for m in manifests]
+    for i, setting in enumerate(settings[1:], start=2):
+        if setting != settings[0]:
             raise ValidationError(
                 f"manifest #{i} differs from the baseline in data/lookback/horizon/normalize"
             )
@@ -130,11 +132,12 @@ def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with atomic_open(out / "compare.csv") as fh:
-            fh.write("manifest,mean_mse,delta_pct\n")
+        with atomic_open(out / "compare.csv", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")  # quotes a name holding a comma
+            writer.writerow(["manifest", "mean_mse", "delta_pct"])
             for row in rows:
                 pct = "" if row["delta_pct"] is None else f"{row['delta_pct']:.2f}"
-                fh.write(f"{row['name']},{row['mean_mse']:.17g},{pct}\n")
+                writer.writerow([row["name"], f"{row['mean_mse']:.17g}", pct])
     return rows
 
 

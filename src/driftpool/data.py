@@ -71,12 +71,19 @@ class SyntheticSpec:
 
 
 def spec_from_dict(d: dict) -> SyntheticSpec:
-    """Parse the JSON form of a spec: concept objects, [index, duration] pairs, a seed."""
+    """Parse the JSON form of a spec: concept objects, [index, duration] pairs, a seed;
+    those ints must be ints, not floats or bools, and the only other key is kind."""
     try:
+        unknown = d.keys() - {"kind", "concepts", "schedule", "seed"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         concepts = tuple(ConceptSpec(**c) for c in d["concepts"])
-        schedule = tuple((int(i), int(n)) for i, n in d["schedule"])
-        seed = int(d.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        schedule = tuple((i, n) for i, n in d["schedule"])
+        seed = d.get("seed", 0)
+        for v in (seed, *(v for pair in schedule for v in pair)):
+            if type(v) is not int:
+                raise ValueError(f"seed, indices and durations must be ints, got {v!r}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad synthetic spec: {exc}") from exc
     return SyntheticSpec(concepts=concepts, schedule=schedule, seed=seed)
 

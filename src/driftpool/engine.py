@@ -7,13 +7,14 @@ ground-truth point is ever revealed before an earlier forecast of it
 resolves. Each online step retrieves or splits a pool entry, forecasts,
 scores, optionally trains (unless the ground truth itself signals a
 shift, in which case the gradient is abandoned), and prunes the pool;
-it appends what happened to a columnar ``StepLog``.
+it appends what happened to a columnar ``StepLog``. ``run`` returns that
+log and its mean MSE, and every other total of a run is read off the log.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,35 +86,17 @@ class EngineConfig:
         return self.cep.scope_s if self.cep.scope_s is not None else self.lookback
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """What happened on one online instance."""
-
-    t: int
-    selected_entry_id: int
-    mse: float
-    evolved: bool
-    evolved_from: int | None
-    abandoned: bool
-    eliminated_ids: tuple[int, ...]
-    pool_size: int
-    gene_mu: float
-    gene_sigma: float
-    forecast: tuple[float, ...] | None = None
-
-
 @dataclass
 class StepLog:
-    """The online steps as columns: one list per ``StepRecord`` field, in its order.
+    """The online steps as columns, one value per step in each list.
 
-    ``online_step`` appends one value to every column, so a step builds no
-    object of its own; ``records`` builds the ``StepRecord`` view on demand.
+    ``online_step`` appends to every column, so a step builds no object of its
+    own. A step split iff its ``evolved_from`` (the parent's id) is not None.
     """
 
     t: list[int] = field(default_factory=list)
     selected_entry_id: list[int] = field(default_factory=list)
     mse: list[float] = field(default_factory=list)
-    evolved: list[bool] = field(default_factory=list)
     evolved_from: list[int | None] = field(default_factory=list)
     abandoned: list[bool] = field(default_factory=list)
     eliminated_ids: list[tuple[int, ...]] = field(default_factory=list)
@@ -125,26 +108,13 @@ class StepLog:
     def __len__(self) -> int:
         return len(self.t)
 
-    def records(self) -> list[StepRecord]:
-        """One ``StepRecord`` per step, its fields zipped from the columns."""
-        return list(map(StepRecord, *(getattr(self, f.name) for f in fields(self))))
-
 
 @dataclass
 class RunResult:
-    """The online stage's step log plus run-level aggregates."""
+    """The online stage's step log and its mean MSE; every other total is read off the log."""
 
     log: StepLog
     mean_mse: float
-    final_pool_size: int
-    total_evolutions: int
-    total_eliminations: int
-    pool: Pool | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def records(self) -> list[StepRecord]:
-        """One ``StepRecord`` per online step, built from the log on each read."""
-        return self.log.records()
 
 
 def split_instances(series: np.ndarray, config: EngineConfig
@@ -267,7 +237,6 @@ def online_step(pool: Pool, online: InstanceSet, i: int, log: StepLog,
     log.t.append(t)
     log.selected_entry_id.append(current.id)
     log.mse.append(err)
-    log.evolved.append(evolved)
     log.evolved_from.append(near.id if evolved else None)
     log.abandoned.append(abandoned)
     log.eliminated_ids.append(tuple(removed))
@@ -296,11 +265,4 @@ def run(series: np.ndarray, config: EngineConfig, log_forecasts: bool = False) -
         mean_mse = float(np.mean(log.mse))
     if not np.isfinite(mean_mse):
         raise NumericError(f"non-finite mean mse over {len(log)} online steps")
-    return RunResult(
-        log=log,
-        mean_mse=mean_mse,
-        final_pool_size=len(pool),
-        total_evolutions=sum(log.evolved),
-        total_eliminations=sum(map(len, log.eliminated_ids)),
-        pool=pool,
-    )
+    return RunResult(log, mean_mse)

@@ -23,6 +23,7 @@ from typing import Any
 import numpy as np
 
 from .data import (
+    SyntheticSpec,
     atomic_open,
     generate,
     load_csv,
@@ -171,14 +172,21 @@ def load_manifest(path: str | Path) -> RunManifest:
     return RunManifest.from_dict(d)
 
 
+def data_source(data: dict) -> tuple[str, str, bool] | SyntheticSpec:
+    """The series a data object names, its defaults filled in: a CSV's
+    ``(path, column, has_header)`` or the parsed ``SyntheticSpec``."""
+    if data["kind"] == "csv":
+        return data["path"], data["column"], data.get("has_header", True)
+    return spec_from_dict(data)
+
+
 def resolve_series(manifest: RunManifest) -> tuple[np.ndarray, np.ndarray | None]:
     """The manifest's series, normalized as it says, and its labels (synthetic only)."""
-    data = manifest.data
-    if data["kind"] == "csv":
-        values = load_csv(data["path"], data["column"], data.get("has_header", True))
-        labels = None
+    source = data_source(manifest.data)
+    if isinstance(source, SyntheticSpec):
+        values, labels = generate(source)
     else:
-        values, labels = generate(spec_from_dict(data))
+        values, labels = load_csv(*source), None
     if manifest.normalize != "off":
         values, _, _ = normalize(values, manifest.normalize)
     return values, labels
@@ -250,32 +258,25 @@ def manifest_from_settings(settings: dict, out_dir: str | None = None) -> RunMan
 # --- results bundles --------------------------------------------------------
 
 def build_bundle(manifest: RunManifest, result: RunResult, n_points: int) -> dict:
+    """The results bundle of a run, every record, event and total read off its log.
+
+    A step split iff its ``evolved_from`` is not None; the log is never empty,
+    as ``split_instances`` refuses a series with no online instance.
+    """
     log = result.log
     created = [{"id": 0, "t": None, "parent": None}]  # the warm-up seed entry
-    created += [
-        {"id": eid, "t": t, "parent": parent}
-        for t, eid, parent, evolved in zip(log.t, log.selected_entry_id, log.evolved_from,
-                                           log.evolved) if evolved
-    ]
-    eliminated = [
-        {"id": eid, "t": t}
-        for t, ids in zip(log.t, log.eliminated_ids) for eid in ids
-    ]
+    created += [{"id": eid, "t": t, "parent": parent}
+                for t, eid, parent in zip(log.t, log.selected_entry_id, log.evolved_from)
+                if parent is not None]
+    eliminated = [{"id": eid, "t": t}
+                  for t, ids in zip(log.t, log.eliminated_ids) for eid in ids]
     records = []
-    for t, eid, err, evolved, abandoned, ids, size, mu, sigma, forecast in zip(
-            log.t, log.selected_entry_id, log.mse, log.evolved, log.abandoned,
+    for t, eid, err, parent, abandoned, ids, size, mu, sigma, forecast in zip(
+            log.t, log.selected_entry_id, log.mse, log.evolved_from, log.abandoned,
             log.eliminated_ids, log.pool_size, log.gene_mu, log.gene_sigma, log.forecast):
-        rec = {
-            "t": t,
-            "entry_id": eid,
-            "mse": err,
-            "evolved": evolved,
-            "abandoned": abandoned,
-            "eliminated_ids": list(ids),
-            "pool_size": size,
-            "gene_mu": mu,
-            "gene_sigma": sigma,
-        }
+        rec = {"t": t, "entry_id": eid, "mse": err, "evolved": parent is not None,
+               "abandoned": abandoned, "eliminated_ids": list(ids), "pool_size": size,
+               "gene_mu": mu, "gene_sigma": sigma}
         if forecast is not None:
             rec["forecast"] = list(forecast)
         records.append(rec)
@@ -287,9 +288,9 @@ def build_bundle(manifest: RunManifest, result: RunResult, n_points: int) -> dic
         "aggregate": {
             "mean_mse": result.mean_mse,
             "n_instances": len(log),
-            "final_pool_size": result.final_pool_size,
-            "total_evolutions": result.total_evolutions,
-            "total_eliminations": result.total_eliminations,
+            "final_pool_size": log.pool_size[-1],
+            "total_evolutions": len(created) - 1,
+            "total_eliminations": len(eliminated),
         },
         "events": {"created": created, "eliminated": eliminated},
         "records": records,

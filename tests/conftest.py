@@ -16,8 +16,9 @@ def abandoned_step():
     """Run a stream up to the one step whose x lies wholly in the old concept and
     whose y lies wholly in the new one, then take that step.
 
-    Returns the pool, the step's record and a snapshot of every entry taken just
-    before the step (`before[id]` is a copy of the entry's fields).
+    Returns the pool, the step as the last value of each log column and a snapshot
+    of every entry taken just before the step (`before[id]` is a copy of the entry's
+    fields).
     """
     lookback, horizon = 16, 8
     boundary = 400 + 5 * horizon + lookback  # aligns x fully before, y fully after
@@ -40,4 +41,5 @@ def abandoned_step():
         for e in pool.entries
     }
     online_step(pool, online, target, log)
-    return SimpleNamespace(pool=pool, record=log.records()[-1], before=before)
+    record = SimpleNamespace(**{name: column[-1] for name, column in vars(log).items()})
+    return SimpleNamespace(pool=pool, record=record, before=before)

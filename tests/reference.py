@@ -17,20 +17,20 @@ from ``train_step``'s own forward pass. This module does none of that:
   predictions is retired, with no exemption and no fallback.
 
 ``tests/test_reference.py`` requires ``engine.run`` to equal ``run`` here
-record for record, bit for bit. This module imports no function and no
+step for step, bit for bit. This module imports no function and no
 pool class from ``driftpool.engine`` or ``driftpool.pool``, only their
 config and result dataclasses. ``genes_of`` and ``set_genes`` read and
 write a library pool entry's signature floats in the same tuple form.
 """
 
 from collections import namedtuple
-from dataclasses import fields, replace
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from driftpool.data import warm_split_index
-from driftpool.engine import EngineConfig, RunResult, StepLog, StepRecord
+from driftpool.engine import EngineConfig, RunResult, StepLog
 from driftpool.errors import NumericError, SizingError
 from driftpool.forecasters import KINDS, make_forecaster, mse
 from driftpool.gene import (
@@ -125,7 +125,7 @@ def run(series, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
             seed.n_pred += 1
 
     # online: instances advance by the full horizon
-    records = []
+    log = StepLog()
     for t in range(warm_len, n - span + 1, horizon):
         x, y = series[t:t + lookback], series[t + lookback:t + span]
         z_x, z_y = Gene(*compute_gene(x, scope)), Gene(*compute_gene(y, scope))
@@ -167,28 +167,18 @@ def run(series, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
             removed += stale
 
         g = effective_gene(current.genes, cep)
-        records.append(StepRecord(
-            t=t,
-            selected_entry_id=current.id,
-            mse=err,
-            evolved=evolved,
-            evolved_from=near.id if evolved else None,
-            abandoned=abandoned,
-            eliminated_ids=tuple(removed),
-            pool_size=len(entries),
-            gene_mu=g.mu,
-            gene_sigma=g.sigma,
-            forecast=tuple(float(v) for v in forecast) if log_forecasts else None,
-        ))
+        log.t.append(t)
+        log.selected_entry_id.append(current.id)
+        log.mse.append(err)
+        log.evolved_from.append(near.id if evolved else None)
+        log.abandoned.append(abandoned)
+        log.eliminated_ids.append(tuple(removed))
+        log.pool_size.append(len(entries))
+        log.gene_mu.append(g.mu)
+        log.gene_sigma.append(g.sigma)
+        log.forecast.append(tuple(float(v) for v in forecast) if log_forecasts else None)
 
-    return RunResult(
-        log=StepLog(**{f.name: [getattr(r, f.name) for r in records]
-                       for f in fields(StepRecord)}),
-        mean_mse=float(np.mean([r.mse for r in records])),
-        final_pool_size=len(entries),
-        total_evolutions=sum(r.evolved for r in records),
-        total_eliminations=sum(len(r.eliminated_ids) for r in records),
-    )
+    return RunResult(log, float(np.mean(log.mse)))
 
 
 def run_bare(series, config: EngineConfig, log_forecasts: bool = False) -> RunResult:

@@ -160,7 +160,7 @@ def test_c05_three_sigma_evolution_behavior():
         quiet = 0
         for seed in range(20):
             series = np.random.default_rng(seed).normal(0.0, 1.0, 6800)
-            if run(series, config).total_evolutions == 0:
+            if set(run(series, config).log.evolved_from) == {None}:
                 quiet += 1
         assert quiet >= 19
 
@@ -170,10 +170,10 @@ def test_c05_three_sigma_evolution_behavior():
         series = np.concatenate(
             [np.full(seg, lvl) + rng.normal(0, 0.25, seg) for lvl in levels]
         )
-        result = run(series, config)
-        evolved_at = [r.t for r in result.records if r.evolved]
+        log = run(series, config).log
+        evolved_at = [t for t, parent in zip(log.t, log.evolved_from) if parent is not None]
         changes = [seg, 2 * seg, 3 * seg]  # first one is also the online start
-        assert result.total_evolutions == len(changes)
+        assert len(evolved_at) == len(changes)
         for boundary in changes:
             hits = [
                 t for t in evolved_at
@@ -191,12 +191,12 @@ def test_c06_recurrence_benefit(recurrence_runs):
         # first online A segment is [6000, 9000); steady state = pairs fully inside
         span = RECURRENCE_CONFIG.lookback + RECURRENCE_CONFIG.horizon
         def steady(res):
-            vals = [r.mse for r in res.records if 7500 <= r.t <= 9000 - span]
+            vals = [err for t, err in zip(res.log.t, res.log.mse) if 7500 <= t <= 9000 - span]
             return float(np.mean(vals))
 
         # second online onset of A is at 15000; spike = first 5 in-segment pairs
         def spike(res):
-            vals = [r.mse for r in res.records if r.t >= 15000][:5]
+            vals = [err for t, err in zip(res.log.t, res.log.mse) if t >= 15000][:5]
             return max(vals)
 
         assert spike(pooled) <= 2.0 * steady(pooled)
@@ -225,8 +225,8 @@ def test_c07_identification_purity(tmp_path):
         config = EngineConfig(lookback=60, horizon=30, forecaster="naive", warm_epochs=1)
         for seed in range(10):
             values, labels = normalized_default_stream(0.25, seed)
-            result = run(values, config)
-            records = [{"t": r.t, "entry_id": r.selected_entry_id} for r in result.records]
+            log = run(values, config).log
+            records = [{"t": t, "entry_id": eid} for t, eid in zip(log.t, log.selected_entry_id)]
             noisy = compute_purity(records, labels, 60, config.cep.tau_safe)
             assert noisy["purity"] >= 0.9
 
@@ -247,27 +247,24 @@ def test_c08_elimination_behavior():
         spec = SyntheticSpec(concepts=concepts, schedule=tuple(schedule), seed=0)
         values, _ = generate(spec)
         config = EngineConfig(lookback=16, horizon=8, forecaster="naive", warm_epochs=1)
-        result = run(values, config)
+        log = run(values, config).log
+        steps = list(zip(log.t, log.selected_entry_id))
 
         # the noise concept occupies the 8th segment; find who served it
         n_start, n_stop = 7 * seg, 8 * seg
-        in_segment = [
-            r for r in result.records
-            if n_start <= r.t and r.t + config.lookback <= n_stop
-        ]
-        served = {r.selected_entry_id for r in in_segment}
+        served = {eid for t, eid in steps if n_start <= t and t + config.lookback <= n_stop}
         assert len(served) == 1
         noise_id = served.pop()
 
-        last_selected = max(r.t for r in result.records if r.selected_entry_id == noise_id)
-        n_pred = sum(1 for r in result.records if r.selected_entry_id == noise_id)
+        last_selected = max(t for t, eid in steps if eid == noise_id)
+        n_pred = log.selected_entry_id.count(noise_id)
         eliminated_t = next(
-            r.t for r in result.records if noise_id in r.eliminated_ids
+            t for t, ids in zip(log.t, log.eliminated_ids) if noise_id in ids
         )
         idle_instances = (eliminated_t - last_selected) // config.horizon
         assert idle_instances <= config.cep.tau_e * n_pred + 1
 
-        assert result.final_pool_size == 3  # one entry per recurring concept
+        assert log.pool_size[-1] == 3  # one entry per recurring concept
 
 
 def test_c09_ablation_identity():
@@ -282,7 +279,7 @@ def test_c09_ablation_identity():
         )
         pooled = run(series, config)
         bare = run_bare(series, config)
-        assert pooled.records == bare.records
+        assert repr(pooled.log) == repr(bare.log)
         assert pooled.mean_mse == bare.mean_mse
         assert pooled == bare
 
@@ -292,7 +289,7 @@ def test_c10_gradient_abandonment(abandoned_step):
         pool, record, before = abandoned_step.pool, abandoned_step.record, abandoned_step.before
 
         assert record.abandoned
-        assert not record.evolved
+        assert record.evolved_from is None
         for entry in pool.entries:
             assert entry.forecaster.parameter_checksum() == before[entry.id].checksum
             assert genes_of(entry) == before[entry.id].genes

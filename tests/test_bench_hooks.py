@@ -8,6 +8,7 @@ nothing under perfbench/ is written.
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_traced_run_counts_warm_and_online_train_steps():
 
     steps = [parent(s) for s in spans if names[s[0]] == "forecasters.train_step"]
     warm, online = engine.split_instances(series, config)
-    trained = sum(not r.abandoned for r in result.records)
+    trained = result.log.abandoned.count(False)
     assert steps.count("engine.warm_up") == 2 * len(warm)
     assert steps.count("engine.online_step") == trained
     assert len(steps) == 2 * len(warm) + trained
@@ -127,3 +128,25 @@ def test_plain_mode_enters_warm_up_once_and_online_step_per_record(tmp_path, mon
     assert entered[:2] == ["run", "warm_up"]
     assert entered[2:] == ["online_step"] * len(records)
     assert records
+
+
+def test_trace_mode_reports_the_bundle_it_wrote(tmp_path, monkeypatch):
+    # trace mode reads each record's pool_size and entry_id, the created events
+    # and cep.tau_safe off the bundle; a change to the bundle's shape breaks it here
+    child = load_child()
+    levels = np.repeat([0.0, 10.0, 0.0, 20.0], 300)
+    write_column_csv(tmp_path / "in.csv", levels + np.sin(np.arange(1200) / 5.0), "v")
+    manifest = {"data": {"kind": "csv", "path": "in.csv", "column": "v"}, "lookback": 8,
+                "horizon": 4, "forecaster": "naive", "warm_epochs": 1}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", [*sys.path])  # main puts the source dir first
+    src = Path(cli.__file__).resolve().parents[1]
+    assert child.main([str(src), "out", "report.json", "trace"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    bundle = json.loads((tmp_path / "out" / "results.json").read_text())
+    assert report["pool_sizes"] == [r["pool_size"] for r in bundle["records"]]
+    assert report["entry_ids"] == [r["entry_id"] for r in bundle["records"]]
+    assert report["events_created"] == bundle["events"]["created"]
+    assert len(report["events_created"]) > 2  # the seed entry and at least two splits
+    assert report["tau_safe"] == bundle["manifest"]["cep"]["tau_safe"]

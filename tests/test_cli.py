@@ -1,5 +1,6 @@
 """CLI surface tests: manifests, bundles, comparisons, purity, exit codes."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -431,6 +432,31 @@ class TestCmdCompare:
             with pytest.raises(ValidationError, match="differs from the baseline"):
                 cmd_compare([a, b])
 
+    def test_same_series_compares_across_omitted_defaults(self, tmp_path, capsys):
+        # has_header defaults to true and a synthetic seed to 0; config_hash still
+        # tells each pair apart
+        from driftpool.data import write_column_csv
+
+        write_column_csv(tmp_path / "series.csv", np.sin(np.arange(400) / 3.0), "v")
+        csv_data = {"kind": "csv", "path": str(tmp_path / "series.csv"), "column": "v"}
+        synthetic = {k: v for k, v in synthetic_manifest().data.items() if k != "seed"}
+        for data, spelled in ((csv_data, {"has_header": True}), (synthetic, {"seed": 0})):
+            a, b = synthetic_manifest(data=data), synthetic_manifest(data={**data, **spelled})
+            assert a.config_hash() != b.config_hash()
+            assert cmd_compare([a, b])[1]["delta_pct"] == 0.0
+
+    def test_compare_csv_quotes_a_name_holding_a_comma(self, tmp_path, capsys):
+        names = ["base", "a,b", 'say "hi"']
+        rows = cmd_compare([synthetic_manifest()] * 3, names=names, out_dir=tmp_path)
+        with open(tmp_path / "compare.csv", newline="") as fh:
+            read = list(csv.reader(fh))
+        assert read[0] == ["manifest", "mean_mse", "delta_pct"]
+        assert [row[0] for row in read[1:]] == names
+        assert [float(row[1]) for row in read[1:]] == [row["mean_mse"] for row in rows]
+        text = (tmp_path / "compare.csv").read_text()
+        assert text.splitlines()[2].startswith('"a,b",')
+        assert "\r" not in text
+
     def test_zero_mse_baseline(self, tmp_path, capsys):
         from driftpool.data import write_column_csv
 
@@ -855,6 +881,23 @@ class TestMainExitCodes:
         bad.write_text(json.dumps({"concepts": [{"level": 0.0}], "schedule": [[0, 0]]}))
         rc = main(["generate", "--spec", str(bad), "--out", str(tmp_path / "o")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 1.5}, {"seed": True}, {"seed": "1"}, {"schedule": [[0, 400.9]]},
+        {"schedule": [[0, "400"]]}, {"extra_key": 1},
+    ], ids=["seed-float", "seed-bool", "seed-str", "duration-float", "duration-str",
+            "unknown-key"])
+    def test_synthetic_spec_is_not_truncated(self, tmp_path, capsys, change):
+        # truncated or ignored, each would run seed 1 over 400 points under its own hash
+        spec = {"concepts": [{"level": 0.0}], "schedule": [[0, 400]], "seed": 1, **change}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        manifest = {"data": {"kind": "synthetic", **spec}, "lookback": 8, "horizon": 4}
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        for argv in (["generate", "--spec", str(tmp_path / "spec.json")],
+                     ["run", "--manifest", str(tmp_path / "m.json")]):
+            assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith("error: bad synthetic spec: ")
+        assert not (tmp_path / "o").exists()
 
     def test_log_env_var_smoke(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DRIFTPOOL_LOG", "debug")

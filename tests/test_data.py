@@ -10,6 +10,7 @@ from driftpool.data import (
     generate,
     load_csv,
     normalize,
+    spec_from_dict,
     write_column_csv,
 )
 from driftpool.errors import ColumnNotFoundError, NumericError, RowParseError, ValidationError
@@ -136,6 +137,33 @@ class TestGenerate:
         # numpy's default_rng would raise a bare ValueError at generate()
         with pytest.raises(ValidationError, match="seed"):
             SyntheticSpec(concepts=(ConceptSpec(level=0.0),), schedule=((0, 10),), seed=-1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "1"), ("seed", None),
+        ("schedule", [[0, 400.9]]), ("schedule", [[0, "400"]]), ("schedule", [[0.0, 400]]),
+        ("schedule", [[False, 400]]),
+    ], ids=["seed-float", "seed-bool", "seed-str", "seed-null", "duration-float",
+            "duration-str", "index-float", "index-bool"])
+    def test_spec_ints_are_checked_not_truncated(self, key, value):
+        d = {"concepts": [{"level": 0.0}], "schedule": [[0, 400]], "seed": 1, key: value}
+        with pytest.raises(ValidationError, match="^bad synthetic spec: .* must be ints, got"):
+            spec_from_dict(d)
+
+    @pytest.mark.parametrize("d, message", [
+        ({"concepts": [{"level": 0.0}], "schedule": [[0, 400]], "extra_key": 1},
+         r"unknown keys \['extra_key'\]"),
+        ([], "'list' object has no attribute 'keys'"),
+    ], ids=["unknown-key", "not-an-object"])
+    def test_spec_has_only_its_keys(self, d, message):
+        with pytest.raises(ValidationError, match=f"^bad synthetic spec: {message}"):
+            spec_from_dict(d)
+
+    def test_spec_from_dict_keeps_its_ints(self):
+        d = {"kind": "synthetic", "concepts": [{"level": 0.0}], "schedule": [[0, 400]],
+             "seed": 1}
+        spec = spec_from_dict(d)
+        assert (spec.schedule, spec.seed) == (((0, 400),), 1)
+        assert spec_from_dict({k: d[k] for k in ("concepts", "schedule")}).seed == 0
 
     def test_default_spec_shape(self):
         spec = default_stream_spec()

@@ -1,7 +1,7 @@
 """Engine orchestration tests: splits, warm-up, online semantics, determinism."""
 
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +15,6 @@ from driftpool.engine import (
     EngineConfig,
     InstanceSet,
     StepLog,
-    StepRecord,
     online_step,
     run,
     split_instances,
@@ -31,6 +30,7 @@ from driftpool.forecasters import (
     mse,
 )
 from driftpool.gene import compute_gene
+from driftpool.manifest import RunManifest, build_bundle
 from driftpool.pool import CepConfig, Pool, absorb_instance
 from reference import Gene, genes_of, run_bare, set_genes
 
@@ -61,6 +61,11 @@ def no_instances():
 def shifted_series(levels, seg, sigma=0.25, seed=0):
     rng = np.random.default_rng(seed)
     return np.concatenate([np.full(seg, lvl) + rng.normal(0, sigma, seg) for lvl in levels])
+
+
+def split_times(log):
+    """The ``t`` of every step that split an entry."""
+    return [t for t, parent in zip(log.t, log.evolved_from) if parent is not None]
 
 
 class TestSplit:
@@ -343,23 +348,19 @@ class TestWarmUp:
 
 
 class TestOnlineStep:
-    def test_step_log_columns_follow_the_record_fields(self):
-        # StepLog.records zips the columns into StepRecord positionally
-        assert [f.name for f in fields(StepLog)] == [f.name for f in fields(StepRecord)]
-
     def test_stationary_stream_never_splits(self):
         rng = np.random.default_rng(0)
         series = rng.normal(0, 1, 3200)
         config = EngineConfig(lookback=20, horizon=8, forecaster="naive", warm_epochs=1)
-        result = run(series, config)
-        assert result.total_evolutions == 0
-        assert result.final_pool_size == 1
+        log = run(series, config).log
+        assert set(log.evolved_from) == {None}
+        assert set(log.pool_size) == {1}
 
     def test_step_change_triggers_one_split(self):
         series = shifted_series([0.0, 10.0], 800, seed=2)
         config = EngineConfig(lookback=20, horizon=10, forecaster="naive", warm_epochs=1)
         result = run(series, config)
-        evolved_at = [r.t for r in result.records if r.evolved]
+        evolved_at = split_times(result.log)
         # exactly one split, fired once the window reaches the new level
         assert len(evolved_at) == 1
         assert 800 - 20 <= evolved_at[0] <= 800 + 2 * 10
@@ -369,7 +370,7 @@ class TestOnlineStep:
         # the forecaster and the signature
         pool, record, before = abandoned_step.pool, abandoned_step.record, abandoned_step.before
         assert record.abandoned
-        assert not record.evolved
+        assert record.evolved_from is None
         assert {e.id for e in pool.entries} <= before.keys()
         for e in pool.entries:
             served = e.id == record.selected_entry_id
@@ -390,19 +391,19 @@ class TestOnlineStep:
             log = StepLog()
             for i in range(len(online)):
                 online_step(pool, online, i, log)
-            return pool, log.records()
+            return pool, log
 
-        _, records = stream(CepConfig())
-        assert any(r.evolved for r in records)
-        pool, records = stream(CepConfig(evolution=False, max_pool_size=1))
-        assert not any(r.evolved or r.eliminated_ids for r in records)
+        _, log = stream(CepConfig())
+        assert split_times(log)
+        pool, log = stream(CepConfig(evolution=False, max_pool_size=1))
+        assert not split_times(log) and not any(log.eliminated_ids)
         assert len(pool) == 1
 
     def test_records_are_time_ordered(self):
         series = shifted_series([0.0, 6.0, 0.0], 500, seed=3)
         config = EngineConfig(lookback=12, horizon=6, forecaster="naive", warm_epochs=1)
         result = run(series, config)
-        ts = [r.t for r in result.records]
+        ts = result.log.t
         assert ts == sorted(ts)
 
     def test_fifo_eviction_reported_in_record(self):
@@ -411,12 +412,14 @@ class TestOnlineStep:
         cep = CepConfig(max_pool_size=2)
         config = EngineConfig(lookback=16, horizon=8, forecaster="naive",
                               warm_epochs=1, cep=cep)
-        result = run(series, config)
-        evictions = [r for r in result.records if r.evolved and r.eliminated_ids]
+        log = run(series, config).log
+        evictions = [(eid, ids) for eid, parent, ids
+                     in zip(log.selected_entry_id, log.evolved_from, log.eliminated_ids)
+                     if parent is not None and ids]
         assert evictions, "expected at least one capped split"
-        for r in evictions:
-            assert all(eid < r.selected_entry_id for eid in r.eliminated_ids)
-        assert max(r.pool_size for r in result.records) <= 2
+        for eid, ids in evictions:
+            assert all(evicted < eid for evicted in ids)
+        assert max(log.pool_size) <= 2
 
     def test_divergent_training_raises_numeric_error(self):
         from driftpool.errors import NumericError
@@ -457,7 +460,7 @@ class TestRun:
         a = run(series, config)
         b = run(series, config)
         assert a == b
-        assert a.records == b.records
+        assert repr(a.log) == repr(b.log)
 
     def test_seed_changes_mlp_run(self):
         series = shifted_series([0.0, 5.0], 600, seed=6)
@@ -465,7 +468,7 @@ class TestRun:
                     lr_raw=1e-3, warm_epochs=1)
         a = run(series, EngineConfig(seed=1, **base))
         b = run(series, EngineConfig(seed=2, **base))
-        assert a.records != b.records
+        assert a.log != b.log
 
     def test_evolution_off_matches_bare_run(self):
         series = shifted_series([0.0, 4.0, 0.0], 500, seed=8)
@@ -474,14 +477,20 @@ class TestRun:
         assert run(series, config) == run_bare(series, config)
 
     def test_aggregate_matches_records(self):
-        series = shifted_series([0.0, 4.0], 500, seed=9)
+        series = shifted_series([0.0, 4.0, 0.0, 8.0], 500, seed=9)  # splits and retires
         config = EngineConfig(lookback=20, horizon=10, forecaster="naive", warm_epochs=1)
         result = run(series, config)
-        assert result.mean_mse == pytest.approx(
-            float(np.mean([r.mse for r in result.records]))
-        )
-        assert result.total_evolutions == sum(r.evolved for r in result.records)
-        assert result.total_eliminations == sum(len(r.eliminated_ids) for r in result.records)
+        assert result.mean_mse == pytest.approx(float(np.mean(result.log.mse)))
+        # the bundle reads its totals off the log
+        manifest = RunManifest({"kind": "csv", "path": "unread.csv", "column": "0"}, config)
+        bundle = build_bundle(manifest, result, len(series))
+        records, aggregate = bundle["records"], bundle["aggregate"]
+        assert aggregate["mean_mse"] == result.mean_mse
+        assert aggregate["n_instances"] == len(records) == len(result.log)
+        assert aggregate["total_evolutions"] == sum(r["evolved"] for r in records) > 0
+        assert aggregate["total_eliminations"] == sum(len(r["eliminated_ids"])
+                                                      for r in records) > 0
+        assert aggregate["final_pool_size"] == records[-1]["pool_size"]
 
     def test_logged_forecasts_reproduce_mse(self):
         series = shifted_series([0.0, 4.0], 500, seed=10)
@@ -489,15 +498,15 @@ class TestRun:
         result = run(series, config, log_forecasts=True)
         _, online = split_instances(series, config)
         truth = {t: y for t, _, y in pairs(online)}
-        for r in result.records:
-            recomputed = mse(np.array(r.forecast), truth[r.t])
-            assert recomputed == r.mse
+        log = result.log
+        for t, forecast, err in zip(log.t, log.forecast, log.mse):
+            assert mse(np.array(forecast), truth[t]) == err
 
     def test_forecasts_not_logged_by_default(self):
         series = shifted_series([0.0, 4.0], 500, seed=10)
         config = EngineConfig(lookback=20, horizon=10, forecaster="naive", warm_epochs=1)
         result = run(series, config)
-        assert all(r.forecast is None for r in result.records)
+        assert set(result.log.forecast) == {None}
 
     def test_final_gene_matches_batch_oracle_over_run(self):
         # single-entry run: its global gene must equal batch moments over the
@@ -507,8 +516,13 @@ class TestRun:
         config = EngineConfig(lookback=15, horizon=5, forecaster="naive",
                               warm_epochs=2, cep=CepConfig(evolution=False))
         warm, online = split_instances(series, config)
-        result = run(series, config)
-        entry = result.pool.entries[0]
+        pool = Pool(NaiveForecaster(15, 5), config.resolved_lr(), config.cep)
+        warm_up(pool, warm, config.warm_epochs)
+        log = StepLog()
+        for i in range(len(online)):
+            online_step(pool, online, i, log)
+        assert log == run(series, config).log
+        entry = pool.entries[0]
         means = [0.0]
         means += [float(x.mean()) for _, x, _ in pairs(warm)] * config.warm_epochs
         means += [float(x.mean()) for _, x, _ in pairs(online)]
@@ -520,17 +534,17 @@ class TestRun:
         series = shifted_series([0.0, 8.0, 0.0, 8.0], 600, sigma=0.25, seed=14)
         config = EngineConfig(lookback=20, horizon=10, forecaster="naive",
                               warm_epochs=1, cep=CepConfig(retrieval_score="mle"))
-        result = run(series, config)
+        log = run(series, config).log
+
+        def served(lo, hi):
+            return {eid for t, eid in zip(log.t, log.selected_entry_id) if lo <= t <= hi}
+
         # zeros recur to the warm specialist, eights to the first split child
-        first_high = {r.selected_entry_id for r in result.records if 610 <= r.t <= 1200 - 30}
-        last_zero = {r.selected_entry_id for r in result.records if 1200 <= r.t <= 1800 - 30}
-        last_high = {r.selected_entry_id for r in result.records if 1800 <= r.t <= 2400 - 30}
-        assert last_zero == {0}
-        assert last_high == first_high
+        assert served(1200, 1800 - 30) == {0}
+        assert served(1800, 2400 - 30) == served(610, 1200 - 30)
         # no split fires inside a pure recurring segment, only at boundaries
-        for r in result.records:
-            if r.evolved:
-                assert any(abs(r.t - b) <= config.lookback for b in (600, 1200, 1800))
+        for t in split_times(log):
+            assert any(abs(t - b) <= config.lookback for b in (600, 1200, 1800))
 
 
 def lifecycle_series():
@@ -551,10 +565,10 @@ class TestOneForwardPass:
         config = lifecycle_config(kind, abandonment)
         logged = run(series, config, log_forecasts=True)
         plain = run(series, config)
-        assert any(r.evolved for r in plain.records)
-        assert any(r.abandoned for r in plain.records) == abandonment
-        assert all(r.forecast is not None for r in logged.records)
-        assert [replace(r, forecast=None) for r in logged.records] == plain.records
+        assert split_times(plain.log)
+        assert any(plain.log.abandoned) == abandonment
+        assert None not in logged.log.forecast
+        assert replace(logged.log, forecast=plain.log.forecast) == plain.log
         assert logged.mean_mse == plain.mean_mse
 
     @pytest.mark.parametrize("kind", FORECASTER_KINDS)
@@ -570,12 +584,14 @@ class TestOneForwardPass:
             befores.append({e.id: e.forecaster.deep_clone() for e in pool.entries})
             online_step(pool, online, i, log)
         trained = 0
-        for r, before, (_, x, y) in zip(log.records(), befores, pairs(online)):
+        for eid, parent, abandoned, err, before, (_, x, y) in zip(
+                log.selected_entry_id, log.evolved_from, log.abandoned, log.mse, befores,
+                pairs(online)):
             # a split child starts as a clone of its parent's forecaster
-            clone = before[r.evolved_from if r.evolved else r.selected_entry_id]
-            if not r.abandoned:
+            clone = before[eid if parent is None else parent]
+            if not abandoned:
                 trained += 1
-                assert r.mse == mse(clone.predict(x), y)
+                assert err == mse(clone.predict(x), y)
         assert 0 < trained < len(online)
 
 
@@ -587,9 +603,9 @@ def default_stream():
     return series
 
 
-def blanked(records, *fields):
-    """The records with the named fields set to None."""
-    return [replace(r, **dict.fromkeys(fields)) for r in records]
+def blanked(log, *columns):
+    """The log with the named columns set to None."""
+    return replace(log, **dict.fromkeys(columns))
 
 
 @pytest.mark.parametrize("score", ["euclidean", "mle"])
@@ -603,11 +619,11 @@ class TestLifecycleMetamorphic:
 
     def test_lifecycle_is_the_same_for_every_forecaster(self, default_stream, score):
         base = run(default_stream, self.config(score, forecaster="naive"))
-        assert base.total_evolutions and base.total_eliminations
-        assert any(r.abandoned for r in base.records)
+        assert split_times(base.log) and any(base.log.eliminated_ids)
+        assert any(base.log.abandoned)
         for kind, lr in (("linear", 0.01), ("linear", 0.0005), ("mlp", None)):
             other = run(default_stream, self.config(score, forecaster=kind, lr_raw=lr))
-            assert blanked(other.records, "mse") == blanked(base.records, "mse"), (kind, lr)
+            assert blanked(other.log, "mse") == blanked(base.log, "mse"), (kind, lr)
             assert other.mean_mse != base.mean_mse
 
     @pytest.mark.parametrize("power", [10, -3])
@@ -616,10 +632,10 @@ class TestLifecycleMetamorphic:
         config, factor = self.config(score, forecaster="naive"), 2.0**power
         base = run(default_stream, config)
         scaled = run(default_stream * factor, config)
-        assert [(r.gene_mu, r.gene_sigma) for r in scaled.records] == [
-            (r.gene_mu * factor, r.gene_sigma * factor) for r in base.records]
-        scaled_fields = ("mse", "gene_mu", "gene_sigma")
-        assert blanked(scaled.records, *scaled_fields) == blanked(base.records, *scaled_fields)
+        assert scaled.log.gene_mu == [mu * factor for mu in base.log.gene_mu]
+        assert scaled.log.gene_sigma == [sigma * factor for sigma in base.log.gene_sigma]
+        scaled_columns = ("mse", "gene_mu", "gene_sigma")
+        assert blanked(scaled.log, *scaled_columns) == blanked(base.log, *scaled_columns)
 
 
 class TestInstances:
@@ -675,4 +691,4 @@ class TestInstances:
                                         warm_epochs=1))
         tail = run(series, EngineConfig(lookback=40, horizon=8, forecaster="naive",
                                         warm_epochs=1, cep=CepConfig(scope_s=5)))
-        assert full.records[0].gene_mu != tail.records[0].gene_mu
+        assert full.log.gene_mu[0] != tail.log.gene_mu[0]

@@ -102,15 +102,17 @@ def note_events(config, result):
     if isinstance(result, type):
         event(f"raised {result.__name__}")
         return
-    cap, size = config.cep.max_pool_size, 1
-    for r in result.records:
-        fifo = r.evolved and cap is not None and size + 1 > cap
-        kinds = {"split": r.evolved, "FIFO eviction": fifo, "abandonment": r.abandoned,
-                 "stale elimination": len(r.eliminated_ids) > fifo}
+    cap, size, log = config.cep.max_pool_size, 1, result.log
+    for parent, abandoned, ids, pool_size in zip(log.evolved_from, log.abandoned,
+                                                 log.eliminated_ids, log.pool_size):
+        split = parent is not None
+        fifo = split and cap is not None and size + 1 > cap
+        kinds = {"split": split, "FIFO eviction": fifo, "abandonment": abandoned,
+                 "stale elimination": len(ids) > fifo}
         for kind, happened in kinds.items():
             if happened:
                 event(kind)
-        size = r.pool_size
+        size = pool_size
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -144,14 +146,14 @@ def test_engine_run_equals_reference_run(case):
     note_events(config, expected)
     assert got == expected  # an error type on one side must be the same on the other
     if not isinstance(expected, type):
-        assert repr(got.records) == repr(expected.records)  # tells 0.0 from -0.0
+        assert repr(got.log) == repr(expected.log)  # tells 0.0 from -0.0
         assert repr(got.mean_mse) == repr(expected.mean_mse)
 
 
 def test_reference_imports_no_engine_or_pool_logic():
     """Only the logic-free config and result dataclasses come from engine and pool."""
     allowed = {
-        "driftpool.engine": {"EngineConfig", "StepLog", "StepRecord", "RunResult"},
+        "driftpool.engine": {"EngineConfig", "StepLog", "RunResult"},
         "driftpool.pool": {"CepConfig"},
         "driftpool.data": {"warm_split_index"},
         "driftpool.gene": None,  # any name
