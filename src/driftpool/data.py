@@ -80,7 +80,7 @@ def spec_from_dict(d: dict) -> SyntheticSpec:
         concepts = tuple(ConceptSpec(**c) for c in d["concepts"])
         schedule = tuple((i, n) for i, n in d["schedule"])
         seed = d.get("seed", 0)
-        for v in (seed, *(v for pair in schedule for v in pair)):
+        for v in (seed, *(n for pair in schedule for n in pair)):
             if type(v) is not int:
                 raise ValueError(f"seed, indices and durations must be ints, got {v!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -173,8 +173,7 @@ def load_manifest(path: str | Path) -> RunManifest:
 
 
 def data_source(data: dict) -> tuple[str, str, bool] | SyntheticSpec:
-    """The series a data object names, its defaults filled in: a CSV's
-    ``(path, column, has_header)`` or the parsed ``SyntheticSpec``."""
+    """What a data object loads, defaults filled in: ``(path, column, has_header)`` or a spec."""
     if data["kind"] == "csv":
         return data["path"], data["column"], data.get("has_header", True)
     return spec_from_dict(data)
@@ -258,18 +257,17 @@ def manifest_from_settings(settings: dict, out_dir: str | None = None) -> RunMan
 # --- results bundles --------------------------------------------------------
 
 def build_bundle(manifest: RunManifest, result: RunResult, n_points: int) -> dict:
-    """The results bundle of a run, every record, event and total read off its log.
-
-    A step split iff its ``evolved_from`` is not None; the log is never empty,
-    as ``split_instances`` refuses a series with no online instance.
-    """
+    """The results bundle of a run, read off its log; a step split iff its ``evolved_from``
+    is not None, and the log is never empty (``split_instances`` sees to that)."""
     log = result.log
     created = [{"id": 0, "t": None, "parent": None}]  # the warm-up seed entry
     created += [{"id": eid, "t": t, "parent": parent}
                 for t, eid, parent in zip(log.t, log.selected_entry_id, log.evolved_from)
                 if parent is not None]
-    eliminated = [{"id": eid, "t": t}
-                  for t, ids in zip(log.t, log.eliminated_ids) for eid in ids]
+    eliminated = [
+        {"id": eid, "t": t}
+        for t, ids in zip(log.t, log.eliminated_ids) for eid in ids
+    ]
     records = []
     for t, eid, err, parent, abandoned, ids, size, mu, sigma, forecast in zip(
             log.t, log.selected_entry_id, log.mse, log.evolved_from, log.abandoned,
