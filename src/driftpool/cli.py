@@ -25,6 +25,7 @@ from . import engine
 from .data import (
     SyntheticSpec,
     atomic_open,
+    csv_column_index,
     default_stream_spec,
     generate,
     load_csv,
@@ -97,14 +98,22 @@ def _run_command(args) -> int:
 
 # --- compare ------------------------------------------------------------------
 
+def _series_identity(source: tuple[str, str, bool] | SyntheticSpec):
+    """A CSV source as the file and column it reads, so two spellings of one compare equal."""
+    if isinstance(source, SyntheticSpec):
+        return source
+    path, column, has_header = source
+    return Path(path).resolve(), csv_column_index(path, column, has_header), has_header
+
+
 def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
                 out_dir: str | None = None) -> list[dict]:
     """Run every manifest and report mean MSE deltas against the first one."""
     if len(manifests) < 2:
         raise ValidationError("compare needs at least 2 manifests")
     # MSEs over differently scaled series are not comparable, hence normalize
-    settings = [(data_source(m.data), m.engine.lookback, m.engine.horizon, m.normalize)
-                for m in manifests]
+    settings = [(_series_identity(data_source(m.data)), m.engine.lookback, m.engine.horizon,
+                 m.normalize) for m in manifests]
     for i, setting in enumerate(settings[1:], start=2):
         if setting != settings[0]:
             raise ValidationError(

@@ -8,9 +8,11 @@ index of every point, so routing quality can be measured after a run.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 import os
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,11 +74,14 @@ class SyntheticSpec:
 
 def spec_from_dict(d: dict) -> SyntheticSpec:
     """Parse the JSON form of a spec: concept objects, [index, duration] pairs, a seed;
-    those ints must be ints, not floats or bools, and the only other key is kind."""
+    those ints must be ints, not floats or bools, and the only other key is kind,
+    which may be absent but otherwise reads "synthetic"."""
     try:
         unknown = d.keys() - {"kind", "concepts", "schedule", "seed"}
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
+        if d.get("kind", "synthetic") != "synthetic":
+            raise ValueError(f"kind must be 'synthetic', got {d['kind']!r}")
         concepts = tuple(ConceptSpec(**c) for c in d["concepts"])
         schedule = tuple((i, n) for i, n in d["schedule"])
         seed = d.get("seed", 0)
@@ -152,39 +157,106 @@ def atomic_open(path: str | Path, newline: str | None = None):
 def load_csv(path: str | Path, column: str, has_header: bool = True) -> np.ndarray:
     """One named (or zero-based indexed) column of a comma-separated file, as floats.
 
-    Every selected cell must parse as a finite number; the first bad row
-    aborts the load, naming the file and its 1-based line number.
+    The file is UTF-8 text, a single leading byte-order mark (U+FEFF) is
+    dropped, and cells follow Python's ``csv`` rules: quoting, CRLF or CR line
+    ends, blank lines skipped. Every selected cell must parse with ``float()``,
+    surrounding whitespace allowed, to a finite number; the first bad row
+    (a cell that does not parse, a short row, or a ``csv`` error such as a
+    cell over ``csv.field_size_limit()``) aborts the load, naming the file and
+    its 1-based row number.
     """
     path = Path(path)
+    text = _read_csv_text(path)
+    values = _plain_column(path, text, column, has_header)
+    return values if values is not None else _checked_column(path, text, column, has_header)
+
+
+def csv_column_index(path: str | Path, column: str, has_header: bool = True) -> int:
+    """The zero-based index of the column ``load_csv(path, column, has_header)`` reads."""
+    path = Path(path)
+    rows = _rows(path, _read_csv_text(path))
+    return _column_index(path, next(rows, (0, None))[1] if has_header else None, column,
+                         has_header)
+
+
+def _read_csv_text(path: Path) -> str:
     with open_text(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        return fh.read().removeprefix("\ufeff")  # Excel's "CSV UTF-8" starts with one
 
-    col_idx: int
-    start = 0
+
+def _rows(path: Path, text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based row number, cells) of each row of ``text``, read lazily by ``csv``."""
+    line_no = 0
+    try:
+        for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            yield line_no, row
+    except csv.Error as exc:
+        raise FileFormatError(f"{path}: row {line_no + 1}: {exc}") from None
+
+
+def _column_index(path: Path, header: list[str] | None, column: str, has_header: bool) -> int:
+    """Resolve ``column`` against a file's header row (None: the file is empty): a
+    header name first, then a zero-based index; a headerless file takes only an index."""
     if has_header:
-        if not rows:
+        if header is None:
             raise ColumnNotFoundError(f"{path}: file is empty, column {column!r} not found")
-        header = [h.strip() for h in rows[0]]
-        start = 1
+        header = [h.strip() for h in header]
         if column in header:
-            col_idx = header.index(column)
-        elif column.lstrip("-").isdigit() and 0 <= int(column) < len(header):
-            col_idx = int(column)
-        else:
-            raise ColumnNotFoundError(
-                f"{path}: column {column!r} not found; available: {header}"
-            )
-    else:
-        if not column.lstrip("-").isdigit():
-            raise ColumnNotFoundError(
-                f"{path}: headerless file needs a zero-based column index, got {column!r}"
-            )
-        col_idx = int(column)
-        if col_idx < 0:
-            raise ColumnNotFoundError(f"{path}: column index must be >= 0, got {col_idx}")
+            return header.index(column)
+        if column.lstrip("-").isdigit() and 0 <= int(column) < len(header):
+            return int(column)
+        raise ColumnNotFoundError(f"{path}: column {column!r} not found; available: {header}")
+    if not column.lstrip("-").isdigit():
+        raise ColumnNotFoundError(
+            f"{path}: headerless file needs a zero-based column index, got {column!r}"
+        )
+    col_idx = int(column)
+    if col_idx < 0:
+        raise ColumnNotFoundError(f"{path}: column index must be >= 0, got {col_idx}")
+    return col_idx
 
+
+def _plain_column(path: Path, text: str, column: str, has_header: bool) -> np.ndarray | None:
+    """The column parsed in bulk, or None, which hands the text to ``_checked_column``.
+
+    Only plain text is split here: text with a quote, a CR or a blank first line
+    splits otherwise under ``csv``'s rules. Any fault (an unknown column, a line
+    over the ``csv`` field limit, a blank or short row, a cell ``float()`` rejects
+    or reads as non-finite) also returns None, so that the checked loop reports it.
+    """
+    if not text or text[0] == "\n" or '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final line end
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    try:
+        col_idx = _column_index(path, lines[0].split(","), column, has_header)
+    except ColumnNotFoundError:
+        return None
+    cells = lines[has_header:]
+    if "," in text:
+        try:
+            cells = [line.split(",")[col_idx] for line in cells]
+        except IndexError:
+            return None
+    elif col_idx != 0:
+        return None
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _checked_column(path: Path, text: str, column: str, has_header: bool) -> np.ndarray:
+    rows = _rows(path, text)
+    col_idx = _column_index(path, next(rows, (0, None))[1] if has_header else None, column,
+                            has_header)
     values: list[float] = []
-    for line_no, row in enumerate(rows[start:], start=start + 1):
+    for line_no, row in rows:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line, typically a trailing newline
         if col_idx >= len(row):
@@ -199,7 +271,6 @@ def load_csv(path: str | Path, column: str, has_header: bool = True) -> np.ndarr
         if not math.isfinite(v):
             raise RowParseError(f"{path}: row {line_no}: non-finite value {cell!r}")
         values.append(v)
-
     return np.asarray(values)
 
 

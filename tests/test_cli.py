@@ -445,6 +445,21 @@ class TestCmdCompare:
             assert a.config_hash() != b.config_hash()
             assert cmd_compare([a, b])[1]["delta_pct"] == 0.0
 
+    def test_same_csv_compares_across_spellings(self, tmp_path, monkeypatch, capsys):
+        # a column by name or by index, a path relative or absolute: one series
+        values = np.sin(np.arange(400) / 3.0).tolist()
+        (tmp_path / "s.csv").write_text(
+            "v,w\n" + "".join(f"{v!r},{-v!r}\n" for v in values))
+        monkeypatch.chdir(tmp_path)
+        base = {"kind": "csv", "path": "s.csv", "column": "v"}
+        for spelled in ({"column": "0"}, {"path": str(tmp_path / "s.csv")}):
+            a, b = synthetic_manifest(data=base), synthetic_manifest(data={**base, **spelled})
+            assert cmd_compare([a, b])[1]["delta_pct"] == 0.0
+        for other in ({"column": "w"}, {"column": "1"}):
+            b = synthetic_manifest(data={**base, **other})
+            with pytest.raises(ValidationError, match="differs from the baseline"):
+                cmd_compare([synthetic_manifest(data=base), b])
+
     def test_compare_csv_quotes_a_name_holding_a_comma(self, tmp_path, capsys):
         names = ["base", "a,b", 'say "hi"']
         rows = cmd_compare([synthetic_manifest()] * 3, names=names, out_dir=tmp_path)
@@ -834,6 +849,17 @@ class TestMainExitCodes:
         assert main([str(paths.get(a, a)) for a in argv]) == EXIT_IO
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 'bad'}: row 3: cannot parse 'abc' as a number\n"
+
+    @pytest.mark.parametrize("cell", ["1" * 200_000, '"' + "1" * 200_000 + '"'],
+                             ids=["plain", "quoted"])
+    def test_over_long_cell_prints_only_its_error_line(self, tmp_path, cell):
+        (tmp_path / "in.csv").write_text(f"value\n{cell}\n2\n")
+        proc = run_cli_process("run", "--data", tmp_path / "in.csv", "--column", "value",
+                               "--lookback", "8", "--horizon", "4", "--out", tmp_path / "out")
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == (f"error: {tmp_path / 'in.csv'}: row 2: "
+                               f"field larger than field limit ({csv.field_size_limit()})\n")
+        assert not (tmp_path / "out" / "results.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["run", "--forecaster", "mlp", "--hidden", "-1"],

@@ -1,8 +1,15 @@
 """Ingestion, synthetic generation, and normalization tests."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from driftpool import data
 from driftpool.data import (
     ConceptSpec,
     SyntheticSpec,
@@ -13,7 +20,70 @@ from driftpool.data import (
     spec_from_dict,
     write_column_csv,
 )
-from driftpool.errors import ColumnNotFoundError, NumericError, RowParseError, ValidationError
+from driftpool.errors import (
+    ColumnNotFoundError,
+    DriftpoolError,
+    NumericError,
+    RowParseError,
+    ValidationError,
+)
+
+
+def load_checked(path, column, has_header=True):
+    """``load_csv`` through the checked loop alone, the bulk parse left out."""
+    path = Path(path)
+    return data._checked_column(path, data._read_csv_text(path), column, has_header)
+
+
+def outcome(load, *args):
+    """What a load gives: the array's dtype, shape and bytes, or the error's type and text."""
+    try:
+        values = load(*args)
+    except DriftpoolError as exc:
+        return type(exc), str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
+# Cells around the edges of float(): Unicode whitespace (U+001C passes str.strip
+# but not float), underscores, overflow, non-finite words, text, an embedded
+# comma or quote, and a finite number longer than the test's field limit of 40.
+SPACES = ["", " ", "\t", "\u00a0", "\u2003", "\u3000", "\x1c"]
+ODD_CELLS = ["1_000", "1__0", "1e999", "-1e999", "nan", "inf", "-Infinity", "abc", "", "  ",
+             "1,5", 'say "hi"', "0x10", "0" * 45 + "1"]
+
+
+@st.composite
+def csv_files(draw):
+    """(text, column, has_header) as a spreadsheet, a script or a hand could have
+    written it: mostly finite numbers in rows as wide as the header, so that many
+    texts load."""
+    has_header = draw(st.booleans())
+    quoting = draw(st.sampled_from([False, False, True]))
+    ending = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.integers(-10**20, 10**20).map(str))
+    padded = st.builds(lambda a, n, b: a + n + b,
+                       st.sampled_from(SPACES), number, st.sampled_from(SPACES))
+    odd = st.sampled_from(ODD_CELLS) if draw(st.booleans()) else number
+    cell = st.one_of(*[number] * 4, padded, odd)
+
+    def render(c):
+        quote = quoting and draw(st.booleans())
+        return '"' + c.replace('"', '""') + '"' if quote else c
+
+    width = draw(st.integers(1, 3))
+    header = draw(st.lists(st.sampled_from(["v", "a", " v ", "", "0", "1"]),
+                           min_size=width, max_size=width))
+    row = st.one_of(*[st.lists(cell, min_size=width, max_size=width)] * 3,
+                    st.lists(cell, max_size=3))
+    with_header_row = has_header if draw(st.integers(0, 3)) else not has_header
+    rows = ([header] if with_header_row else []) + draw(st.lists(row, max_size=8))
+    lines = [",".join(render(c) for c in r) for r in rows]
+    text = ending.join(lines) + (ending if draw(st.booleans()) else "")
+    text = ("\ufeff" if draw(st.booleans()) else "") + text
+    column = draw(st.one_of(st.sampled_from(header).map(str.strip),
+                            st.sampled_from(["0", "1", "2", "-1", "x"])))
+    return text, column, has_header
 
 
 class TestLoadCsv:
@@ -78,6 +148,46 @@ class TestLoadCsv:
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(RowParseError, match="row 3"):
             load_csv(path, "b")
+
+    @pytest.mark.parametrize("body", ["value\n1\n2\n", '"value"\n"1"\n2\n'],
+                             ids=["plain", "quoted"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, body):
+        path = tmp_path / "excel.csv"
+        path.write_text("\ufeff" + body, encoding="utf-8")
+        assert np.array_equal(load_csv(path, "value"), [1.0, 2.0])
+
+    @pytest.mark.parametrize("text, column, has_header", [
+        ("value\n1.5\n-2\n 3 \n1_000\n\u20034e-3\u2003\n1e308\n", "value", True),
+        ("a,b\n1,2\n3,4,5\n", "b", True),
+        ("7\n8", "0", False),
+        ("value\n", "value", True),
+    ], ids=["one-column", "wide-row", "headerless-no-final-newline", "header-only"])
+    def test_plain_text_is_parsed_in_bulk(self, tmp_path, text, column, has_header):
+        path = tmp_path / "plain.csv"
+        path.write_text(text, encoding="utf-8")
+        bulk = data._plain_column(path, data._read_csv_text(path), column, has_header)
+        assert bulk is not None
+        assert outcome(lambda: bulk) == outcome(load_checked, path, column, has_header)
+
+    @settings(max_examples=500, deadline=None)
+    @given(csv_files())
+    @example(("v\n" + "1" * 41 + "\n2\n", "v", True))
+    @example(('v\n"' + "1" * 41 + '"\n2\n', "v", True))
+    @example(("v\n0.5\n\n \n2\n", "v", True))
+    @example(("v\r\n1\r2\n", "0", True))
+    @example(('a,b,c\n"x,y",2,3\n', "c", True))  # a quoted comma shifts the split
+    @example(("\n1\n", "", True))  # csv reads a blank first line as no cells, not one
+    def test_load_matches_the_checked_loop(self, file):
+        text, column, has_header = file
+        limit = csv.field_size_limit(40)
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "in.csv"
+                path.write_text(text, encoding="utf-8", newline="")
+                assert (outcome(load_csv, path, column, has_header)
+                        == outcome(load_checked, path, column, has_header))
+        finally:
+            csv.field_size_limit(limit)
 
 
 class TestGenerate:
@@ -153,7 +263,9 @@ class TestGenerate:
         ({"concepts": [{"level": 0.0}], "schedule": [[0, 400]], "extra_key": 1},
          r"unknown keys \['extra_key'\]"),
         ([], "'list' object has no attribute 'keys'"),
-    ], ids=["unknown-key", "not-an-object"])
+        ({"kind": "csv", "concepts": [{"level": 0.0}], "schedule": [[0, 10]]},
+         "kind must be 'synthetic', got 'csv'"),
+    ], ids=["unknown-key", "not-an-object", "other-kind"])
     def test_spec_has_only_its_keys(self, d, message):
         with pytest.raises(ValidationError, match=f"^bad synthetic spec: {message}"):
             spec_from_dict(d)
