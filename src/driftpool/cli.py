@@ -2,8 +2,8 @@
 
 Configuration precedence is defaults < config file (`key = value`
 lines, # comments) < explicit CLI flags. A run can also be driven by a
-saved JSON manifest, which pins every input and reproduces its results
-bit for bit. Exit codes: 0 success, 2 validation problems, 3 runtime
+saved JSON manifest, which pins every input, so it takes neither, and
+reproduces its results bit for bit. Exit codes: 0 success, 2 validation problems, 3 runtime
 failures, 4 file or data-format problems. Set DRIFTPOOL_LOG=debug|info
 for progress logging.
 """
@@ -25,7 +25,6 @@ from . import engine
 from .data import (
     SyntheticSpec,
     atomic_open,
-    csv_column_index,
     default_stream_spec,
     generate,
     load_csv,
@@ -39,7 +38,6 @@ from .manifest import (
     NORMALIZE_MODES,
     RunManifest,
     build_bundle,
-    data_source,
     load_manifest,
     manifest_from_settings,
     parse_config_file,
@@ -91,39 +89,40 @@ def _manifest_from_args(args) -> RunManifest:
 
 
 def _run_command(args) -> int:
-    manifest = load_manifest(args.manifest) if args.manifest else _manifest_from_args(args)
+    if args.manifest:
+        given = [flag for dest, flag in args.setting_flags.items()
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ValidationError(f"--manifest pins every setting; drop {', '.join(given)}")
+        manifest = load_manifest(args.manifest)
+    else:
+        manifest = _manifest_from_args(args)
     cmd_run(manifest, out_dir=args.out, log_forecasts=args.log_forecasts)
     return EXIT_OK
 
 
 # --- compare ------------------------------------------------------------------
 
-def _series_identity(source: tuple[str, str, bool] | SyntheticSpec):
-    """A CSV source as the file and column it reads, so two spellings of one compare equal."""
-    if isinstance(source, SyntheticSpec):
-        return source
-    path, column, has_header = source
-    return Path(path).resolve(), csv_column_index(path, column, has_header), has_header
-
-
 def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
                 out_dir: str | None = None) -> list[dict]:
     """Run every manifest and report mean MSE deltas against the first one."""
     if len(manifests) < 2:
         raise ValidationError("compare needs at least 2 manifests")
-    # MSEs over differently scaled series are not comparable, hence normalize
-    settings = [(_series_identity(data_source(m.data)), m.engine.lookback, m.engine.horizon,
-                 m.normalize) for m in manifests]
-    for i, setting in enumerate(settings[1:], start=2):
-        if setting != settings[0]:
+    # MSEs are comparable only over one series, scaled alike and cut into the same windows
+    first = manifests[0].engine
+    series = []
+    for i, m in enumerate(manifests, start=1):
+        values, _ = resolve_series(m)
+        if series and not (m.engine.lookback == first.lookback
+                           and m.engine.horizon == first.horizon
+                           and np.array_equal(values, series[0])):
             raise ValidationError(
-                f"manifest #{i} differs from the baseline in data/lookback/horizon/normalize"
-            )
+                f"manifest #{i} differs from the baseline in series/lookback/horizon")
+        series.append(values)
     names = names if names is not None else [f"manifest{i}" for i in range(len(manifests))]
     rows = []
-    for name, m in zip(names, manifests):
-        series, _ = resolve_series(m)
-        result = engine.run(series, m.engine)
+    for name, m, values in zip(names, manifests, series):
+        result = engine.run(values, m.engine)
         rows.append({"name": name, "mean_mse": result.mean_mse})
     base = rows[0]["mean_mse"]
     for row in rows:  # no relative delta exists against a zero-error baseline
@@ -153,8 +152,8 @@ def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
 def _compare_command(args) -> int:
     manifests = [load_manifest(p) for p in args.manifests]
     names = [Path(p).stem for p in args.manifests]
-    if len(set(names)) != len(names):  # disambiguate colliding file stems
-        names = ["/".join(Path(p).parts[-2:]) for p in args.manifests]
+    if len(set(names)) != len(names):  # colliding file stems: name each row by its path
+        names = list(args.manifests)
     cmd_compare(manifests, names=names, out_dir=args.out)
     return EXIT_OK
 
@@ -352,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retrieval score")
     p_run.add_argument("--log-forecasts", action="store_true",
                        help="store full forecasts in the bundle")
-    p_run.set_defaults(func=_run_command)
+    # --manifest pins every setting, so each flag that sets one is refused beside it
+    p_run.set_defaults(func=_run_command, setting_flags={
+        a.dest: a.option_strings[0] for a in p_run._actions
+        if a.dest in CONFIG_TYPES or a.dest == "config"})
 
     p_cmp = sub.add_parser("compare", help="run several manifests and tabulate deltas")
     p_cmp.add_argument("manifests", nargs="+", help="manifest JSON files (first = baseline)")

@@ -171,14 +171,6 @@ def load_csv(path: str | Path, column: str, has_header: bool = True) -> np.ndarr
     return values if values is not None else _checked_column(path, text, column, has_header)
 
 
-def csv_column_index(path: str | Path, column: str, has_header: bool = True) -> int:
-    """The zero-based index of the column ``load_csv(path, column, has_header)`` reads."""
-    path = Path(path)
-    rows = _rows(path, _read_csv_text(path))
-    return _column_index(path, next(rows, (0, None))[1] if has_header else None, column,
-                         has_header)
-
-
 def _read_csv_text(path: Path) -> str:
     with open_text(path, newline="") as fh:
         return fh.read().removeprefix("\ufeff")  # Excel's "CSV UTF-8" starts with one

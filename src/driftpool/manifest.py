@@ -23,7 +23,6 @@ from typing import Any
 import numpy as np
 
 from .data import (
-    SyntheticSpec,
     atomic_open,
     generate,
     load_csv,
@@ -172,20 +171,13 @@ def load_manifest(path: str | Path) -> RunManifest:
     return RunManifest.from_dict(d)
 
 
-def data_source(data: dict) -> tuple[str, str, bool] | SyntheticSpec:
-    """What a data object loads, defaults filled in: ``(path, column, has_header)`` or a spec."""
-    if data["kind"] == "csv":
-        return data["path"], data["column"], data.get("has_header", True)
-    return spec_from_dict(data)
-
-
 def resolve_series(manifest: RunManifest) -> tuple[np.ndarray, np.ndarray | None]:
     """The manifest's series, normalized as it says, and its labels (synthetic only)."""
-    source = data_source(manifest.data)
-    if isinstance(source, SyntheticSpec):
-        values, labels = generate(source)
+    data = manifest.data
+    if data["kind"] == "csv":
+        values, labels = load_csv(data["path"], data["column"], data.get("has_header", True)), None
     else:
-        values, labels = load_csv(*source), None
+        values, labels = generate(spec_from_dict(data))
     if manifest.normalize != "off":
         values, _, _ = normalize(values, manifest.normalize)
     return values, labels

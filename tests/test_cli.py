@@ -460,6 +460,35 @@ class TestCmdCompare:
             with pytest.raises(ValidationError, match="differs from the baseline"):
                 cmd_compare([synthetic_manifest(data=base), b])
 
+    def test_csv_written_by_generate_compares_equal_to_its_spec(self, tmp_path, capsys):
+        # one series, generated from the spec or read back from the file it wrote
+        spec = synthetic_manifest().data
+        cmd_generate(spec_from_dict(spec), tmp_path)
+        csv_data = {"kind": "csv", "path": str(tmp_path / "values.csv"), "column": "value"}
+        for normalize in ("off", "warm_segment"):
+            a, b = (dataclasses.replace(synthetic_manifest(data=data), normalize=normalize)
+                    for data in (spec, csv_data))
+            assert cmd_compare([a, b])[1]["delta_pct"] == 0.0
+        other_seed = synthetic_manifest(data={**spec, "seed": 4})
+        with pytest.raises(ValidationError, match="manifest #2 differs from the baseline"):
+            cmd_compare([synthetic_manifest(data=csv_data), other_seed])
+
+    def test_other_horizon_rejected(self):
+        # one series cut into other windows
+        with pytest.raises(ValidationError, match="manifest #2 differs from the baseline"):
+            cmd_compare([synthetic_manifest(), synthetic_manifest(horizon=4)])
+
+    def test_colliding_names_fall_back_to_the_paths_as_given(self, tmp_path, capsys):
+        paths = [str(tmp_path / top / "x" / "m.json") for top in ("a", "b")]
+        for path in paths:
+            Path(path).parent.mkdir(parents=True)
+            save_manifest(synthetic_manifest(), path)
+        assert main(["compare", *paths, "--out", str(tmp_path / "cmp")]) == EXIT_OK
+        table = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[0] for line in table] == paths
+        with open(tmp_path / "cmp" / "compare.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)][1:] == paths
+
     def test_compare_csv_quotes_a_name_holding_a_comma(self, tmp_path, capsys):
         names = ["base", "a,b", 'say "hi"']
         rows = cmd_compare([synthetic_manifest()] * 3, names=names, out_dir=tmp_path)
@@ -595,6 +624,25 @@ class TestMainExitCodes:
         manifest = synthetic_manifest()
         save_manifest(manifest, tmp_path / "m.json")
         assert main(["run", "--manifest", str(tmp_path / "m.json")]) == EXIT_OK
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--lookback", "20"], ["--lookback"]),
+        (["--no-evolution"], ["--no-evolution"]),
+        (["--config", "missing.cfg"], ["--config"]),
+        (["--lookback", "20", "--forecaster", "linear", "--no-evolution", "--config",
+          "missing.cfg"], ["--lookback", "--forecaster", "--config", "--no-evolution"]),
+    ], ids=["typed", "store-false", "config", "several"])
+    def test_manifest_excludes_every_setting_flag(self, tmp_path, capsys, extra, named):
+        save_manifest(synthetic_manifest(), tmp_path / "m.json")
+        out = tmp_path / "out"
+        rc = main(["run", "--manifest", str(tmp_path / "m.json"), *extra, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: --manifest pins every setting")
+        assert re.findall(r"--[a-z-]+", line.split(";")[1]) == named
+        assert not (out / "results.json").exists()
 
     def test_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

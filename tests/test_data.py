@@ -1,6 +1,7 @@
 """Ingestion, synthetic generation, and normalization tests."""
 
 import csv
+import re
 import tempfile
 from pathlib import Path
 
@@ -155,6 +156,17 @@ class TestLoadCsv:
         path = tmp_path / "excel.csv"
         path.write_text("\ufeff" + body, encoding="utf-8")
         assert np.array_equal(load_csv(path, "value"), [1.0, 2.0])
+
+    @pytest.mark.parametrize("body", ["value\n1\n2\n", 'value\n"1"\n2\n'],
+                             ids=["plain", "quoted"])
+    def test_only_one_byte_order_mark_is_dropped(self, tmp_path, body):
+        # a second mark is text, part of the header name
+        path = tmp_path / "twice.csv"
+        path.write_text("\ufeff\ufeff" + body, encoding="utf-8")
+        available = "available: " + repr(["\ufeffvalue"])
+        with pytest.raises(ColumnNotFoundError, match=re.escape(available)):
+            load_csv(path, "value")
+        assert np.array_equal(load_csv(path, "\ufeffvalue"), [1.0, 2.0])
 
     @pytest.mark.parametrize("text, column, has_header", [
         ("value\n1.5\n-2\n 3 \n1_000\n\u20034e-3\u2003\n1e308\n", "value", True),

@@ -1,14 +1,21 @@
 """The README's library examples run as written, against the package's exports.
 
 Every ```python block of README.md is executed in order in one namespace,
-so a later block can use what an earlier one built.
+so a later block can use what an earlier one built. The CLI surface is held
+to the parser both ways: every flag is documented, and every documented
+``driftpool`` command line parses.
 """
 
+import argparse
 import ast
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import driftpool
+from driftpool.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +38,35 @@ def test_all_is_every_name_the_package_imports():
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(driftpool.__all__) == sorted(imported)
+
+
+def subcommands():
+    [action] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(subcommands()))
+def test_every_flag_is_documented(command):
+    text = README.read_text(encoding="utf-8")
+    flags = [flag for action in subcommands()[command]._actions
+             for flag in action.option_strings if flag.startswith("--") and flag != "--help"]
+    assert flags
+    missing = [flag for flag in flags
+               if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)]
+    assert not missing, f"{command} flags missing from README.md: {missing}"
+
+
+def shell_lines(text):
+    """Each ``driftpool`` line of README's plain fenced blocks, continuations joined."""
+    blocks = [body for info, body in re.findall(r"^```(\w*)\n(.*?)^```$", text, flags=re.M | re.S)
+              if not info]
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line.startswith("driftpool ")]
+
+
+def test_every_documented_command_line_parses():
+    lines = shell_lines(README.read_text(encoding="utf-8"))
+    assert len(lines) >= 4
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
