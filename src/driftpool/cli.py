@@ -184,13 +184,14 @@ def cmd_generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
 
 def _generate_command(args) -> int:
     if args.spec:
+        if args.noise is not None:
+            raise ValidationError("--noise sets the built-in stream's noise; drop it beside --spec")
         spec = spec_from_dict(read_json(args.spec))
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
-    else:
-        spec = default_stream_spec(
-            noise_sigma=args.noise, seed=args.seed if args.seed is not None else 0
-        )
+    else:  # an unset flag keeps the built-in default
+        given = {"noise_sigma": args.noise, "seed": args.seed}
+        spec = default_stream_spec(**{k: v for k, v in given.items() if v is not None})
     cmd_generate(spec, args.out)
     return EXIT_OK
 
@@ -198,7 +199,7 @@ def _generate_command(args) -> int:
 # --- purity -------------------------------------------------------------------
 
 def instance_label(labels: np.ndarray, t: int, lookback: int) -> int | None:
-    """Strict-majority concept of the input window; None when tied (no majority)."""
+    """Most common label of the input window; None when another label is as common."""
     window = labels[t:t + lookback]
     counts = Counter(window.tolist())
     top = counts.most_common(2)
@@ -209,11 +210,12 @@ def instance_label(labels: np.ndarray, t: int, lookback: int) -> int | None:
 
 def compute_purity(records: list[dict], labels: np.ndarray, lookback: int,
                    tau_safe: int, skip_safety: bool = False) -> dict:
-    """Fraction of instances routed to an entry whose majority concept matches.
+    """Fraction of counted instances routed to an entry whose concept is theirs.
 
-    Instances whose input window is split evenly between concepts have no
-    majority label and are left out of the calculation. With skip_safety,
-    each entry's first tau_safe served instances are also left out.
+    A window's label is its most common label, and the window is counted only
+    when no other label is as common. An entry's concept is its most common
+    label, the smallest on a tie. With skip_safety, each entry's first
+    tau_safe served instances are also left out.
     """
     if not records:
         raise ValidationError("no records to score")
@@ -222,46 +224,33 @@ def compute_purity(records: list[dict], labels: np.ndarray, lookback: int,
         raise ValidationError(
             f"length mismatch: records need {needed} label points, got {len(labels)}"
         )
-    counted: list[tuple[int, int]] = []  # (entry_id, label)
     n_ties = 0
     n_safety = 0
     serves: dict[int, int] = defaultdict(int)
+    per_entry: dict[int, Counter] = defaultdict(Counter)
     for rec in sorted(records, key=lambda r: r["t"]):
         entry = rec["entry_id"]
         serves[entry] += 1
         if skip_safety and serves[entry] <= tau_safe:
             n_safety += 1
-            continue
-        label = instance_label(labels, rec["t"], lookback)
-        if label is None:
+        elif (label := instance_label(labels, rec["t"], lookback)) is None:
             n_ties += 1
-            continue
-        counted.append((entry, label))
-    if not counted:
+        else:
+            per_entry[entry][label] += 1
+    if not per_entry:
         raise ValidationError("no instances with an unambiguous concept label")
 
-    per_entry: dict[int, Counter] = defaultdict(Counter)
-    for entry, label in counted:
-        per_entry[entry][label] += 1
-    majority = {
-        entry: min(c.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        for entry, c in per_entry.items()
-    }
-    matches = sum(1 for entry, label in counted if majority[entry] == label)
-    entries_report = {
-        entry: {
-            "instances": sum(c.values()),
-            "majority": majority[entry],
-            "matches": sum(n for lab, n in c.items() if lab == majority[entry]),
-        }
-        for entry, c in sorted(per_entry.items())
-    }
+    rows = {}
+    for entry, counts in sorted(per_entry.items()):
+        majority, matches = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        rows[entry] = {"instances": counts.total(), "majority": majority, "matches": matches}
+    n_counted = sum(row["instances"] for row in rows.values())
     return {
-        "purity": matches / len(counted),
-        "n_counted": len(counted),
+        "purity": sum(row["matches"] for row in rows.values()) / n_counted,
+        "n_counted": n_counted,
         "n_excluded_ties": n_ties,
         "n_excluded_safety": n_safety,
-        "entries": entries_report,
+        "entries": rows,
     }
 
 
@@ -364,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a synthetic labeled stream as CSV")
     p_gen.add_argument("--spec", help="JSON spec file (default: built-in recurring stream)")
     p_gen.add_argument("--seed", type=int, help="override the spec seed")
-    p_gen.add_argument("--noise", type=float, default=0.25,
-                       help="noise sigma for the built-in spec")
+    p_gen.add_argument("--noise", type=float,
+                       help="noise sigma of the built-in stream (refused beside --spec)")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.set_defaults(func=_generate_command)
 

@@ -1,14 +1,21 @@
-"""Fixtures shared by more than one test module."""
+"""Fixtures and hypothesis settings shared by more than one test module."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from driftpool.engine import EngineConfig, StepLog, online_step, split_instances, warm_up
 from driftpool.forecasters import LinearForecaster
 from driftpool.pool import Pool
 from reference import genes_of
+
+# No explain phase for any property test: on a failing run it re-runs variants of
+# the shrunk example to say which parts matter, which took one bundle test 40 s and
+# 700 MB before it reported.
+settings.register_profile("driftpool", phases=set(Phase) - {Phase.explain})
+settings.load_profile("driftpool")
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftpool.cli import (
@@ -373,8 +373,7 @@ class TestWriteBundle:
     @example(bundle=bundle_of([{**PLAIN_RECORD, **miss} for miss in NEAR_MISSES]))
     @example(bundle=bundle_of([{**PLAIN_RECORD, "eliminated_ids": [np.int64(3)]}]))
     @example(bundle=bundle_of([]))
-    # no explain phase: on a failure it spends 40 s or more and hundreds of MB
-    @settings(max_examples=300, deadline=None, phases=set(Phase) - {Phase.explain})
+    @settings(max_examples=300, deadline=None)
     def test_results_json_is_json_dumps_of_the_bundle(self, bundle):
         from driftpool.manifest import write_bundle
 
@@ -551,6 +550,75 @@ class TestCmdGenerate:
         assert rc == EXIT_OK
         assert (tmp_path / "out" / "results.json").exists()
 
+    def test_noise_is_refused_beside_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"concepts": [{"level": 0.0}], "schedule": [[0, 10]]}))
+        out = tmp_path / "g"
+        rc = main(["generate", "--spec", str(spec), "--noise", "5", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--noise" in err
+        assert not out.exists()
+
+    def test_noise_alone_sets_the_built_in_stream(self, tmp_path, capsys):
+        for name, noise in (("unset", []), ("half", ["--noise", "0.5"])):
+            assert main(["generate", *noise, "--out", str(tmp_path / name)]) == EXIT_OK
+        for name, spec in (("default", default_stream_spec()),
+                           ("expected-half", default_stream_spec(noise_sigma=0.5))):
+            cmd_generate(spec, tmp_path / name)
+        values = {p.parent.name: p.read_bytes() for p in tmp_path.glob("*/values.csv")}
+        assert values["unset"] == values["default"] != values["half"]
+        assert values["half"] == values["expected-half"]
+
+
+@st.composite
+def purity_cases(draw):
+    """Shuffled records with distinct t and repeated entries, over labels from five
+    values, so that windows and entries often have tied most common labels."""
+    lookback = draw(st.integers(1, 6))
+    served = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), min_size=1,
+                           max_size=30, unique_by=lambda r: r[0]))
+    records = [{"t": t, "entry_id": entry} for t, entry in served]
+    n = max(t for t, _ in served) + lookback
+    labels = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    return records, labels, lookback, draw(st.integers(0, 4)), draw(st.booleans())
+
+
+def purity_oracle(records, labels, lookback, tau_safe, skip_safety):
+    """The purity report by brute force from the documented rule: in t order, skip an
+    entry's first tau_safe serves (with skip_safety) and each window where a second
+    label is as common as the most common one; an entry's concept is its most common
+    counted label, the smallest on a tie. None when no instance is counted."""
+    served, labelled, n_ties, n_safety = {}, {}, 0, 0
+    for rec in sorted(records, key=lambda r: r["t"]):
+        entry = rec["entry_id"]
+        served[entry] = served.get(entry, 0) + 1
+        window = [int(v) for v in labels[rec["t"]:rec["t"] + lookback]]
+        top = max(window.count(v) for v in window)
+        modes = {v for v in window if window.count(v) == top}
+        if skip_safety and served[entry] <= tau_safe:
+            n_safety += 1
+        elif len(modes) > 1:
+            n_ties += 1
+        else:
+            labelled.setdefault(entry, []).append(modes.pop())
+    concept = {}
+    for entry, seen in labelled.items():
+        top = max(seen.count(v) for v in seen)
+        concept[entry] = min(v for v in seen if seen.count(v) == top)
+    hits = [label == concept[entry] for entry, seen in labelled.items() for label in seen]
+    if not hits:
+        return None
+    return {
+        "purity": sum(hits) / len(hits),
+        "n_counted": len(hits),
+        "n_excluded_ties": n_ties,
+        "n_excluded_safety": n_safety,
+        "entries": {entry: {"instances": len(labelled[entry]), "majority": concept[entry],
+                            "matches": labelled[entry].count(concept[entry])}
+                    for entry in sorted(labelled)},
+    }
+
 
 class TestPurity:
     def run_records(self, manifest):
@@ -596,6 +664,33 @@ class TestPurity:
         skipped = compute_purity(records, labels, 16, 15, skip_safety=True)
         assert skipped["n_excluded_safety"] > 0
         assert skipped["n_counted"] < plain["n_counted"]
+
+    def test_window_and_entry_tie_rules(self):
+        # [0, 0, 1, 2] has a unique most common label, 0; [0, 0, 1, 1] has none
+        labels = np.array([0, 0, 1, 2, 0, 0, 1, 1, 3, 3, 3, 1, 1, 1, 2, 2, 2, 2])
+        records = [{"t": 0, "entry_id": 0}, {"t": 4, "entry_id": 0},
+                   {"t": 8, "entry_id": 5}, {"t": 11, "entry_id": 5},
+                   {"t": 14, "entry_id": 5}]
+        report = compute_purity(records, labels, 4, 0)
+        assert report["n_excluded_ties"] == 1
+        # entry 5 serves labels 3, 1 and 2 once each: its concept is the smallest, 1
+        assert report["entries"] == {
+            0: {"instances": 1, "majority": 0, "matches": 1},
+            5: {"instances": 3, "majority": 1, "matches": 1},
+        }
+        assert report["purity"] == 2 / 4 and report["n_counted"] == 4
+
+    @given(case=purity_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_documented_rule(self, case):
+        records, labels, lookback, tau_safe, skip_safety = case
+        expected = purity_oracle(records, labels, lookback, tau_safe, skip_safety)
+        if expected is None:
+            with pytest.raises(ValidationError, match="no instances with an unambiguous"):
+                compute_purity(records, labels, lookback, tau_safe, skip_safety=skip_safety)
+            return
+        report = compute_purity(records, labels, lookback, tau_safe, skip_safety=skip_safety)
+        assert repr(report) == repr(expected)  # same keys in order, same int and float values
 
     def test_length_mismatch_rejected(self, capsys):
         records = self.run_records(synthetic_manifest())

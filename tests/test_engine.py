@@ -637,6 +637,28 @@ class TestLifecycleMetamorphic:
         scaled_columns = ("mse", "gene_mu", "gene_sigma")
         assert blanked(scaled.log, *scaled_columns) == blanked(base.log, *scaled_columns)
 
+    def decisions(self, series, score):
+        """The lifecycle columns of a naive run: routing, splits, abandonment, removals."""
+        log = run(series, self.config(score, forecaster="naive")).log
+        return {column: getattr(log, column) for column in
+                ("selected_entry_id", "evolved_from", "abandoned", "eliminated_ids", "pool_size")}
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_an_offset_normalized_away_keeps_every_decision(self, default_stream, score, offset):
+        values, _ = generate(default_stream_spec(seed=0))
+        shifted, _, _ = normalize(values + offset, "warm_segment")
+        base = self.decisions(default_stream, score)
+        assert any(parent is not None for parent in base["evolved_from"])
+        assert self.decisions(shifted, score) == base
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: the seed entry starts from a phantom (0, 0) signature, so its "
+        "global sigma grows with the offset and the run stops splitting"))
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_a_raw_offset_keeps_every_decision(self, default_stream, score, offset):
+        base = self.decisions(default_stream, score)
+        assert self.decisions(default_stream + offset, score) == base
+
 
 class TestInstances:
     def test_split_instances_respects_bounds(self):

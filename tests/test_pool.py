@@ -5,7 +5,7 @@ from contextlib import suppress
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -634,8 +634,7 @@ _INDEX_OPS = st.one_of(
 class TestSortedIndex:
     """``nearest`` under the euclidean score against a full scan, on tie-heavy pools."""
 
-    # no explain phase: on a failure it adds minutes to the shrink
-    @settings(max_examples=100, deadline=None, phases=set(Phase) - {Phase.explain})
+    @settings(max_examples=100, deadline=None)
     @given(
         # a drawn length: a plain list strategy keeps to a few ops, and pools to a few entries
         ops=st.integers(1, 150).flatmap(lambda n: st.lists(_INDEX_OPS, min_size=n, max_size=n)),
