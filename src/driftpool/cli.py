@@ -382,15 +382,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (DriftpoolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DriftpoolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return (EXIT_VALIDATION if isinstance(exc, ValidationError)
+                else EXIT_IO if isinstance(exc, (FileFormatError, OSError)) else EXIT_RUNTIME)
 
 
 if __name__ == "__main__":

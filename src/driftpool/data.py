@@ -12,6 +12,7 @@ import io
 import math
 import numbers
 import os
+import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -53,7 +54,8 @@ class SyntheticSpec:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for c in self.concepts:
             for name, v in vars(c).items():
-                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                        or not abs(v) <= sys.float_info.max):  # also an int no float holds
                     raise ValidationError(f"concept {name} must be a finite number, got {v!r}")
             if c.period < 1:
                 raise ValidationError(f"period must be >= 1, got {c.period}")
@@ -119,8 +121,11 @@ def generate(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """(values, labels) of a spec, deterministically per seed; labels are int64 indices."""
     rng = np.random.default_rng(spec.seed)
     total = spec.total_points
-    values = np.empty(total)
-    labels = np.empty(total, dtype=np.int64)
+    try:
+        values = np.empty(total)
+        labels = np.empty(total, dtype=np.int64)
+    except (ValueError, MemoryError):  # numpy refuses a size beyond its limits
+        raise ValidationError(f"schedule must fit in memory, got {total} points") from None
     pos = 0
     for idx, dur in spec.schedule:
         c = spec.concepts[idx]

@@ -224,7 +224,7 @@ def online_step(pool: Pool, online: InstanceSet, i: int, log: StepLog,
             err = mse(forecast, y)
         if not abandoned:
             err = current.forecaster.train_step(x, y, current.lr_current)
-            lr_tick(current, pool.lr_raw, cep)
+            lr_tick(current, pool.lr_raw)
             absorb_instance(current, mu, sigma)
     except NumericError as exc:
         raise NumericError(f"{exc} at t={t}") from exc

@@ -131,9 +131,12 @@ class MlpForecaster(Forecaster):
         super().__init__(lookback, horizon)
         self.hidden = int(hidden)
         rng = np.random.default_rng(seed)
-        self.w1 = rng.uniform(-1.0, 1.0, (self.hidden, self.lookback)) / np.sqrt(self.lookback)
-        self.b1 = np.zeros(self.hidden)
-        self.w2 = rng.uniform(-1.0, 1.0, (self.horizon, self.hidden)) / np.sqrt(self.hidden)
+        try:
+            self.w1 = rng.uniform(-1.0, 1.0, (self.hidden, self.lookback)) / np.sqrt(self.lookback)
+            self.b1 = np.zeros(self.hidden)
+            self.w2 = rng.uniform(-1.0, 1.0, (self.horizon, self.hidden)) / np.sqrt(self.hidden)
+        except (ValueError, MemoryError):  # numpy refuses a size beyond its limits
+            raise ValidationError(f"hidden must fit in memory, got {self.hidden}") from None
         self.b2 = np.zeros(self.horizon)
 
     def parameters(self):

@@ -1,4 +1,4 @@
-"""Statistical window signatures: computation, streaming updates, distances.
+"""Statistical window signatures: computation, streaming updates, likelihood scores.
 
 A signature ("gene") is the (mean, population std) pair of a data window.
 Every forecaster in the pool carries two of them: a local one tracking
@@ -112,15 +112,6 @@ def fold_moments(mu: float, sigma: float, n: int, x: float) -> tuple[float, floa
     if not (math.isfinite(new_mu) and math.isfinite(new_var)):
         raise NumericError(f"global moments overflow absorbing a window mean of {x!r}")
     return new_mu, math.sqrt(new_var)
-
-
-def distances(mu: float, sigma: float, candidates: Iterable) -> list[float]:
-    """Euclidean distance from (mu, sigma) to each candidate's (mu, sigma).
-
-    A candidate is anything with ``mu`` and ``sigma``, such as a pool
-    entry's cached mixed signature.
-    """
-    return [math.hypot(mu - c.mu, sigma - c.sigma) for c in candidates]
 
 
 def nlls(mu: float, sigma: float, candidates: Iterable) -> list[float]:

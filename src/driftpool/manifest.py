@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,6 +144,8 @@ def _check_fields(d: dict, types: dict, what: str) -> None:
             ok = optional
         elif isinstance(value, bool):
             ok = base is bool
+        elif base is float and isinstance(value, int):
+            ok = abs(value) <= sys.float_info.max  # no float holds a larger int
         else:
             ok = isinstance(value, (int, float) if base is float else base)
         if not ok:
@@ -160,7 +163,9 @@ def read_json(path: str | Path) -> Any:
     with open_text(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError:
+            raise  # open_text reports it as a file-format problem
+        except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -253,17 +258,14 @@ def build_bundle(manifest: RunManifest, result: RunResult, n_points: int) -> dic
     is not None, and the log is never empty (``split_instances`` sees to that)."""
     log = result.log
     created = [{"id": 0, "t": None, "parent": None}]  # the warm-up seed entry
-    created += [{"id": eid, "t": t, "parent": parent}
-                for t, eid, parent in zip(log.t, log.selected_entry_id, log.evolved_from)
-                if parent is not None]
-    eliminated = [
-        {"id": eid, "t": t}
-        for t, ids in zip(log.t, log.eliminated_ids) for eid in ids
-    ]
-    records = []
+    eliminated, records = [], []
     for t, eid, err, parent, abandoned, ids, size, mu, sigma, forecast in zip(
             log.t, log.selected_entry_id, log.mse, log.evolved_from, log.abandoned,
             log.eliminated_ids, log.pool_size, log.gene_mu, log.gene_sigma, log.forecast):
+        if parent is not None:
+            created.append({"id": eid, "t": t, "parent": parent})
+        for gone in ids:
+            eliminated.append({"id": gone, "t": t})
         rec = {"t": t, "entry_id": eid, "mse": err, "evolved": parent is not None,
                "abandoned": abandoned, "eliminated_ids": list(ids), "pool_size": size,
                "gene_mu": mu, "gene_sigma": sigma}

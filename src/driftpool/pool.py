@@ -160,9 +160,9 @@ def should_evolve(entry: PoolEntry, mu: float) -> bool:
     return abs(mu - entry.mu) > config.tau_mu * max(entry.sigma, SIGMA_FLOOR)
 
 
-def lr_tick(entry: PoolEntry, lr_raw: float, config: CepConfig) -> float:
+def lr_tick(entry: PoolEntry, lr_raw: float) -> float:
     """Grow the entry's LR one notch back toward lr_raw, never past it."""
-    factor = config.tau_lr ** (-1.0 / config.t_lr)
+    factor = entry.config.tau_lr ** (-1 / entry.config.t_lr)  # int / int: no overflow at any t_lr
     entry.lr_current = min(lr_raw, factor * entry.lr_current)
     return entry.lr_current
 
@@ -219,8 +219,8 @@ class Pool:
         Scores each entry's cached mixed signature. Under ``mle`` every entry
         is scored (``nlls``), and the first minimal cost wins, the oldest
         entry. Under the euclidean score the index is searched outward from
-        ``mu``, nearest mean first, each candidate scored as ``distances``
-        does, ``hypot(mu - m, sigma - s)``. The search stops once the next
+        ``mu``, nearest mean first, each candidate scored by its Euclidean
+        distance ``hypot(mu - m, sigma - s)``. The search stops once the next
         mean is farther than the best cost: ``hypot(a, b) >= |a|`` holds in
         floats too (``math.hypot`` errs by under 1 ulp), so no entry left
         unscored can reach the best cost, and the result is the full scan's.

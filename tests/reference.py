@@ -23,6 +23,7 @@ config and result dataclasses. ``genes_of`` and ``set_genes`` read and
 write a library pool entry's signature floats in the same tuple form.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import replace
 from types import SimpleNamespace
@@ -37,7 +38,6 @@ from driftpool.gene import (
     SIGMA_FLOOR,
     blend,
     compute_gene,
-    distances,
     fold_moments,
     nlls,
 )
@@ -45,6 +45,16 @@ from driftpool.gene import (
 
 # A window signature; ``distances`` and ``nlls`` score it as a candidate.
 Gene = namedtuple("Gene", "mu sigma")
+
+
+def distances(mu, sigma, candidates):
+    """Euclidean distance from (mu, sigma) to each candidate's (mu, sigma).
+
+    The oracle of ``Pool.nearest``'s euclidean score, which computes the
+    same ``math.hypot`` inline. A candidate is anything with ``mu`` and
+    ``sigma``, such as a pool entry's cached mixed signature.
+    """
+    return [math.hypot(mu - c.mu, sigma - c.sigma) for c in candidates]
 
 
 def genes_of(entry):

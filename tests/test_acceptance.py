@@ -79,7 +79,7 @@ def test_c02_lr_restoration_identity():
                 child, _ = pool.evolve(pool.entries[0], 1.0, 1.0)
                 assert child.lr_current == pytest.approx(tau_lr * lr_raw, rel=1e-15)
                 for _ in range(t_lr):
-                    lr_tick(child, pool.lr_raw, cfg)
+                    lr_tick(child, pool.lr_raw)
                 assert abs(child.lr_current - lr_raw) / lr_raw < 1e-12
 
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from driftpool.cli import (
     EXIT_IO,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_VALIDATION,
     cmd_compare,
     cmd_generate,
@@ -27,7 +29,14 @@ from driftpool.cli import (
     compute_purity,
     main,
 )
-from driftpool.data import default_stream_spec, generate, load_csv, spec_from_dict
+from driftpool.data import (
+    ConceptSpec,
+    default_stream_spec,
+    generate,
+    load_csv,
+    spec_from_dict,
+    write_column_csv,
+)
 from driftpool.engine import EngineConfig
 from driftpool.errors import ValidationError
 from driftpool.manifest import (
@@ -434,8 +443,6 @@ class TestCmdCompare:
     def test_same_series_compares_across_omitted_defaults(self, tmp_path, capsys):
         # has_header defaults to true and a synthetic seed to 0; config_hash still
         # tells each pair apart
-        from driftpool.data import write_column_csv
-
         write_column_csv(tmp_path / "series.csv", np.sin(np.arange(400) / 3.0), "v")
         csv_data = {"kind": "csv", "path": str(tmp_path / "series.csv"), "column": "v"}
         synthetic = {k: v for k, v in synthetic_manifest().data.items() if k != "seed"}
@@ -501,8 +508,6 @@ class TestCmdCompare:
         assert "\r" not in text
 
     def test_zero_mse_baseline(self, tmp_path, capsys):
-        from driftpool.data import write_column_csv
-
         write_column_csv(tmp_path / "flat.csv", np.full(800, 2.0), "v")
         data = {"kind": "csv", "path": str(tmp_path / "flat.csv"), "column": "v"}
         paths = []
@@ -706,12 +711,27 @@ class TestPurity:
         assert report["purity"] > 0.9
 
     def test_cmd_purity_rejects_wrong_label_count(self, tmp_path, capsys):
-        from driftpool.data import write_column_csv
-
         cmd_run(synthetic_manifest(), out_dir=tmp_path)
         write_column_csv(tmp_path / "short.csv", np.zeros(10, dtype=int), "label", "%d")
         with pytest.raises(ValidationError, match="length mismatch"):
             cmd_purity(tmp_path / "results.json", tmp_path / "short.csv")
+
+
+def numeric_fields(cls, path, *skip):
+    """The key path of each int or float field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return [(*path, f.name) for f in dataclasses.fields(cls) if f.name not in skip
+            and {int, float} & {*typing.get_args(hints[f.name]), hints[f.name]}]
+
+
+# Every numeric field of a synthetic run manifest, as the key path into its JSON.
+# warm_epochs is left out: 2**62 epochs is a valid run that never ends.
+NUMERIC_FIELDS = [
+    *numeric_fields(EngineConfig, (), "warm_epochs"),
+    *numeric_fields(CepConfig, ("cep",)),
+    *numeric_fields(ConceptSpec, ("data", "concepts", 0)),
+    ("data", "schedule", 0, 0), ("data", "schedule", 0, 1), ("data", "seed"),
+]
 
 
 class TestMainExitCodes:
@@ -759,55 +779,6 @@ class TestMainExitCodes:
         rc = main(["run", "--data", "x.csv"])
         assert rc == EXIT_VALIDATION
 
-    def test_runtime_error(self, tmp_path, capsys):
-        from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_column_csv
-
-        # raw high-level windows at this lr diverge and abort the run
-        write_column_csv(tmp_path / "hot.csv", np.full(900, 50.0), "v")
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main([
-                "run", "--data", str(tmp_path / "hot.csv"), "--column", "v",
-                "--lookback", "20", "--horizon", "10", "--lr", "0.5",
-                "--warm-epochs", "1",
-            ])
-        assert rc == EXIT_RUNTIME
-        assert "non-finite" in capsys.readouterr().err
-
-    def test_online_divergence_names_its_step(self, tmp_path, capsys):
-        from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_column_csv
-
-        # no warm-up: the weights first blow up in a trained online step
-        write_column_csv(tmp_path / "hot.csv", np.full(900, 50.0), "v")
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main([
-                "run", "--data", str(tmp_path / "hot.csv"), "--column", "v",
-                "--lookback", "20", "--horizon", "10", "--lr", "0.5",
-                "--warm-epochs", "0", "--out", str(tmp_path / "out"),
-            ])
-        assert rc == EXIT_RUNTIME
-        assert re.search(r"non-finite training loss at t=\d+$", capsys.readouterr().err.strip())
-
-    def test_abandoned_step_overflow_names_its_step(self, tmp_path, capsys):
-        from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_column_csv
-
-        # the spike is in t=400's ground truth only: its mean abandons the
-        # gradient, and the forecast's squared error overflows
-        values = np.zeros(1200)
-        values[409] = 1.4e154
-        write_column_csv(tmp_path / "spike.csv", values, "v")
-        with np.errstate(over="ignore"):
-            rc = main([
-                "run", "--data", str(tmp_path / "spike.csv"), "--column", "v",
-                "--lookback", "8", "--horizon", "4", "--forecaster", "naive",
-                "--warm-epochs", "1", "--out", str(tmp_path / "out"),
-            ])
-        assert rc == EXIT_RUNTIME
-        assert re.search(r"non-finite mse at t=400$", capsys.readouterr().err.strip())
-        assert not (tmp_path / "out" / "results.json").exists()
-
     @pytest.mark.parametrize("values, flags, message", [
         (np.full(900, 50.0),
          ["--lr", "0.5", "--warm-epochs", "0", "--lookback", "20", "--horizon", "10"],
@@ -830,13 +801,15 @@ class TestMainExitCodes:
         (np.concatenate([np.zeros(300), np.arange(900) // 4 % 2 * 5e153]),
          ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8", "--horizon", "4"],
          "non-finite mean mse over 223 online steps"),
+        (np.full(900, 50.0),
+         ["--lr", "0.5", "--warm-epochs", "1", "--lookback", "20", "--horizon", "10"],
+         "non-finite training loss at t=42 in warm-up epoch 1"),
     ], ids=["diverging-trained-step", "abandoned-step-spike", "overflowing-spread",
             "warm-truth-spike", "last-truth-spike", "mle-retrieval-overflow",
-            "mean-mse-overflow"])
+            "mean-mse-overflow", "diverging-warm-up"])
     def test_numeric_failure_prints_only_its_error_line(self, tmp_path, values, flags, message):
-        from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_column_csv
-
+        # With no warm-up, the raw level-50 windows at lr 0.5 first blow the
+        # linear weights up in a trained online step; with one, in the warm-up.
         # A finite spike whose square overflows fails the abandoned step's mse at
         # t=400, or, at 1e155, the std of online step t=300's input window. At
         # row 298 it lies only in warm ground truths, first in t=287's; at row
@@ -853,9 +826,6 @@ class TestMainExitCodes:
         assert not (tmp_path / "out" / "results.json").exists()
 
     def test_online_moments_overflow_names_its_step(self, tmp_path):
-        from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_column_csv
-
         # a ramp to 3e154 in the online stage: with a one-value scope, a trained
         # step's window mean first overflows the seed entry's global moments
         values = np.concatenate([np.zeros(1000), np.linspace(0, 3e154, 201)[1:]])
@@ -884,12 +854,21 @@ class TestMainExitCodes:
         ("manifest", {"data": {"kind": "csv", "path": "x.csv", "column": "v",
                                "has_header": "false"}}),
         ("manifest", {"data": {"kind": "csv", "path": "x.csv", "column": 3}}),
+        # integers no float can hold, for float-typed settings
+        ("manifest", {"lr_raw": 10**400}),
+        ("manifest", {"cep": {"tau_mu": 10**400}}),
+        ("concept", {"amplitude": 10**400}),
+        ("spec", {"level": 10**400}),
     ])
     def test_bad_config_values(self, tmp_path, capsys, where, bad):
         if where == "config":
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"data = x.csv\nlookback = 16\nhorizon = 8\n{bad}\n")
             argv = ["run", "--config", str(cfg)]
+        elif where == "spec":
+            spec = {"concepts": [{"level": 0.0, **bad}], "schedule": [[0, 400]]}
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            argv = ["generate", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "g")]
         else:
             manifest = synthetic_manifest().to_dict()
             if where == "manifest":
@@ -899,12 +878,81 @@ class TestMainExitCodes:
             (tmp_path / "m.json").write_text(json.dumps(manifest))
             argv = ["run", "--manifest", str(tmp_path / "m.json")]
         assert main(argv) == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: ")
+        [line] = capsys.readouterr().err.splitlines()
+        key, value = bad.split(" = ") if where == "config" else list(bad.items())[-1]
+        while isinstance(value, dict):  # the bad field is the last key of a nested object
+            key, value = list(value.items())[-1]
+        assert line.startswith("error: ") and key in line
+
+    @pytest.mark.parametrize("where", ["manifest", "config"])
+    def test_any_t_lr_runs(self, tmp_path, capsys, where):
+        # an LR schedule longer than any float: each tick grows the rate by 1.0
+        if where == "manifest":
+            manifest = synthetic_manifest().to_dict()
+            manifest["cep"]["t_lr"] = 10**400
+            (tmp_path / "m.json").write_text(json.dumps(manifest))
+            argv = ["run", "--manifest", str(tmp_path / "m.json")]
+        else:
+            values, _ = generate(spec_from_dict(synthetic_manifest().data))
+            write_column_csv(tmp_path / "in.csv", values)
+            (tmp_path / "run.cfg").write_text(f"t_lr = 1{'0' * 400}\n")
+            argv = ["run", "--config", str(tmp_path / "run.cfg"), "--data",
+                    str(tmp_path / "in.csv"), "--lookback", "16", "--horizon", "8"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert saved["cep"]["t_lr"] == 10**400
+
+    def test_json_integer_over_the_digit_limit(self, tmp_path, capsys):
+        # json.load raises a bare ValueError on an int past sys.get_int_max_str_digits()
+        (tmp_path / "m.json").write_text('{"lookback": 1' + "0" * 5000 + "}")
+        assert main(["run", "--manifest", str(tmp_path / "m.json")]) == EXIT_VALIDATION
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {tmp_path / 'm.json'}: not valid JSON: ")
+
+    @pytest.mark.parametrize("command", ["generate", "run-manifest", "run-hidden"])
+    def test_a_size_numpy_refuses_exits_2(self, tmp_path, capsys, command):
+        # 2**62 float64 values exceed numpy's limit on an array's bytes, so it
+        # refuses before allocating anything
+        huge = 2**62
+        spec = {"concepts": [{"level": 0.0}], "schedule": [[0, huge]]}
+        if command == "generate":
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            argv = ["generate", "--spec", str(tmp_path / "spec.json")]
+            named = f"schedule must fit in memory, got {huge} points"
+        elif command == "run-manifest":
+            manifest = {"data": {"kind": "synthetic", **spec}, "lookback": 8, "horizon": 4}
+            (tmp_path / "m.json").write_text(json.dumps(manifest))
+            argv = ["run", "--manifest", str(tmp_path / "m.json")]
+            named = f"schedule must fit in memory, got {huge} points"
+        else:
+            write_column_csv(tmp_path / "in.csv", np.zeros(400))
+            argv = ["run", "--data", str(tmp_path / "in.csv"), "--lookback", "8", "--horizon",
+                    "4", "--forecaster", "mlp", "--hidden", str(huge)]
+            named = f"hidden must fit in memory, got {huge}"
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {named}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, 2**62], ids=["1e400", "-1e400", "2^62"])
+    @pytest.mark.parametrize("path", NUMERIC_FIELDS, ids=lambda path: ".".join(map(str, path)))
+    def test_no_numeric_setting_ends_in_a_traceback(self, tmp_path, capsys, path, value):
+        manifest = synthetic_manifest(forecaster="mlp" if path == ("hidden",) else "linear",
+                                      warm_epochs=1).to_dict()
+        manifest["data"]["schedule"] = [[0, 150], [1, 150]]
+        target = manifest
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        rc = main(["run", "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME, EXIT_IO)
+        assert err.count("error:") <= 1 and "Traceback" not in err
 
     def test_overflowing_moments(self, tmp_path, capsys):
-        from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_column_csv
-
         # a constant 1e200 stream: (mu - x) ** 2 overflows in the global moments
         write_column_csv(tmp_path / "const.csv", np.full(800, 1e200))
         rc = main([
@@ -915,9 +963,6 @@ class TestMainExitCodes:
         assert "overflow" in capsys.readouterr().err
 
     def test_normalize_overflow(self, tmp_path, capsys):
-        from driftpool.cli import EXIT_RUNTIME
-        from driftpool.data import write_column_csv
-
         # finite values whose spread overflows: std = inf would scale them all to 0
         write_column_csv(tmp_path / "alt.csv", np.tile([1e200, -1e200], 400))
         rc = main([

@@ -289,6 +289,18 @@ class TestGenerate:
         assert (spec.schedule, spec.seed) == (((0, 400),), 1)
         assert spec_from_dict({k: d[k] for k in ("concepts", "schedule")}).seed == 0
 
+    @pytest.mark.parametrize("error", [ValueError("array is too big"), MemoryError()])
+    def test_a_schedule_numpy_cannot_allocate_is_refused(self, monkeypatch, error):
+        # numpy refuses a size past its limit with ValueError before allocating, and
+        # a smaller one the machine lacks with MemoryError; both are planted here
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(np, "empty", refuse)
+        spec = SyntheticSpec(concepts=(ConceptSpec(level=0.0),), schedule=((0, 10),))
+        with pytest.raises(ValidationError, match="^schedule must fit in memory, got 10 points$"):
+            generate(spec)
+
     def test_default_spec_shape(self):
         spec = default_stream_spec()
         assert spec.total_points == 18000

@@ -338,6 +338,35 @@ class TestWarmUp:
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
             run(series, config)
 
+    class FailsOnCall(NaiveForecaster):
+        """A naive forecaster whose ``train_step`` raises on its call ``fail_at``
+        (0-based), the call of warm step t=fail_at in the first epoch."""
+
+        def __init__(self, lookback, horizon, fail_at):
+            super().__init__(lookback, horizon)
+            self.calls, self.fail_at = 0, fail_at
+
+        def train_step(self, window, truth, lr):
+            self.calls += 1
+            if self.calls - 1 == self.fail_at:
+                raise NumericError("planted training failure")
+            return super().train_step(window, truth, lr)
+
+    @pytest.mark.parametrize("fail_at, message", [
+        (157, "planted training failure at t=157 in warm-up epoch 1"),
+        (158, "global moments overflow absorbing a window mean of 5.000000000000001e+153"
+              " at t=157 in warm-up epoch 1"),
+    ], ids=["same-step", "next-step"])
+    def test_a_training_failure_wins_on_the_fold_failures_step(self, fail_at, message):
+        # RAMP at scope 1 fails the fold at t=157: training failing on that same
+        # step is the error raised, and failing one step later is not reached
+        config = EngineConfig(lookback=8, horizon=4, forecaster="naive", warm_epochs=1,
+                              cep=CepConfig(scope_s=1))
+        warm, _ = split_instances(self.RAMP, config)
+        pool = Pool(self.FailsOnCall(8, 4, fail_at), 0.01, config.cep)
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            warm_up(pool, warm, 1)
+
     def test_training_failure_names_its_step_and_epoch(self):
         # just past the stable rate, the weights outgrow a float in the second epoch
         series = np.full(1200, 50.0) + 0.1 * np.sin(np.arange(1200))

@@ -321,3 +321,16 @@ class TestDeterminism:
 def test_unknown_kind_rejected():
     with pytest.raises(ValidationError, match="unknown forecaster"):
         make_forecaster("transformer", 4, 2)
+
+
+@pytest.mark.parametrize("error", [ValueError("array is too big"), MemoryError()])
+def test_a_width_numpy_cannot_allocate_is_refused(monkeypatch, error):
+    # numpy refuses a size past its limit with ValueError before allocating, and a
+    # smaller one the machine lacks with MemoryError; both are planted here
+    class Refusing:
+        def uniform(self, *args):
+            raise error
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Refusing())
+    with pytest.raises(ValidationError, match="^hidden must fit in memory, got 5$"):
+        MlpForecaster(7, 3, hidden=5)

@@ -13,12 +13,11 @@ from driftpool.gene import (
     SIGMA_FLOOR,
     blend,
     compute_gene,
-    distances,
     fold_moments,
     nlls,
 )
 from driftpool.pool import CepConfig, Pool, absorb_instance
-from reference import Gene, genes_of
+from reference import Gene, distances, genes_of
 
 
 def two_pass(values):

@@ -11,7 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from driftpool.errors import NumericError, ValidationError
 from driftpool.forecasters import LinearForecaster, NaiveForecaster
-from driftpool.gene import distances, fold_moments, nlls
+from driftpool.gene import fold_moments, nlls
 from driftpool.pool import (
     RETRIEVAL_SCORES,
     CepConfig,
@@ -21,7 +21,7 @@ from driftpool.pool import (
     lr_tick,
     should_evolve,
 )
-from reference import Gene, absorb, effective_gene, genes_of, retrieval_cost, set_genes
+from reference import Gene, absorb, distances, effective_gene, genes_of, retrieval_cost, set_genes
 
 
 def make_pool(config=None, lr_raw=0.01, lookback=4, horizon=2):
@@ -278,7 +278,7 @@ class TestLrTick:
         child, _ = pool.evolve(pool.entries[0], 1, 1)
         assert child.lr_current == pytest.approx(0.005)
         for _ in range(10):
-            lr_tick(child, pool.lr_raw, cfg)
+            lr_tick(child, pool.lr_raw)
         assert child.lr_current == pytest.approx(0.01, rel=1e-12)
 
     def test_capped_at_raw(self):
@@ -286,7 +286,7 @@ class TestLrTick:
         pool = make_pool(cfg, lr_raw=0.01)
         entry = pool.entries[0]
         assert entry.lr_current == 0.01
-        lr_tick(entry, pool.lr_raw, cfg)
+        lr_tick(entry, pool.lr_raw)
         assert entry.lr_current == 0.01
 
     def test_tau_one_is_a_noop(self):
@@ -294,7 +294,7 @@ class TestLrTick:
         pool = make_pool(cfg, lr_raw=0.02)
         child, _ = pool.evolve(pool.entries[0], 1, 1)
         assert child.lr_current == 0.02
-        lr_tick(child, pool.lr_raw, cfg)
+        lr_tick(child, pool.lr_raw)
         assert child.lr_current == 0.02
 
     def test_stays_within_band(self):
@@ -302,8 +302,25 @@ class TestLrTick:
         pool = make_pool(cfg, lr_raw=0.05)
         child, _ = pool.evolve(pool.entries[0], 1, 1)
         for _ in range(30):
-            lr_tick(child, pool.lr_raw, cfg)
+            lr_tick(child, pool.lr_raw)
             assert 0.3 * 0.05 - 1e-15 <= child.lr_current <= 0.05 + 1e-15
+
+
+    @pytest.mark.parametrize("t_lr", [1, 3, 15, 97, 2**31 - 1, 2**53 - 1])
+    def test_growth_keeps_the_float_division_bits(self, t_lr):
+        # below 2**53 a t_lr is an exact float, so -1 / t_lr rounds as -1.0 / t_lr does
+        cfg = CepConfig(tau_lr=0.3, t_lr=t_lr)
+        pool = make_pool(cfg, lr_raw=0.05)
+        child, _ = pool.evolve(pool.entries[0], 1, 1)
+        lr0 = child.lr_current
+        assert lr_tick(child, pool.lr_raw) == min(0.05, 0.3 ** (-1.0 / t_lr) * lr0)
+
+    def test_a_schedule_longer_than_any_float_holds_the_rate(self):
+        cfg = CepConfig(tau_lr=0.3, t_lr=10**400)
+        pool = make_pool(cfg, lr_raw=0.05)
+        child, _ = pool.evolve(pool.entries[0], 1, 1)
+        lr0 = child.lr_current
+        assert lr_tick(child, pool.lr_raw) == lr0
 
 
 class TestMarkSelected:
@@ -592,7 +609,7 @@ def pool_machine(caps):
         def lr_tick(self, i):
             entry = self.pick(i)
             before = entry.lr_current
-            after = lr_tick(entry, self.lr_raw, self.config)
+            after = lr_tick(entry, self.lr_raw)
             assert after == entry.lr_current >= before
 
         @invariant()
