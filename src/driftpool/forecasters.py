@@ -4,8 +4,10 @@ All of them share the same contract, which ``Forecaster`` owns: map a
 lookback window of length L to a forecast of length H, take one
 full-batch SGD step on MSE per train_step call, and support deep cloning
 so a pool can split them without sharing parameters. A model states only
-its forward pass and, if it learns, its update. Gradients are written out
-by hand; the models are small enough that numpy is all we need.
+its forward pass and, if it learns, its parameter shapes and gradient.
+Each model keeps its parameters as views into one flat buffer, so one
+fused update moves them all. Gradients are written out by hand; the
+models are small enough that numpy is all we need.
 """
 
 from __future__ import annotations
@@ -42,9 +44,18 @@ class Forecaster(ABC):
     """predict / train_step / deep_clone contract for pool members.
 
     A model supplies ``_forward(x) -> (forecast, cache)`` and, if it has
-    parameters, ``_update(x, err, cache, lr)``, which takes one SGD step
-    given ``err = forecast - truth`` and whatever its forward pass cached.
+    parameters, lays them out with ``_lay_out`` and supplies
+    ``_gradient(x, err, cache)``, which writes the raw gradient into the
+    views of ``_grads`` given ``err = forecast - truth`` and whatever its
+    forward pass cached. ``train_step`` then takes one SGD step over the
+    whole buffer at ``lr * _lr_scale``. Parameters are views into that
+    buffer: write them in place (``f.weights[:] = ...``), since rebinding
+    the attribute detaches it and training no longer reaches it.
     """
+
+    _layout: dict[str, tuple[int, ...]] = {}  # parameter name -> shape, in buffer order
+    _theta = _grad = np.zeros(0)  # a model without parameters updates nothing
+    _lr_scale = 1.0  # the constant factor of the gradient that the model leaves to lr
 
     def __init__(self, lookback: int, horizon: int):
         self.lookback = int(lookback)
@@ -53,8 +64,20 @@ class Forecaster(ABC):
     @abstractmethod
     def _forward(self, x: np.ndarray) -> tuple[np.ndarray, object]: ...
 
-    def _update(self, x: np.ndarray, err: np.ndarray, cache, lr: float) -> None:
+    def _gradient(self, x: np.ndarray, err: np.ndarray, cache) -> None:
         pass  # no parameters, nothing to train
+
+    def _lay_out(self, **shapes: tuple[int, ...]) -> None:
+        """Give the model zeroed parameters of these shapes, as views in this order
+        into one buffer, and a gradient buffer with views of the same layout."""
+        size = sum(math.prod(shape) for shape in shapes.values())
+        self._layout, self._theta, self._grad = shapes, np.zeros(size), np.zeros(size)
+        self._grads, at = [], 0
+        for name, shape in shapes.items():
+            end = at + math.prod(shape)
+            setattr(self, name, self._theta[at:end].reshape(shape))
+            self._grads.append(self._grad[at:end].reshape(shape))
+            at = end
 
     def predict(self, window: np.ndarray) -> np.ndarray:
         return self._forward(self._check_window(window))[0]
@@ -65,22 +88,33 @@ class Forecaster(ABC):
         y = np.asarray(truth, dtype=float)
         if y.shape != (self.horizon,):
             raise ValidationError(f"truth shape {y.shape} != ({self.horizon},)")
-        if lr < 0:
-            raise ValidationError(f"lr must be >= 0, got {lr}")
+        if not 0 <= lr < math.inf:  # NaN fails both comparisons
+            raise ValidationError(f"lr must be finite and >= 0, got {lr}")
         forecast, cache = self._forward(x)
         err = forecast - y
         loss = _mean_square(err)
         if not math.isfinite(loss):
             raise NumericError("non-finite training loss")
-        self._update(x, err, cache, lr)
+        self._gradient(x, err, cache)
+        g = self._grad
+        np.multiply(g, lr * self._lr_scale, out=g)
+        np.subtract(self._theta, g, out=self._theta)
         return loss
 
     def parameters(self) -> list[np.ndarray]:
-        """Live references to all trainable arrays (may be empty)."""
-        return []
+        """Live views of all trainable arrays, in buffer order (may be empty)."""
+        return [getattr(self, name) for name in self._layout]
 
     def deep_clone(self) -> "Forecaster":
         return copy.deepcopy(self)
+
+    def __deepcopy__(self, memo) -> "Forecaster":
+        # a member-wise deepcopy would copy each view on its own, off the buffer;
+        # every other attribute is an immutable setting
+        clone = copy.copy(self)
+        clone._lay_out(**self._layout)
+        clone._theta[:] = self._theta
+        return clone
 
     def parameter_checksum(self) -> str:
         h = hashlib.sha256()
@@ -109,19 +143,16 @@ class LinearForecaster(Forecaster):
 
     def __init__(self, lookback: int, horizon: int):
         super().__init__(lookback, horizon)
-        self.weights = np.zeros((self.horizon, self.lookback))
-        self.bias = np.zeros(self.horizon)
-
-    def parameters(self):
-        return [self.weights, self.bias]
+        self._lay_out(weights=(self.horizon, self.lookback), bias=(self.horizon,))
+        self._lr_scale = 2.0 / self.horizon
 
     def _forward(self, x):
         return self.weights @ x + self.bias, None
 
-    def _update(self, x, err, cache, lr):
-        scale = 2.0 / self.horizon
-        self.weights -= lr * scale * np.multiply.outer(err, x)
-        self.bias -= lr * scale * err
+    def _gradient(self, x, err, cache):
+        g_weights, g_bias = self._grads
+        np.multiply(err[:, None], x, out=g_weights)
+        g_bias[:] = err
 
 
 class MlpForecaster(Forecaster):
@@ -132,32 +163,23 @@ class MlpForecaster(Forecaster):
         self.hidden = int(hidden)
         rng = np.random.default_rng(seed)
         try:
-            self.w1 = rng.uniform(-1.0, 1.0, (self.hidden, self.lookback)) / np.sqrt(self.lookback)
-            self.b1 = np.zeros(self.hidden)
-            self.w2 = rng.uniform(-1.0, 1.0, (self.horizon, self.hidden)) / np.sqrt(self.hidden)
+            self._lay_out(w1=(self.hidden, self.lookback), b1=(self.hidden,),
+                          w2=(self.horizon, self.hidden), b2=(self.horizon,))
+            self.w1[:] = rng.uniform(-1.0, 1.0, self.w1.shape) / np.sqrt(self.lookback)
+            self.w2[:] = rng.uniform(-1.0, 1.0, self.w2.shape) / np.sqrt(self.hidden)
         except (ValueError, MemoryError):  # numpy refuses a size beyond its limits
             raise ValidationError(f"hidden must fit in memory, got {self.hidden}") from None
-        self.b2 = np.zeros(self.horizon)
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
 
     def _forward(self, x):
         h = np.tanh(self.w1 @ x + self.b1)
         return self.w2 @ h + self.b2, h
 
-    def _update(self, x, err, h, lr):
-        d_pred = 2.0 * err / self.horizon
-        d_w2 = np.multiply.outer(d_pred, h)
-        d_b2 = d_pred
-        d_h = self.w2.T @ d_pred  # taken before w2 moves
-        d_pre = d_h * (1.0 - h**2)
-        d_w1 = np.multiply.outer(d_pre, x)
-        d_b1 = d_pre
-        self.w1 -= lr * d_w1
-        self.b1 -= lr * d_b1
-        self.w2 -= lr * d_w2
-        self.b2 -= lr * d_b2
+    def _gradient(self, x, err, h):
+        g_w1, g_b1, g_w2, g_b2 = self._grads
+        np.divide(2.0 * err, self.horizon, out=g_b2)  # d_pred
+        np.multiply(g_b2[:, None], h, out=g_w2)
+        np.multiply(self.w2.T @ g_b2, 1.0 - h * h, out=g_b1)  # d_pre
+        np.multiply(g_b1[:, None], x, out=g_w1)
 
 
 class Kind(NamedTuple):

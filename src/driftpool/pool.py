@@ -57,14 +57,14 @@ class CepConfig:
     max_pool_size: int | None = None
 
     def __post_init__(self):
-        if not self.tau_mu > 0:
-            raise ValidationError(f"tau_mu must be > 0, got {self.tau_mu}")
+        if not 0 < self.tau_mu < math.inf:
+            raise ValidationError(f"tau_mu must be finite and > 0, got {self.tau_mu}")
         if not 0.0 <= self.tau_gene <= 1.0:
             raise ValidationError(f"tau_gene must be in [0, 1], got {self.tau_gene}")
         if not 0.0 < self.tau_l <= 1.0:
             raise ValidationError(f"tau_l must be in (0, 1], got {self.tau_l}")
-        if not self.tau_e > 0:
-            raise ValidationError(f"tau_e must be > 0, got {self.tau_e}")
+        if not 0 < self.tau_e < math.inf:
+            raise ValidationError(f"tau_e must be finite and > 0, got {self.tau_e}")
         if not 0.0 < self.tau_lr <= 1.0:
             raise ValidationError(f"tau_lr must be in (0, 1], got {self.tau_lr}")
         if self.retrieval_score not in RETRIEVAL_SCORES:

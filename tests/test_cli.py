@@ -884,6 +884,26 @@ class TestMainExitCodes:
             key, value = list(value.items())[-1]
         assert line.startswith("error: ") and key in line
 
+    @pytest.mark.parametrize("field", ["tau_mu", "tau_e"])
+    @pytest.mark.parametrize("where", ["manifest", "config"])
+    def test_an_infinite_threshold_exits_2(self, tmp_path, capsys, where, field):
+        # json.dumps writes inf as the bare token Infinity, which a strict parser
+        # refuses; a config file's 1e400 reads as the same inf
+        if where == "manifest":
+            manifest = synthetic_manifest().to_dict()
+            manifest["cep"][field] = math.inf
+            (tmp_path / "m.json").write_text(json.dumps(manifest))
+            argv = ["run", "--manifest", str(tmp_path / "m.json")]
+        else:
+            values, _ = generate(spec_from_dict(synthetic_manifest().data))
+            write_column_csv(tmp_path / "in.csv", values)
+            (tmp_path / "run.cfg").write_text(f"{field} = 1e400\n")
+            argv = ["run", "--config", str(tmp_path / "run.cfg"), "--data",
+                    str(tmp_path / "in.csv"), "--lookback", "16", "--horizon", "8"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {field} must be finite and > 0, got inf\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("where", ["manifest", "config"])
     def test_any_t_lr_runs(self, tmp_path, capsys, where):
         # an LR schedule longer than any float: each tick grows the rate by 1.0

@@ -1,5 +1,6 @@
 """Forecaster contract tests: shapes, gradients, cloning, determinism."""
 
+import copy
 import math
 
 import numpy as np
@@ -47,6 +48,21 @@ def analytic_gradient(model, x, y):
     lr = 1.0
     clone.train_step(x, y, lr)
     return [(b - a) / lr for b, a in zip(before, clone.parameters())]
+
+
+def written_out_step(params, x, y, lr):
+    """The SGD step of a linear ([w, b]) or MLP ([w1, b1, w2, b2]) model, written
+    out in full; the MLP's w2.T @ d_pred is taken before w2 moves."""
+    if len(params) == 2:
+        w, b = params
+        err = w @ x + b - y
+        return [w - lr * (2.0 / len(y)) * np.outer(err, x), b - lr * (2.0 / len(y)) * err]
+    w1, b1, w2, b2 = params
+    h = np.tanh(w1 @ x + b1)
+    d_pred = 2.0 * (w2 @ h + b2 - y) / len(y)
+    d_pre = (w2.T @ d_pred) * (1.0 - h**2)
+    return [w1 - lr * np.outer(d_pre, x), b1 - lr * d_pre,
+            w2 - lr * np.outer(d_pred, h), b2 - lr * d_pred]
 
 
 def max_rel_error(analytic, numeric):
@@ -120,10 +136,15 @@ class TestTrainStep:
         applied = analytic_gradient(f, x, y)
         assert max_rel_error(applied, numeric) < 1e-6
 
-    def test_negative_lr_rejected(self):
-        f = LinearForecaster(2, 1)
-        with pytest.raises(ValidationError, match="lr"):
-            f.train_step(np.zeros(2), np.zeros(1), -0.1)
+    @pytest.mark.parametrize("lr", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", FORECASTER_KINDS)
+    def test_a_negative_or_non_finite_lr_is_refused(self, kind, lr):
+        # NaN fails every comparison, so `lr < 0` alone would let it through to the weights
+        f = make_forecaster(kind, 3, 2)
+        before = f.parameter_checksum()
+        with pytest.raises(ValidationError, match=f"^lr must be finite and >= 0, got {lr}$"):
+            f.train_step(np.ones(3), np.ones(2), lr)
+        assert f.parameter_checksum() == before
 
     def test_repeated_steps_converge(self):
         rng = np.random.default_rng(5)
@@ -178,20 +199,14 @@ class TestContract:
             assert f.train_step(x, y, 0.05) == mse(before.predict(x), y)
 
     def test_mlp_update_matches_the_written_out_step(self):
-        # reference: the gradient with w2.T @ d_pred taken before w2 moves
         rng = np.random.default_rng(8)
         f = MlpForecaster(5, 3, hidden=4, seed=2)
         ref = [p.copy() for p in f.parameters()]
         for _ in range(10):
             x, y, lr = rng.normal(size=5), rng.normal(size=3), 0.07
-            w1, b1, w2, b2 = ref
-            h = np.tanh(w1 @ x + b1)
-            d_pred = 2.0 * (w2 @ h + b2 - y) / 3
-            d_pre = (w2.T @ d_pred) * (1.0 - h**2)
-            ref = [w1 - lr * np.outer(d_pre, x), b1 - lr * d_pre,
-                   w2 - lr * np.outer(d_pred, h), b2 - lr * d_pred]
+            ref = written_out_step(ref, x, y, lr)
             f.train_step(x, y, lr)
-            for got, want in zip(f.parameters(), ref):
+            for got, want in zip(f.parameters(), ref, strict=True):
                 assert np.array_equal(got, want)
 
     def test_linear_update_matches_the_written_out_step(self):
@@ -202,11 +217,28 @@ class TestContract:
         ref = [p.copy() for p in f.parameters()]
         for _ in range(10):
             x, y, lr = rng.normal(size=5), rng.normal(size=3), 0.07
-            w, b = ref
-            err = w @ x + b - y
-            ref = [w - lr * (2.0 / 3) * np.outer(err, x), b - lr * (2.0 / 3) * err]
+            ref = written_out_step(ref, x, y, lr)
             f.train_step(x, y, lr)
-            for got, want in zip(f.parameters(), ref):
+            for got, want in zip(f.parameters(), ref, strict=True):
+                assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["linear", "mlp"]), st.integers(1, 13), st.integers(1, 7),
+           st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_the_fused_update_is_the_written_out_step_at_any_shape(self, kind, lookback,
+                                                                   horizon, hidden, seed):
+        # odd sizes start the views inside the one buffer at 8-byte-only offsets
+        rng = np.random.default_rng(seed)
+        f = make_forecaster(kind, lookback, horizon, hidden=hidden, seed=seed)
+        for p in f.parameters():
+            p += rng.normal(scale=0.5, size=p.shape)
+        ref = [p.copy() for p in f.parameters()]
+        for _ in range(4):
+            x, y = rng.normal(size=lookback), rng.normal(size=horizon)
+            lr = float(rng.uniform(0.0, 0.2))
+            ref = written_out_step(ref, x, y, lr)
+            f.train_step(x, y, lr)
+            for got, want in zip(f.parameters(), ref, strict=True):
                 assert np.array_equal(got, want)
 
     @settings(max_examples=300, deadline=None)
@@ -297,6 +329,34 @@ class TestCloning:
             f.train_step(x, y, 0.02)
             solo.train_step(x, y, 0.02)
         assert f.parameter_checksum() == solo.parameter_checksum()
+
+
+class TestParameterBuffer:
+    @pytest.mark.parametrize("copier", [Forecaster.deep_clone, copy.deepcopy],
+                             ids=["deep_clone", "deepcopy"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_a_clone_owns_its_buffer_and_trains_like_a_fresh_model(self, kind, copier):
+        rng = np.random.default_rng(13)
+        steps = [(rng.normal(size=7), rng.normal(size=3)) for _ in range(12)]
+        f = make_forecaster(kind, 7, 3, hidden=5, seed=4)
+        fresh = make_forecaster(kind, 7, 3, hidden=5, seed=4)
+        for x, y in steps[:5]:
+            f.train_step(x, y, 0.05)
+            fresh.train_step(x, y, 0.05)
+        parent_sum = f.parameter_checksum()
+        clone = copier(f)
+        assert type(clone) is type(f)
+        for model in (f, clone):
+            assert sum(p.size for p in model.parameters()) == model._theta.size
+            for p, g in zip(model.parameters(), model._grads, strict=True):
+                assert p.base is model._theta and g.base is model._grad
+        for p, q in zip(f.parameters() + f._grads, clone.parameters() + clone._grads):
+            assert not np.shares_memory(p, q)
+        for x, y in steps[5:]:
+            clone.train_step(x, y, 0.05)
+            fresh.train_step(x, y, 0.05)
+        assert clone.parameter_checksum() == fresh.parameter_checksum()
+        assert f.parameter_checksum() == parent_sum
 
 
 class TestDeterminism:

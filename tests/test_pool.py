@@ -79,6 +79,10 @@ class TestConfigValidation:
             ({"tau_l": 1.5}, "tau_l"),
             ({"tau_safe": -1}, "tau_safe"),
             ({"tau_e": 0.0}, "tau_e"),
+            ({"tau_mu": math.inf}, "tau_mu"),
+            ({"tau_e": math.inf}, "tau_e"),
+            ({"tau_mu": math.nan}, "tau_mu"),
+            ({"tau_e": math.nan}, "tau_e"),
             ({"tau_lr": 0.0}, "tau_lr"),
             ({"tau_lr": 1.01}, "tau_lr"),
             ({"t_lr": 0}, "t_lr"),
