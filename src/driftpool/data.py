@@ -10,9 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import os
-import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -26,6 +24,9 @@ from .errors import (
     NumericError,
     RowParseError,
     ValidationError,
+    check_fields,
+    check_value,
+    within,
 )
 
 
@@ -35,8 +36,11 @@ class ConceptSpec:
 
     level: float
     amplitude: float = 1.0
-    period: int = 24
-    noise_sigma: float = 0.0
+    period: float = within("[1, inf)", 24)
+    noise_sigma: float = within("[0, inf)", 0.0)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -45,29 +49,19 @@ class SyntheticSpec:
 
     concepts: tuple[ConceptSpec, ...]
     schedule: tuple[tuple[int, int], ...]
-    seed: int = 0
+    seed: int = within("[0, inf)", 0)
 
     def __post_init__(self):
-        if not self.concepts:
-            raise ValidationError("at least one concept is required")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        for c in self.concepts:
-            for name, v in vars(c).items():
-                if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                        or not abs(v) <= sys.float_info.max):  # also an int no float holds
-                    raise ValidationError(f"concept {name} must be a finite number, got {v!r}")
-            if c.period < 1:
-                raise ValidationError(f"period must be >= 1, got {c.period}")
-            if c.noise_sigma < 0:
-                raise ValidationError(f"noise_sigma must be >= 0, got {c.noise_sigma}")
+        check_fields(self)
+        for concept in self.concepts:
+            check_value("concept", concept, ConceptSpec)
         if not self.schedule:
             raise ValidationError("schedule must have at least one segment")
         for idx, dur in self.schedule:
+            check_value("schedule index", idx, int)
             if not 0 <= idx < len(self.concepts):
                 raise ValidationError(f"schedule references unknown concept {idx}")
-            if dur < 1:
-                raise ValidationError(f"segment duration must be >= 1, got {dur}")
+            check_value("segment duration", dur, int, domain="[1, inf)")
 
     @property
     def total_points(self) -> int:
@@ -76,8 +70,7 @@ class SyntheticSpec:
 
 def spec_from_dict(d: dict) -> SyntheticSpec:
     """Parse the JSON form of a spec: concept objects, [index, duration] pairs, a seed;
-    those ints must be ints, not floats or bools, and the only other key is kind,
-    which may be absent but otherwise reads "synthetic"."""
+    the only other key is kind, which may be absent but otherwise reads "synthetic"."""
     try:
         unknown = d.keys() - {"kind", "concepts", "schedule", "seed"}
         if unknown:
@@ -86,13 +79,9 @@ def spec_from_dict(d: dict) -> SyntheticSpec:
             raise ValueError(f"kind must be 'synthetic', got {d['kind']!r}")
         concepts = tuple(ConceptSpec(**c) for c in d["concepts"])
         schedule = tuple((i, n) for i, n in d["schedule"])
-        seed = d.get("seed", 0)
-        for v in (seed, *(n for pair in schedule for n in pair)):
-            if type(v) is not int:
-                raise ValueError(f"seed, indices and durations must be ints, got {v!r}")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return SyntheticSpec(concepts=concepts, schedule=schedule, seed=d.get("seed", 0))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a ValidationError too
         raise ValidationError(f"bad synthetic spec: {exc}") from exc
-    return SyntheticSpec(concepts=concepts, schedule=schedule, seed=seed)
 
 
 def warm_split_index(n: int) -> int:

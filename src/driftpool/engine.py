@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import warm_split_index
-from .errors import NumericError, SizingError, ValidationError
+from .errors import NumericError, SizingError, ValidationError, check_fields, within
 from .forecasters import FORECASTER_KINDS, KINDS, make_forecaster, mse
 from .gene import blend, fold_moments, reject_non_finite, window_genes
 from .gene import compute_gene  # unused: perfbench/child.py traces engine.compute_gene by name
@@ -58,26 +58,17 @@ class InstanceSet:
 class EngineConfig:
     """Everything a run needs besides the series itself."""
 
-    lookback: int
-    horizon: int
+    lookback: int = within("[1, inf)")
+    horizon: int = within("[1, inf)")
     cep: CepConfig = field(default_factory=CepConfig)
-    forecaster: str = "linear"
-    hidden: int = 32
-    lr_raw: float | None = None
-    warm_epochs: int = 5
-    seed: int = 0
+    forecaster: str = within(FORECASTER_KINDS, "linear")
+    hidden: int = within("[1, inf)", 32)
+    lr_raw: float | None = within("(0, inf)", None)
+    warm_epochs: int = within("[0, inf)", 5)
+    seed: int = within("[0, inf)", 0)
 
     def __post_init__(self):
-        for name, low in (("lookback", 1), ("horizon", 1), ("hidden", 1), ("seed", 0),
-                          ("warm_epochs", 0)):
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.forecaster not in FORECASTER_KINDS:
-            raise ValidationError(
-                f"forecaster must be one of {FORECASTER_KINDS}, got {self.forecaster!r}"
-            )
-        if self.lr_raw is not None and not 0 < self.lr_raw < float("inf"):
-            raise ValidationError(f"lr_raw must be finite and > 0, got {self.lr_raw}")
+        check_fields(self)
 
     def resolved_lr(self) -> float:
         return self.lr_raw if self.lr_raw is not None else KINDS[self.forecaster].default_lr

@@ -15,8 +15,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import sys
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -33,7 +31,7 @@ from .data import (
     write_column_csv,
 )
 from .engine import EngineConfig, RunResult
-from .errors import ValidationError
+from .errors import ValidationError, check_fields, check_value, field_types, within
 from .pool import CepConfig
 
 SCHEMA_VERSION = 1
@@ -51,21 +49,18 @@ class RunManifest:
 
     data: dict
     engine: EngineConfig
-    normalize: str = "off"
+    normalize: str = within(NORMALIZE_MODES, "off")
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.normalize not in NORMALIZE_MODES:
-            raise ValidationError(
-                f"normalize must be one of {NORMALIZE_MODES}, got {self.normalize!r}"
-            )
-        if not isinstance(self.data, dict):
-            raise ValidationError("data must be an object with a 'kind' field")
+        check_fields(self)
         kind = self.data.get("kind")
         if kind == "csv":
             if "path" not in self.data or "column" not in self.data:
                 raise ValidationError("data.kind=csv requires data.path and data.column")
-            _check_fields(self.data, _CSV_TYPES, "data")
+            _check_keys(self.data, _CSV_TYPES, "data")
+            for key, value in self.data.items():
+                check_value(f"data field {key}", value, _CSV_TYPES[key])
         elif kind == "synthetic":
             spec_from_dict(self.data)  # validates
         else:
@@ -79,17 +74,17 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
-        top = {k: v for k, v in d.items() if k not in ("data", "cep")}
-        _check_fields(top, _MANIFEST_TYPES, "manifest")
+        _check_keys(d, {*_ENGINE_TYPES, *_RUN_TYPES, "data", "cep"}, "manifest")
         for key in ("data", *_REQUIRED):
             if key not in d:
                 raise ValidationError(f"manifest is missing required field {key!r}")
         cep = d.get("cep", {})
         if not isinstance(cep, dict):
             raise ValidationError("cep must be an object of threshold/switch fields")
-        _check_fields(cep, _CEP_TYPES, "cep")
-        engine = {k: top.pop(k) for k in list(top) if k in _ENGINE_TYPES}  # top keeps the rest
-        return cls(data=d["data"], engine=EngineConfig(cep=CepConfig(**cep), **engine), **top)
+        _check_keys(cep, _CEP_TYPES, "cep")
+        engine = {k: v for k, v in d.items() if k in _ENGINE_TYPES}
+        run = {k: v for k, v in d.items() if k in _RUN_TYPES}
+        return cls(data=d["data"], engine=EngineConfig(cep=CepConfig(**cep), **engine), **run)
 
     def config_hash(self) -> str:
         """Hash of everything that affects the result (the output dir does not)."""
@@ -101,56 +96,27 @@ class RunManifest:
 
 # --- the one key schema, read off the config dataclasses --------------------
 
-def _field_types(cls, *skip: str) -> dict[str, tuple[type, bool]]:
-    """(type, accepts None) of each field of a dataclass, except the skipped ones."""
-    hints = typing.get_type_hints(cls)
-    out = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in skip:
-            hint = hints[f.name]
-            optional = type(None) in typing.get_args(hint)  # `X | None` is the only union
-            out[f.name] = (typing.get_args(hint)[0] if optional else hint, optional)
-    return out
-
-
-_CEP_TYPES = _field_types(CepConfig)
-_ENGINE_TYPES = _field_types(EngineConfig, "cep")
-_RUN_TYPES = _field_types(RunManifest, "data", "engine", "out_dir")  # normalize
-_MANIFEST_TYPES = {**_ENGINE_TYPES, **_field_types(RunManifest, "data", "engine")}
+_CEP_TYPES = field_types(CepConfig)
+_ENGINE_TYPES = {k: v for k, v in field_types(EngineConfig).items() if k != "cep"}
+_RUN_TYPES = {k: v for k, v in field_types(RunManifest).items() if k in ("normalize", "out_dir")}
 _REQUIRED = tuple(f.name for f in dataclasses.fields(EngineConfig)
                   if f.default is dataclasses.MISSING
                   and f.default_factory is dataclasses.MISSING)
 # A manifest's "data" object for a CSV source.
-_CSV_TYPES = {
-    "kind": (str, False), "path": (str, False), "column": (str, False),
-    "has_header": (bool, False),
-}
+_CSV_TYPES = {"kind": str, "path": str, "column": str, "has_header": bool}
 # Config files name a CSV source in place of a manifest's "data" object, its
 # path under the key "data"; the output directory comes from --out.
 CONFIG_TYPES = {
-    **_CEP_TYPES, **_ENGINE_TYPES, **_RUN_TYPES, "data": _CSV_TYPES["path"],
-    "column": _CSV_TYPES["column"], "has_header": _CSV_TYPES["has_header"],
+    **_CEP_TYPES, **_ENGINE_TYPES, "normalize": _RUN_TYPES["normalize"],
+    **{key: (_CSV_TYPES[csv_key], False)
+       for key, csv_key in (("data", "path"), ("column", "column"), ("has_header", "has_header"))},
 }
 
 
-def _check_fields(d: dict, types: dict, what: str) -> None:
-    """Reject unknown keys and mistyped values; convert nothing, so an int stays an int."""
-    unknown = set(d) - set(types)
+def _check_keys(d: dict, known, what: str) -> None:
+    unknown = d.keys() - known
     if unknown:
         raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
-    for key, value in d.items():
-        base, optional = types[key]
-        if value is None:
-            ok = optional
-        elif isinstance(value, bool):
-            ok = base is bool
-        elif base is float and isinstance(value, int):
-            ok = abs(value) <= sys.float_info.max  # no float holds a larger int
-        else:
-            ok = isinstance(value, (int, float) if base is float else base)
-        if not ok:
-            expected = f"{base.__name__} or null" if optional else base.__name__
-            raise ValidationError(f"{what} field {key} must be {expected}, got {value!r}")
 
 
 def save_manifest(manifest: RunManifest, path: str | Path) -> None:

@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_fields, check_value, within
 from .forecasters import Forecaster
 from .gene import SIGMA_FLOOR, blend, fold_moments, nlls
 
@@ -39,44 +39,27 @@ class CepConfig:
                 (None means the full window)
     """
 
-    tau_mu: float = 3.0
-    tau_gene: float = 0.8
-    tau_l: float = 0.2
-    tau_safe: int = 15
-    tau_e: float = 1.5
-    tau_lr: float = 0.5
-    t_lr: int = 15
-    scope_s: int | None = None
-    retrieval_score: str = "euclidean"
+    tau_mu: float = within("(0, inf)", 3.0)
+    tau_gene: float = within("[0, 1]", 0.8)
+    tau_l: float = within("(0, 1]", 0.2)
+    tau_safe: int = within("[0, inf)", 15)
+    tau_e: float = within("(0, inf)", 1.5)
+    tau_lr: float = within("(0, 1]", 0.5)
+    t_lr: int = within("[1, inf)", 15)
+    scope_s: int | None = within("[1, inf)", None)
+    retrieval_score: str = within(RETRIEVAL_SCORES, "euclidean")
     evolution: bool = True
     elimination: bool = True
     gradient_abandonment: bool = True
     optimizer_adjustment: bool = True
     use_local_gene: bool = True
     use_global_gene: bool = True
-    max_pool_size: int | None = None
+    max_pool_size: int | None = within("[1, inf)", None)
 
     def __post_init__(self):
-        if not 0 < self.tau_mu < math.inf:
-            raise ValidationError(f"tau_mu must be finite and > 0, got {self.tau_mu}")
-        if not 0.0 <= self.tau_gene <= 1.0:
-            raise ValidationError(f"tau_gene must be in [0, 1], got {self.tau_gene}")
-        if not 0.0 < self.tau_l <= 1.0:
-            raise ValidationError(f"tau_l must be in (0, 1], got {self.tau_l}")
-        if not 0 < self.tau_e < math.inf:
-            raise ValidationError(f"tau_e must be finite and > 0, got {self.tau_e}")
-        if not 0.0 < self.tau_lr <= 1.0:
-            raise ValidationError(f"tau_lr must be in (0, 1], got {self.tau_lr}")
-        if self.retrieval_score not in RETRIEVAL_SCORES:
-            raise ValidationError(
-                f"retrieval_score must be one of {RETRIEVAL_SCORES}, got {self.retrieval_score!r}"
-            )
+        check_fields(self)
         if not (self.use_local_gene or self.use_global_gene):
             raise ValidationError("at least one of use_local_gene/use_global_gene must be on")
-        for name, low in (("tau_safe", 0), ("t_lr", 1), ("scope_s", 1), ("max_pool_size", 1)):
-            value = getattr(self, name)
-            if value is not None and value < low:  # None leaves scope_s or max_pool_size unset
-                raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
 class PoolEntry:
@@ -196,8 +179,7 @@ class Pool:
     """
 
     def __init__(self, first: Forecaster, lr_raw: float, config: CepConfig):
-        if not 0 < lr_raw < float("inf"):
-            raise ValidationError(f"lr_raw must be finite and > 0, got {lr_raw}")
+        check_value("lr_raw", lr_raw, float, domain="(0, inf)")
         self.lr_raw = float(lr_raw)
         self.config = config
         self.entries = []

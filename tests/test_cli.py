@@ -38,8 +38,9 @@ from driftpool.data import (
     write_column_csv,
 )
 from driftpool.engine import EngineConfig
-from driftpool.errors import ValidationError
+from driftpool.errors import ValidationError, field_types
 from driftpool.manifest import (
+    CONFIG_TYPES,
     RunManifest,
     load_manifest,
     manifest_from_settings,
@@ -137,7 +138,7 @@ class TestManifest:
         assert json.dumps(loaded.to_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
 
     def test_settings_are_typed_as_a_manifest(self):
-        with pytest.raises(ValidationError, match="manifest field lookback must be int, got 1.5"):
+        with pytest.raises(ValidationError, match=r"^lookback must be int, got 1\.5$"):
             manifest_from_settings({"data": "x.csv", "lookback": 1.5, "horizon": 4})
 
     def test_data_kind_required(self):
@@ -724,6 +725,13 @@ def numeric_fields(cls, path, *skip):
             and {int, float} & {*typing.get_args(hints[f.name]), hints[f.name]}]
 
 
+# Every float field of a synthetic run manifest, as the key path into its JSON.
+FLOAT_FIELDS = [
+    *((name,) for name, (kind, _) in field_types(EngineConfig).items() if kind is float),
+    *(("cep", name) for name, (kind, _) in field_types(CepConfig).items() if kind is float),
+    *(("data", "concepts", 0, name) for name, (kind, _) in field_types(ConceptSpec).items()
+      if kind is float),
+]
 # Every numeric field of a synthetic run manifest, as the key path into its JSON.
 # warm_epochs is left out: 2**62 epochs is a valid run that never ends.
 NUMERIC_FIELDS = [
@@ -901,7 +909,7 @@ class TestMainExitCodes:
             argv = ["run", "--config", str(tmp_path / "run.cfg"), "--data",
                     str(tmp_path / "in.csv"), "--lookback", "16", "--horizon", "8"]
         assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: {field} must be finite and > 0, got inf\n"
+        assert capsys.readouterr().err == f"error: {field} must be in (0, inf), got inf\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["manifest", "config"])
@@ -956,7 +964,8 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", [10**400, -10**400, 2**62], ids=["1e400", "-1e400", "2^62"])
+    @pytest.mark.parametrize("value", [10**400, -10**400, 2**62, math.inf, -math.inf, math.nan],
+                             ids=["1e400", "-1e400", "2^62", "inf", "-inf", "nan"])
     @pytest.mark.parametrize("path", NUMERIC_FIELDS, ids=lambda path: ".".join(map(str, path)))
     def test_no_numeric_setting_ends_in_a_traceback(self, tmp_path, capsys, path, value):
         manifest = synthetic_manifest(forecaster="mlp" if path == ("hidden",) else "linear",
@@ -971,6 +980,32 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME, EXIT_IO)
         assert err.count("error:") <= 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("where, path", [
+        *(("manifest", path) for path in FLOAT_FIELDS),
+        *(("config", (key,)) for key, (kind, _) in CONFIG_TYPES.items() if kind is float),
+    ], ids=lambda p: p if isinstance(p, str) else ".".join(map(str, p)))
+    def test_a_non_finite_float_exits_2(self, tmp_path, capsys, where, path, value):
+        # json.dumps writes each as a bare token (Infinity, -Infinity, NaN) that
+        # json.load reads back; a config file's float() reads the text as written
+        if where == "manifest":
+            manifest = synthetic_manifest().to_dict()
+            target = manifest
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = float(value)
+            (tmp_path / "m.json").write_text(json.dumps(manifest))
+            argv = ["run", "--manifest", str(tmp_path / "m.json")]
+        else:
+            write_column_csv(tmp_path / "in.csv", np.zeros(400))
+            (tmp_path / "run.cfg").write_text(f"{path[-1]} = {value}\n")
+            argv = ["run", "--config", str(tmp_path / "run.cfg"), "--data",
+                    str(tmp_path / "in.csv"), "--lookback", "16", "--horizon", "8"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.match(rf"error: (bad synthetic spec: )?{path[-1]} must be ", line), line
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_moments(self, tmp_path, capsys):
         # a constant 1e200 stream: (mu - x) ** 2 overflows in the global moments

@@ -260,15 +260,21 @@ class TestGenerate:
         with pytest.raises(ValidationError, match="seed"):
             SyntheticSpec(concepts=(ConceptSpec(level=0.0),), schedule=((0, 10),), seed=-1)
 
-    @pytest.mark.parametrize("key, value", [
-        ("seed", 1.5), ("seed", True), ("seed", "1"), ("seed", None),
-        ("schedule", [[0, 400.9]]), ("schedule", [[0, "400"]]), ("schedule", [[0.0, 400]]),
-        ("schedule", [[False, 400]]),
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", 1.5, "seed must be int, got 1.5"),
+        ("seed", True, "seed must be int, got True"),
+        ("seed", "1", "seed must be int, got '1'"),
+        ("seed", None, "seed must be int, got None"),
+        ("schedule", [[0, 400.9]], "segment duration must be int, got 400.9"),
+        ("schedule", [[0, "400"]], "segment duration must be int, got '400'"),
+        ("schedule", [[0.0, 400]], "schedule index must be int, got 0.0"),
+        ("schedule", [[False, 400]], "schedule index must be int, got False"),
     ], ids=["seed-float", "seed-bool", "seed-str", "seed-null", "duration-float",
             "duration-str", "index-float", "index-bool"])
-    def test_spec_ints_are_checked_not_truncated(self, key, value):
+    def test_spec_ints_are_checked_not_truncated(self, key, value, message):
         d = {"concepts": [{"level": 0.0}], "schedule": [[0, 400]], "seed": 1, key: value}
-        with pytest.raises(ValidationError, match="^bad synthetic spec: .* must be ints, got"):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape('bad synthetic spec: ' + message)}$"):
             spec_from_dict(d)
 
     @pytest.mark.parametrize("d, message", [

@@ -710,14 +710,17 @@ class TestInstances:
         with pytest.raises(ValidationError):
             EngineConfig(lookback=5, horizon=5, lr_raw=-1.0)
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValidationError, match="lr_raw must be finite"):
+            message = rf"^lr_raw must be in \(0, inf\), got {bad}$"
+            with pytest.raises(ValidationError, match=message):
                 EngineConfig(lookback=5, horizon=5, lr_raw=bad)
         with pytest.raises(ValidationError):
             EngineConfig(lookback=5, horizon=5, warm_epochs=-1)
 
     @pytest.mark.parametrize("field, bad", [("hidden", 0), ("hidden", -1), ("seed", -1)])
     def test_rejects_what_the_forecaster_cannot_build(self, field, bad):
-        with pytest.raises(ValidationError, match=f"{field} must be >= "):
+        low = {"hidden": 1, "seed": 0}[field]
+        message = rf"^{field} must be in \[{low}, inf\), got {bad}$"
+        with pytest.raises(ValidationError, match=message):
             EngineConfig(lookback=5, horizon=5, forecaster="mlp", **{field: bad})
 
     def test_config_is_hashable_and_frozen(self):

@@ -96,9 +96,9 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=fieldname):
             CepConfig(**kwargs)
 
-    @pytest.mark.parametrize("lr_raw", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("lr_raw", [0.0, -1.0, float("nan"), float("inf"), "0.1"])
     def test_pool_rejects_bad_lr(self, lr_raw):
-        with pytest.raises(ValidationError, match="lr_raw"):
+        with pytest.raises(ValidationError, match="^lr_raw must be "):
             make_pool(lr_raw=lr_raw)
 
     def test_defaults_match_documented_values(self):

@@ -3,11 +3,14 @@
 Every ```python block of README.md is executed in order in one namespace,
 so a later block can use what an earlier one built. The CLI surface is held
 to the parser both ways: every flag is documented, and every documented
-``driftpool`` command line parses.
+``driftpool`` command line parses. The settings table is held to the
+dataclass declarations it lists.
 """
 
 import argparse
 import ast
+import dataclasses
+import json
 import re
 import shlex
 from pathlib import Path
@@ -16,6 +19,11 @@ import pytest
 
 import driftpool
 from driftpool.cli import build_parser
+from driftpool.data import ConceptSpec, SyntheticSpec
+from driftpool.engine import EngineConfig
+from driftpool.errors import field_types
+from driftpool.manifest import RunManifest
+from driftpool.pool import CepConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,6 +62,32 @@ def test_every_flag_is_documented(command):
     missing = [flag for flag in flags
                if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)]
     assert not missing, f"{command} flags missing from README.md: {missing}"
+
+
+def setting_rows():
+    """README's settings-table row of each scalar field of the five config dataclasses,
+    written from its declaration."""
+    rows = []
+    for cls in (EngineConfig, CepConfig, RunManifest, SyntheticSpec, ConceptSpec):
+        types = field_types(cls)
+        for f in dataclasses.fields(cls):
+            kind, optional = types.get(f.name, (None, False))
+            if kind not in (int, float, str, bool):
+                continue  # a nested object: cep, engine, data, concepts, schedule
+            domain = f.metadata.get("domain")
+            bound = ("one of " + ", ".join(f"`{choice}`" for choice in domain)
+                     if isinstance(domain, tuple) else f"`{domain}`" if domain
+                     else "finite" if kind is float else "any")
+            default = ("required" if f.default is dataclasses.MISSING
+                       else f"`{json.dumps(f.default)}`")
+            rows.append(f"| `{f.name}` | `{cls.__name__}` | {kind.__name__}"
+                        f"{' or null' * optional} | {default} | {bound} |")
+    return rows
+
+
+def test_every_setting_is_in_the_table():
+    table = re.findall(r"^\| `\w+` \| `\w+` \|.*$", README.read_text(encoding="utf-8"), flags=re.M)
+    assert table == setting_rows()
 
 
 def shell_lines(text):
