@@ -128,8 +128,9 @@ def generate(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @contextmanager
 def open_text(path: str | Path, newline: str | None = None):
-    """A UTF-8 text file opened for reading; a byte that is not UTF-8 names the file."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """A UTF-8 text file opened for reading, one leading byte-order mark (U+FEFF)
+    dropped; a byte that is not UTF-8 names the file."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -167,7 +168,7 @@ def load_csv(path: str | Path, column: str, has_header: bool = True) -> np.ndarr
 
 def _read_csv_text(path: Path) -> str:
     with open_text(path, newline="") as fh:
-        return fh.read().removeprefix("\ufeff")  # Excel's "CSV UTF-8" starts with one
+        return fh.read()
 
 
 def _rows(path: Path, text: str) -> Iterator[tuple[int, list[str]]]:

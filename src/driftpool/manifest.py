@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -131,7 +130,7 @@ def read_json(path: str | Path) -> Any:
             return json.load(fh)
         except UnicodeDecodeError:
             raise  # open_text reports it as a file-format problem
-        except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -270,77 +269,46 @@ _RECORD_JSON = """\
       "pool_size": %d,
       "t": %d
     }"""
-_RECORD_KEYS = {"abandoned", "eliminated_ids", "entry_id", "evolved", "gene_mu",
-                "gene_sigma", "mse", "pool_size", "t"}
-_LOGGED_KEYS = _RECORD_KEYS | {"forecast"}
 
 
-def _list_json(values: Any, kind: type) -> str | None:
-    """A record's list as it sits in results.json, or None unless every item is
-    an exact `kind` (a finite one, for float)."""
-    if type(values) is not list:
-        return None
+def _list_json(values: list) -> str:
+    """A record's list of ints or floats as it sits in results.json."""
     if not values:
         return "[]"
-    if not all(type(v) is kind for v in values):
-        return None
-    if kind is float and not all(map(math.isfinite, values)):
-        return None
     return "[\n        " + ",\n        ".join(map(repr, values)) + "\n      ]"
-
-
-def _record_json(r: Any) -> str | None:
-    """A record as it sits in results.json, or None unless it holds the record
-    keys with exact bool/int/finite float values; json.dumps then writes it."""
-    keys = r.keys() if type(r) is dict else None
-    if keys == _RECORD_KEYS:
-        forecast = ""
-    elif keys == _LOGGED_KEYS and (logged := _list_json(r["forecast"], float)):
-        forecast = f'"forecast": {logged},\n      '
-    else:
-        return None
-    eliminated = _list_json(r["eliminated_ids"], int)
-    t, entry_id, pool_size = r["t"], r["entry_id"], r["pool_size"]
-    evolved, abandoned = r["evolved"], r["abandoned"]
-    gene_mu, gene_sigma, mse = r["gene_mu"], r["gene_sigma"], r["mse"]
-    if not (eliminated and type(t) is int and type(entry_id) is int
-            and type(pool_size) is int and type(evolved) is bool and type(abandoned) is bool
-            and type(gene_mu) is float and type(gene_sigma) is float and type(mse) is float
-            and math.isfinite(gene_mu) and math.isfinite(gene_sigma) and math.isfinite(mse)):
-        return None
-    return _RECORD_JSON % ("true" if abandoned else "false", eliminated, entry_id,
-                           "true" if evolved else "false", forecast, gene_mu, gene_sigma,
-                           mse, pool_size, t)
 
 
 def _write_results_json(bundle: dict, fh) -> None:
     """The bundle as json.dumps(indent=2, sort_keys=True) encodes it, plus a newline.
 
     json's indenting encoder is pure Python, so only the small head goes
-    through it; records are written one at a time from the template, and a
-    record it does not fit (an unexpected key or value type, a non-finite
-    float) is left to json.dumps, which encodes or rejects it.
+    through it, and each record is written from the template: its values are
+    exact ints, bools and finite floats, whose repr is their JSON.
     """
-    records = bundle["records"]
     head = json.dumps({**bundle, "records": []}, indent=2, sort_keys=True)
     # a line at a two-space indent is a top-level key; strings hold no raw newline
     before, _, after = head.partition('\n  "records": []')
     fh.write(before + '\n  "records": [')
     sep = "\n"
-    for r in records:
-        text = _record_json(r)
-        if text is None:
-            text = "    " + json.dumps(r, indent=2, sort_keys=True).replace("\n", "\n    ")
-        fh.write(sep + text)
+    for r in bundle["records"]:  # never empty: split_instances sees to that
+        forecast = f'"forecast": {_list_json(r["forecast"])},\n      ' if "forecast" in r else ""
+        fh.write(sep + _RECORD_JSON % (
+            "true" if r["abandoned"] else "false", _list_json(r["eliminated_ids"]),
+            r["entry_id"], "true" if r["evolved"] else "false", forecast, r["gene_mu"],
+            r["gene_sigma"], r["mse"], r["pool_size"], r["t"]))
         sep = ",\n"
-    fh.write(("\n  ]" if records else "]") + after + "\n")
+    fh.write("\n  ]" + after + "\n")
 
 
 def write_bundle(bundle: dict, out_dir: str | Path, labels: np.ndarray | None = None) -> dict:
-    """Write results.json and the flat CSV extracts; returns the file map.
+    """Write results.json and the flat CSV extracts of a bundle that
+    ``build_bundle`` made; returns the file map.
 
-    The three files are written whole before any replaces its predecessor,
-    so a record that fails to encode leaves the earlier bundle as it was.
+    Its records hold exact ints and bools and finite floats, so results.json is
+    ``json.dumps(bundle, indent=2, sort_keys=True)`` plus a newline; a hand-edited
+    record is not re-routed through json. The three files are written whole
+    before any replaces its predecessor, so a record that fails to encode
+    leaves the earlier bundle as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftpool.cli import (
@@ -31,28 +31,27 @@ from driftpool.cli import (
 )
 from driftpool.data import (
     ConceptSpec,
+    SyntheticSpec,
     default_stream_spec,
     generate,
     load_csv,
     spec_from_dict,
     write_column_csv,
 )
-from driftpool.engine import EngineConfig
+from driftpool.engine import EngineConfig, run
 from driftpool.errors import ValidationError, field_types
+from driftpool.forecasters import FORECASTER_KINDS
 from driftpool.manifest import (
     CONFIG_TYPES,
     RunManifest,
+    build_bundle,
     load_manifest,
     manifest_from_settings,
     parse_config_file,
     read_bundle,
     save_manifest,
 )
-from driftpool.pool import CepConfig
-
-
-RECORD_FIELDS = ["abandoned", "eliminated_ids", "entry_id", "evolved", "gene_mu", "gene_sigma",
-                 "mse", "pool_size", "t"]
+from driftpool.pool import RETRIEVAL_SCORES, CepConfig
 
 
 def synthetic_manifest(data=None, out_dir=None, **engine):
@@ -235,6 +234,23 @@ class TestConfigFile:
         cep = load_manifest(tmp_path / "config" / "manifest.json").engine.cep
         assert (cep.elimination, cep.retrieval_score, cep.max_pool_size) == (False, "mle", 4)
 
+    @pytest.mark.parametrize("where", ["config", "manifest"])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, capsys, where):
+        cmd_generate(default_stream_spec(noise_sigma=0.2, seed=1, segment=300), tmp_path)
+        if where == "config":
+            text = (f"data = {tmp_path / 'values.csv'}\ncolumn = value\nlookback = 16\n"
+                    "horizon = 8\nforecaster = naive\nwarm_epochs = 1\n")
+        else:
+            text = json.dumps(synthetic_manifest().to_dict())
+        written = []
+        for bom in ("", "\ufeff"):
+            (tmp_path / "in").write_text(bom + text, encoding="utf-8")
+            argv = ["run", f"--{where}", str(tmp_path / "in"), "--out", str(tmp_path / "out")]
+            assert main(argv) == EXIT_OK
+            written.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
+        assert written[0] == written[1]
+        assert capsys.readouterr().err == ""
+
 
 class TestCmdRun:
     def test_writes_bundle_and_extracts(self, tmp_path, capsys):
@@ -279,19 +295,17 @@ class TestCmdRun:
             echoed = json.loads((tmp_path / name / "manifest.json").read_text())
             assert "log_forecasts" not in echoed
 
-    @pytest.mark.parametrize("field, value, error, message", [
-        *((field, object(), TypeError, "not JSON serializable") for field in RECORD_FIELDS),
-        # json writes a string, and the instances extract cannot
-        ("mse", "0.5", TypeError, "must be real number, not str"),
-    ], ids=[*RECORD_FIELDS, "mse-str"])
-    def test_failed_write_keeps_the_earlier_bundle(self, field, value, error, message,
-                                                   tmp_path, capsys):
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda r: r.pop("pool_size"), KeyError, "pool_size"),
+        (lambda r: r.update(mse="0.5"), TypeError, "must be real number, not str"),
+        (lambda r: r.update(gene_mu="0.5"), TypeError, "must be real number, not str"),
+    ], ids=["results-missing-key", "instances-str-mse", "trajectories-str-gene_mu"])
+    def test_failed_write_keeps_the_earlier_bundle(self, edit, error, message, tmp_path, capsys):
         from driftpool.manifest import write_bundle
 
         bundle = cmd_run(synthetic_manifest(), out_dir=tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        last = bundle["records"][-1]  # the write fails near the end
-        last[field] = [value] if isinstance(last[field], list) else value
+        edit(bundle["records"][-1])  # the write fails near the end of one file
         with pytest.raises(error, match=message):
             write_bundle(bundle, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -319,87 +333,43 @@ class TestCmdRun:
         assert bundle["aggregate"] == bare["aggregate"]
 
 
-# Values json.dumps encodes differently from repr, or rejects, beside plain ones.
-EDGE_FLOATS = [-0.0, 5e-324, -2.225073858507201e-308, 1e308, -1e308, math.nan, math.inf,
-               -math.inf]
-FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
-INTS = st.integers() | st.sampled_from([2**63, -2**63 - 1, 10**40])
-NUMPY = (st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
-         | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.just(np.bool_(True)))
-RECORD = st.fixed_dictionaries(
-    {
-        "t": INTS, "entry_id": INTS, "pool_size": INTS, "mse": FLOATS, "gene_mu": FLOATS,
-        "gene_sigma": FLOATS, "evolved": st.booleans(), "abandoned": st.booleans(),
-        "eliminated_ids": st.lists(INTS, max_size=3),
-    },
-    optional={"forecast": st.lists(FLOATS, max_size=3)},
-)
-
-
-def bundle_of(records, text="", number=0.0):
-    """A bundle of build_bundle's shape around the given records."""
-    return {
-        "schema_version": 1,
-        "config_hash": text,
-        # a string may hold the line the writer splices the records in at
-        "manifest": {"data": {"path": text}},
-        "n_points": len(records),
-        "aggregate": {"mean_mse": number},
-        "events": {"created": [{"id": 0, "t": None, "parent": None}], "eliminated": []},
-        "records": records,
-    }
-
-
 @st.composite
-def bundles(draw):
-    """Bundles whose records may hold one value of another type (a numpy
-    scalar, a bool for a number, an int for a bool or float) or a key too many."""
-    records = draw(st.lists(RECORD, max_size=4))
-    for r in records:
-        odd = draw(st.sampled_from(["note", *r])) if draw(st.booleans()) else None
-        if odd == "note":
-            r[odd] = draw(st.text())
-        elif odd is not None and isinstance(r[odd], list):
-            r[odd].append(draw(NUMPY))
-        elif odd is not None:
-            r[odd] = draw(NUMPY | st.booleans() | st.integers(-10**6, 10**6))
-    text = draw(st.just('\n  "records": []') | st.text())
-    return bundle_of(records, text, draw(FLOATS | NUMPY))
-
-
-PLAIN_RECORD = {"abandoned": False, "eliminated_ids": [3], "entry_id": 1, "evolved": True,
-                "gene_mu": 0.5, "gene_sigma": 0.25, "mse": 0.125, "pool_size": 2, "t": 60}
-# Each record swaps one value for a near miss: one json.dumps writes, but not
-# as the template writes a value of the expected type.
-NEAR_MISSES = [
-    {"t": True}, {"pool_size": 2.0}, {"evolved": 1}, {"abandoned": 0}, {"mse": 1},
-    {"gene_mu": np.float64(0.5)}, {"gene_sigma": False}, {"eliminated_ids": [True]},
-    {"forecast": [np.float64(0.5)]}, {"forecast": [1]}, {"eliminated_ids": {3: 4}},
-]
+def drawn_runs(draw):
+    """(manifest, spec, log_forecasts) of a run over a three-concept stream, with the
+    forecaster, retrieval score, pool cap (1 and 2 evict), elimination, abandonment
+    and forecast logging drawn. The manifest's CSV path holds drawn text, which may
+    hold the line the writer splices the records in at."""
+    cep = CepConfig(retrieval_score=draw(st.sampled_from(RETRIEVAL_SCORES)),
+                    max_pool_size=draw(st.sampled_from([None, 1, 2])),
+                    elimination=draw(st.booleans()), gradient_abandonment=draw(st.booleans()),
+                    tau_safe=draw(st.integers(0, 15)))
+    engine = EngineConfig(lookback=8, horizon=4, forecaster=draw(st.sampled_from(FORECASTER_KINDS)),
+                          hidden=4, lr_raw=1e-3, warm_epochs=1, cep=cep)
+    path = draw(st.just('\n  "records": []') | st.text())
+    manifest = RunManifest(data={"kind": "csv", "path": path, "column": "value"}, engine=engine)
+    concepts = tuple(ConceptSpec(level, noise_sigma=0.2) for level in (0.0, 4.0, -4.0))
+    order = draw(st.lists(st.sampled_from(range(3)), min_size=3, max_size=6))
+    spec = SyntheticSpec(concepts, tuple((i, 200) for i in [0, *order]),
+                         seed=draw(st.integers(0, 2**32 - 1)))
+    return manifest, spec, draw(st.booleans())
 
 
 class TestWriteBundle:
-    @given(bundle=bundles())
-    @example(bundle=bundle_of([{**PLAIN_RECORD, **miss} for miss in NEAR_MISSES]))
-    @example(bundle=bundle_of([{**PLAIN_RECORD, "eliminated_ids": [np.int64(3)]}]))
-    @example(bundle=bundle_of([]))
-    @settings(max_examples=300, deadline=None)
-    def test_results_json_is_json_dumps_of_the_bundle(self, bundle):
+    @given(drawn=drawn_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_results_json_is_json_dumps_of_the_bundle(self, drawn):
         from driftpool.manifest import write_bundle
 
-        try:
-            expected = json.dumps(bundle, indent=2, sort_keys=True) + "\n"
-        except (TypeError, ValueError) as exc:
-            expected = exc
+        manifest, spec, log_forecasts = drawn
+        values, _ = generate(spec)
+        result = run(values, manifest.engine, log_forecasts=log_forecasts)
+        # the config hash holds the drawn text too
+        bundle = {**build_bundle(manifest, result, len(values)),
+                  "config_hash": manifest.data["path"]}
         with tempfile.TemporaryDirectory() as out:
-            results = Path(out) / "results.json"
-            if isinstance(expected, str):
-                write_bundle(bundle, out)
-                assert results.read_text(encoding="utf-8") == expected
-            else:
-                with pytest.raises(type(expected), match=re.escape(str(expected))):
-                    write_bundle(bundle, out)
-                assert not results.exists()
+            write_bundle(bundle, out)
+            written = (Path(out) / "results.json").read_text(encoding="utf-8")
+        assert written == json.dumps(bundle, indent=2, sort_keys=True) + "\n"
 
 
 class TestCmdCompare:
@@ -937,6 +907,24 @@ class TestMainExitCodes:
         assert main(["run", "--manifest", str(tmp_path / "m.json")]) == EXIT_VALIDATION
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {tmp_path / 'm.json'}: not valid JSON: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--manifest", "DEEP", "--out", "OUT"],
+        ["compare", "DEEP", "MANIFEST", "--out", "OUT"],
+        ["generate", "--spec", "DEEP", "--out", "OUT"],
+        ["purity", "--results", "DEEP", "--labels", "LABELS"],
+    ], ids=["run", "compare", "generate", "purity"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, argv):
+        # json.load raises RecursionError, not ValueError, past the recursion limit
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        save_manifest(synthetic_manifest(), tmp_path / "m.json")
+        write_column_csv(tmp_path / "labels.csv", np.zeros(3), "label", "%d")
+        paths = {"DEEP": tmp_path / "deep.json", "OUT": tmp_path / "out",
+                 "MANIFEST": tmp_path / "m.json", "LABELS": tmp_path / "labels.csv"}
+        assert main([str(paths.get(a, a)) for a in argv]) == EXIT_VALIDATION
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {tmp_path / 'deep.json'}: not valid JSON: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["generate", "run-manifest", "run-hidden"])
     def test_a_size_numpy_refuses_exits_2(self, tmp_path, capsys, command):
