@@ -25,12 +25,9 @@ from .engine import (
     warm_up,
 )
 from .errors import (
-    ColumnNotFoundError,
     DriftpoolError,
     FileFormatError,
     NumericError,
-    RowParseError,
-    SizingError,
     ValidationError,
 )
 from .forecasters import (
@@ -49,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CepConfig",
-    "ColumnNotFoundError",
     "ConceptSpec",
     "DriftpoolError",
     "EngineConfig",
@@ -61,11 +57,9 @@ __all__ = [
     "NumericError",
     "Pool",
     "PoolEntry",
-    "RowParseError",
     "RunManifest",
     "RunResult",
     "SIGMA_FLOOR",
-    "SizingError",
     "StepLog",
     "SyntheticSpec",
     "ValidationError",

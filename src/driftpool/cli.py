@@ -174,11 +174,10 @@ def cmd_generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
     for idx, concept in enumerate(spec.concepts):
         mask = labels == idx
         if mask.any():
-            seg_vals = values[mask]
-            print(
-                f"concept {idx}: level={concept.level} points={int(mask.sum())} "
-                f"mean={seg_vals.mean():.4f} std={seg_vals.std():.4f}"
-            )
+            with np.errstate(over="ignore", invalid="ignore"):  # finite points may overflow a sum
+                mean, std = values[mask].mean(), values[mask].std()
+            print(f"concept {idx}: level={concept.level} points={int(mask.sum())} "
+                  f"mean={mean:.4f} std={std:.4f}")
     return {"values": values_path, "labels": labels_path, "n": len(values)}
 
 

@@ -18,16 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ColumnNotFoundError,
-    FileFormatError,
-    NumericError,
-    RowParseError,
-    ValidationError,
-    check_fields,
-    check_value,
-    within,
-)
+from .errors import (FileFormatError, NumericError, ValidationError, check_fields, check_value,
+                     within)
 
 
 @dataclass(frozen=True)
@@ -116,13 +108,18 @@ def generate(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     except (ValueError, MemoryError):  # numpy refuses a size beyond its limits
         raise ValidationError(f"schedule must fit in memory, got {total} points") from None
     pos = 0
-    for idx, dur in spec.schedule:
-        c = spec.concepts[idx]
-        i = np.arange(pos, pos + dur, dtype=float)
-        base = c.level + c.amplitude * np.sin(2.0 * math.pi * i / c.period)
-        values[pos:pos + dur] = base + rng.normal(0.0, c.noise_sigma, dur)
-        labels[pos:pos + dur] = idx
-        pos += dur
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite point is reported below
+        for idx, dur in spec.schedule:
+            c = spec.concepts[idx]
+            i = np.arange(pos, pos + dur, dtype=float)
+            base = c.level + c.amplitude * np.sin(2.0 * math.pi * i / c.period)
+            values[pos:pos + dur] = base + rng.normal(0.0, c.noise_sigma, dur)
+            labels[pos:pos + dur] = idx
+            pos += dur
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise NumericError(f"synthetic stream overflows: point {bad[0]} of concept "
+                           f"{labels[bad[0]]} is {float(values[bad[0]])!r}")
     return values, labels
 
 
@@ -161,14 +158,10 @@ def load_csv(path: str | Path, column: str, has_header: bool = True) -> np.ndarr
     its 1-based row number.
     """
     path = Path(path)
-    text = _read_csv_text(path)
+    with open_text(path, newline="") as fh:
+        text = fh.read()
     values = _plain_column(path, text, column, has_header)
     return values if values is not None else _checked_column(path, text, column, has_header)
-
-
-def _read_csv_text(path: Path) -> str:
-    with open_text(path, newline="") as fh:
-        return fh.read()
 
 
 def _rows(path: Path, text: str) -> Iterator[tuple[int, list[str]]]:
@@ -183,24 +176,28 @@ def _rows(path: Path, text: str) -> Iterator[tuple[int, list[str]]]:
 
 def _column_index(path: Path, header: list[str] | None, column: str, has_header: bool) -> int:
     """Resolve ``column`` against a file's header row (None: the file is empty): a
-    header name first, then a zero-based index; a headerless file takes only an index."""
+    header name first, then a zero-based index; a headerless file takes only an index,
+    an optional ``-`` followed by decimal digits."""
+    try:  # the test keeps out spaces, "+" and "_", which int() would take
+        index = int(column) if column.removeprefix("-").isdecimal() else None
+    except ValueError:  # past int()'s digit limit: more columns than any file has
+        index = None
     if has_header:
         if header is None:
-            raise ColumnNotFoundError(f"{path}: file is empty, column {column!r} not found")
+            raise FileFormatError(f"{path}: file is empty, column {column!r} not found")
         header = [h.strip() for h in header]
         if column in header:
             return header.index(column)
-        if column.lstrip("-").isdigit() and 0 <= int(column) < len(header):
-            return int(column)
-        raise ColumnNotFoundError(f"{path}: column {column!r} not found; available: {header}")
-    if not column.lstrip("-").isdigit():
-        raise ColumnNotFoundError(
+        if index is not None and 0 <= index < len(header):
+            return index
+        raise FileFormatError(f"{path}: column {column!r} not found; available: {header}")
+    if index is None:
+        raise FileFormatError(
             f"{path}: headerless file needs a zero-based column index, got {column!r}"
         )
-    col_idx = int(column)
-    if col_idx < 0:
-        raise ColumnNotFoundError(f"{path}: column index must be >= 0, got {col_idx}")
-    return col_idx
+    if index < 0:
+        raise FileFormatError(f"{path}: column index must be >= 0, got {index}")
+    return index
 
 
 def _plain_column(path: Path, text: str, column: str, has_header: bool) -> np.ndarray | None:
@@ -221,7 +218,7 @@ def _plain_column(path: Path, text: str, column: str, has_header: bool) -> np.nd
         return None
     try:
         col_idx = _column_index(path, lines[0].split(","), column, has_header)
-    except ColumnNotFoundError:
+    except FileFormatError:
         return None
     cells = lines[has_header:]
     if "," in text:
@@ -247,16 +244,16 @@ def _checked_column(path: Path, text: str, column: str, has_header: bool) -> np.
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line, typically a trailing newline
         if col_idx >= len(row):
-            raise RowParseError(f"{path}: row {line_no}: only {len(row)} fields, "
-                                f"need column {col_idx}")
+            raise FileFormatError(f"{path}: row {line_no}: only {len(row)} fields, "
+                                  f"need column {col_idx}")
         cell = row[col_idx].strip()
         try:
             v = float(cell)
         except ValueError:
-            raise RowParseError(
+            raise FileFormatError(
                 f"{path}: row {line_no}: cannot parse {cell!r} as a number") from None
         if not math.isfinite(v):
-            raise RowParseError(f"{path}: row {line_no}: non-finite value {cell!r}")
+            raise FileFormatError(f"{path}: row {line_no}: non-finite value {cell!r}")
         values.append(v)
     return np.asarray(values)
 

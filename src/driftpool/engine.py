@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import warm_split_index
-from .errors import NumericError, SizingError, ValidationError, check_fields, within
+from .errors import NumericError, ValidationError, check_fields, within
 from .forecasters import FORECASTER_KINDS, KINDS, make_forecaster, mse
 from .gene import blend, fold_moments, reject_non_finite, window_genes
 from .gene import compute_gene  # unused: perfbench/child.py traces engine.compute_gene by name
@@ -122,7 +122,7 @@ def split_instances(series: np.ndarray, config: EngineConfig
     warm_len = warm_split_index(n)
     span = lookback + horizon
     if warm_len < span or (n - warm_len) < span:
-        raise SizingError(
+        raise ValidationError(
             f"series too short: {n} points; need at least {4 * span} "
             f"for lookback {lookback} and horizon {horizon}"
         )

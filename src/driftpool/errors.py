@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package, and the one settings checker.
 
-The CLI maps these onto distinct exit codes: configuration problems are
-exit 2, runtime/numeric failures exit 3, file and data-format problems
-exit 4. Each bounded setting declares its domain once, in its dataclass
-field (``within``), and ``check_fields`` reads every declaration.
+One class per CLI exit code: ``ValidationError`` (configuration problems)
+exits 2, ``NumericError`` (runtime/numeric failures) 3 and ``FileFormatError``
+(file and data-format problems) 4. Each bounded setting declares its domain
+once, in its dataclass field (``within``), and ``check_fields`` reads every
+declaration.
 """
 
 from __future__ import annotations
@@ -23,20 +24,8 @@ class ValidationError(DriftpoolError, ValueError):
     """A configuration value, manifest field, or argument is out of range."""
 
 
-class SizingError(ValidationError):
-    """A series is too short for the requested window/horizon split."""
-
-
 class FileFormatError(DriftpoolError):
     """An input file is not in the format its reader expects."""
-
-
-class ColumnNotFoundError(FileFormatError):
-    """A requested column is absent from a delimited text file."""
-
-
-class RowParseError(FileFormatError):
-    """A cell in a delimited text file failed to parse as a finite number."""
 
 
 class NumericError(DriftpoolError):

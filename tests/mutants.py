@@ -40,6 +40,11 @@ class Mutant:
 
 
 PROPERTY = "tests/test_cli.py::TestWriteBundle::test_results_json_is_json_dumps_of_the_bundle"
+DIFFERENTIAL = "tests/test_reference.py::test_engine_run_equals_reference_run"
+COLUMN_REFERENCE = "tests/test_data.py::TestLoadCsv::test_a_reference_that_is_no_column"
+CHECKED_LOOP = "tests/test_data.py::TestLoadCsv::test_load_matches_the_checked_loop"
+PURITY_TIES = "tests/test_cli.py::TestPurity::test_window_and_entry_tie_rules"
+PURITY_RULE = "tests/test_cli.py::TestPurity::test_matches_the_documented_rule"
 
 MUTANTS = (
     Mutant("record-template-fields-swapped", "src/driftpool/manifest.py",
@@ -61,6 +66,114 @@ MUTANTS = (
            'encoding="utf-8-sig"', 'encoding="utf-8"',
            tests=("tests/test_cli.py::TestConfigFile::test_a_byte_order_mark_is_dropped",
                   "tests/test_data.py::TestLoadCsv::test_byte_order_mark_is_dropped")),
+    # a column reference is parsed once; a synthetic stream must be finite
+    Mutant("column-index-isdigit", "src/driftpool/data.py",
+           'column.removeprefix("-").isdecimal()', 'column.removeprefix("-").isdigit()',
+           equivalent='int() refuses the digits that are not decimal ("²", "①"), and the '
+                      "except ValueError beside it then reads them as no index, as the guard "
+                      "does"),
+    Mutant("column-index-lstrip", "src/driftpool/data.py",
+           'column.removeprefix("-").isdecimal()', 'column.lstrip("-").isdecimal()',
+           equivalent='int() refuses "--1", and the except ValueError beside it then reads it '
+                      "as no index, as the guard does"),
+    Mutant("column-index-negative-in-header", "src/driftpool/data.py",
+           "if index is not None and 0 <= index < len(header):",
+           "if index is not None and index < len(header):",
+           tests=(COLUMN_REFERENCE,)),
+    Mutant("generate-finiteness-check-dropped", "src/driftpool/data.py",
+           "    if len(bad):\n        raise NumericError(",
+           "    if False:\n        raise NumericError(",
+           tests=("tests/test_data.py::TestGenerate::test_an_overflowing_stream_is_refused",
+                  "tests/test_cli.py::TestMainExitCodes::"
+                  "test_an_overflowing_synthetic_stream_exits_3")),
+    # pool entries that cache their mixed signature
+    Mutant("absorb-without-refresh", "src/driftpool/pool.py",
+           "    entry.local_sigma = blend(tau_l, sigma, entry.local_sigma)\n"
+           "    entry._refresh()",
+           "    entry.local_sigma = blend(tau_l, sigma, entry.local_sigma)",
+           tests=("tests/test_pool.py::TestAbsorbInstance::test_hand_computed_first_absorption",
+                  DIFFERENTIAL)),
+    Mutant("nearest-ties-to-largest-id", "src/driftpool/pool.py",
+           "(cost == best and entry.id < best_id)", "(cost == best and entry.id > best_id)",
+           tests=("tests/test_pool.py::TestNearest::test_ties_go_to_the_smallest_id",
+                  "tests/test_pool.py::TestNearest::test_tie_breaks_to_smaller_id")),
+    Mutant("absorb-ema-weight-swapped", "src/driftpool/pool.py",
+           "entry.local_mu = blend(tau_l, mu, entry.local_mu)",
+           "entry.local_mu = blend(tau_l, entry.local_mu, mu)",
+           tests=("tests/test_pool.py::TestAbsorbInstance::test_hand_computed_first_absorption",
+                  DIFFERENTIAL)),
+    Mutant("nlls-finiteness-check-dropped", "src/driftpool/gene.py",
+           "        if not math.isfinite(cost):\n"
+           "            raise NumericError(f\"non-finite likelihood",
+           "        if False:\n            raise NumericError(f\"non-finite likelihood",
+           tests=("tests/test_pool.py::TestNearest::test_nan_signature_raises_numeric_error",)),
+    # the engine's lifecycle, against the reference run in tests/reference.py
+    Mutant("online-step-skips-lr-tick", "src/driftpool/engine.py",
+           "            lr_tick(current, pool.lr_raw)\n", "",
+           tests=(DIFFERENTIAL,)),
+    Mutant("fifo-evicts-second-oldest", "src/driftpool/pool.py",
+           "oldest = self.entries.pop(0)", "oldest = self.entries.pop(1)",
+           tests=("tests/test_pool.py::TestEvolve::test_fifo_cap_evicts_oldest", DIFFERENTIAL)),
+    Mutant("abandoned-step-absorbs", "src/driftpool/engine.py",
+           "            absorb_instance(current, mu, sigma)\n",
+           "        absorb_instance(current, mu, sigma)\n",
+           tests=("tests/test_engine.py::TestOnlineStep::"
+                  "test_abandoned_step_changes_nothing_but_counters", DIFFERENTIAL)),
+    Mutant("stale-at-the-boundary", "src/driftpool/pool.py",
+           "served - e.last_served > tau_e * e.n_pred",
+           "served - e.last_served >= tau_e * e.n_pred",
+           tests=("tests/test_pool.py::TestEliminateStale::test_keeps_at_boundary",)),
+    # thresholds and finiteness checks on float signatures
+    Mutant("should-evolve-at-the-threshold", "src/driftpool/pool.py",
+           "return abs(mu - entry.mu) > config.tau_mu",
+           "return abs(mu - entry.mu) >= config.tau_mu",
+           tests=("tests/test_pool.py::TestShouldEvolve::test_holds_inside_threshold",)),
+    Mutant("csv-default-16-digits", "src/driftpool/data.py",
+           'fmt: str = "%.17g"', 'fmt: str = "%.16g"',
+           tests=("tests/test_data.py::TestLoadCsv::test_round_trip_is_exact",
+                  "tests/test_golden.py::test_generate_digest")),
+    Mutant("mse-finiteness-check-dropped", "src/driftpool/forecasters.py",
+           "    if not math.isfinite(err):\n        raise NumericError(\"non-finite mse\")",
+           "    if False:\n        raise NumericError(\"non-finite mse\")",
+           tests=("tests/test_cli.py::TestMainExitCodes::"
+                  "test_numeric_failure_prints_only_its_error_line",)),
+    # the bulk CSV parse, which hands every fault to the checked loop
+    Mutant("plain-column-non-finite-kept", "src/driftpool/data.py",
+           "return values if np.isfinite(values).all() else None", "return values",
+           tests=("tests/test_data.py::TestLoadCsv::test_non_finite_value_rejected",)),
+    Mutant("plain-column-field-limit-unchecked", "src/driftpool/data.py",
+           "if len(text) > limit and max(map(len, lines)) > limit:", "if False:",
+           tests=(CHECKED_LOOP,)),  # a long cell of digits that reads as finite
+    Mutant("plain-column-quotes-split", "src/driftpool/data.py",
+           """ or '"' in text or""", " or",
+           tests=(CHECKED_LOOP,)),
+    Mutant("plain-column-cr-split", "src/driftpool/data.py",
+           ' or "\\r" in text:', ":",
+           tests=(CHECKED_LOOP,)),
+    Mutant("plain-column-comma-free-index-unchecked", "src/driftpool/data.py",
+           "    elif col_idx != 0:\n        return None\n", "",
+           tests=(CHECKED_LOOP,)),
+    Mutant("plain-column-final-line-kept", "src/driftpool/data.py",
+           "        lines.pop()  # the final line end", "        pass",
+           tests=("tests/test_data.py::TestLoadCsv::test_plain_text_is_parsed_in_bulk",)),
+    # purity's documented tie and safety rules
+    Mutant("purity-entry-tie-to-largest-label", "src/driftpool/cli.py",
+           "key=lambda kv: (-kv[1], kv[0])", "key=lambda kv: (-kv[1], -kv[0])",
+           tests=(PURITY_TIES,)),
+    Mutant("purity-strict-majority-window", "src/driftpool/cli.py",
+           "if len(top) > 1 and top[0][1] == top[1][1]:", "if top[0][1] * 2 <= len(window):",
+           tests=(PURITY_TIES,)),
+    Mutant("purity-safety-period-one-short", "src/driftpool/cli.py",
+           "serves[entry] <= tau_safe", "serves[entry] < tau_safe",
+           tests=(PURITY_RULE,)),
+    Mutant("purity-records-unsorted", "src/driftpool/cli.py",
+           'for rec in sorted(records, key=lambda r: r["t"]):', "for rec in records:",
+           tests=(PURITY_RULE,)),
+    # the warm-up's same-step rule: a training failure wins on the fold's failing step
+    Mutant("warm-up-fold-failure-before-training", "src/driftpool/engine.py",
+           "len(losses) > folded", "len(losses) >= folded",
+           tests=("tests/test_engine.py::TestWarmUp::"
+                  "test_a_training_failure_wins_on_the_fold_failures_step",)),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".benchmarks",

@@ -32,7 +32,7 @@ import numpy as np
 
 from driftpool.data import warm_split_index
 from driftpool.engine import EngineConfig, RunResult, StepLog
-from driftpool.errors import NumericError, SizingError
+from driftpool.errors import NumericError, ValidationError
 from driftpool.forecasters import KINDS, make_forecaster, mse
 from driftpool.gene import (
     SIGMA_FLOOR,
@@ -115,7 +115,7 @@ def run(series, config: EngineConfig, log_forecasts: bool = False) -> RunResult:
     n = len(series)
     warm_len = warm_split_index(n)
     if warm_len < span or n - warm_len < span:
-        raise SizingError(f"series too short: {n} points for a span of {span}")
+        raise ValidationError(f"series too short: {n} points for a span of {span}")
 
     seed = SimpleNamespace(
         id=0, genes=(Gene(0.0, 0.0), Gene(0.0, 0.0), 1),

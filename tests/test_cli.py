@@ -926,6 +926,65 @@ class TestMainExitCodes:
         assert line.startswith(f"error: {tmp_path / 'deep.json'}: not valid JSON: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--noise", "1e308"], r"point \d+ of concept \d is -?inf"),
+        (["generate", "--spec", "SPEC"], "point 4 of concept 0 is inf"),
+        (["run", "--manifest", "MANIFEST"], "point 4 of concept 0 is inf"),
+    ], ids=["noise", "spec", "manifest"])
+    def test_an_overflowing_synthetic_stream_exits_3(self, tmp_path, argv, message):
+        # 1e308 + 1e308 * sin(2 pi i / 24) first passes the largest float at i = 4,
+        # and noise of sigma 1e308 draws past it; numpy's own warning never prints
+        spec = {"concepts": [{"level": 1e308, "amplitude": 1e308}], "schedule": [[0, 2000]]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        manifest = {"data": {"kind": "synthetic", **spec}, "lookback": 8, "horizon": 4}
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        paths = {"SPEC": tmp_path / "spec.json", "MANIFEST": tmp_path / "m.json"}
+        proc = run_cli_process(*(paths.get(a, a) for a in argv), "--out", tmp_path / "out")
+        assert proc.returncode == EXIT_RUNTIME
+        assert re.fullmatch(f"error: synthetic stream overflows: {message}\n", proc.stderr), \
+            proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_a_finite_stream_whose_moments_overflow_is_written_quietly(self, tmp_path):
+        # every point is 1e308, but the sum behind a concept's summary mean overflows
+        spec = {"concepts": [{"level": 1e308, "amplitude": 0.0}], "schedule": [[0, 2000]]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        proc = run_cli_process("generate", "--spec", tmp_path / "spec.json",
+                               "--out", tmp_path / "out")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert np.array_equal(load_csv(tmp_path / "out" / "values.csv", "value"),
+                              np.full(2000, 1e308))
+
+    @pytest.mark.parametrize("column", ["²", "①", "--1"])
+    @pytest.mark.parametrize("has_header", [True, False], ids=["header", "headerless"])
+    @pytest.mark.parametrize("route", ["flag", "config", "manifest", "compare"])
+    def test_a_column_reference_that_is_no_index_exits_4(self, tmp_path, capsys, route,
+                                                         has_header, column):
+        # "²" and "①" are digits but not decimal, "--1" has two signs: int() refuses all three
+        path = tmp_path / "in.csv"
+        path.write_text(("a,b\n" if has_header else "") + "1,2\n" * 400)
+        if route == "flag":
+            argv = ["run", "--data", str(path), f"--column={column}", "--lookback", "8",
+                    "--horizon", "4", *([] if has_header else ["--no-header"])]
+        elif route == "config":
+            (tmp_path / "run.cfg").write_text(
+                f"data = {path}\ncolumn = {column}\nhas_header = {has_header}\n"
+                "lookback = 8\nhorizon = 4\n")
+            argv = ["run", "--config", str(tmp_path / "run.cfg")]
+        else:
+            data = {"kind": "csv", "path": str(path), "column": column, "has_header": has_header}
+            (tmp_path / "m.json").write_text(json.dumps({"data": data, "lookback": 8,
+                                                         "horizon": 4}))
+            manifest = str(tmp_path / "m.json")
+            argv = ["run", "--manifest", manifest] if route == "manifest" else [
+                "compare", manifest, manifest]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_IO
+        message = (f"column {column!r} not found; available: ['a', 'b']" if has_header
+                   else f"headerless file needs a zero-based column index, got {column!r}")
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["generate", "run-manifest", "run-hidden"])
     def test_a_size_numpy_refuses_exits_2(self, tmp_path, capsys, command):
         # 2**62 float64 values exceed numpy's limit on an array's bytes, so it

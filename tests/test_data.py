@@ -21,19 +21,19 @@ from driftpool.data import (
     spec_from_dict,
     write_column_csv,
 )
-from driftpool.errors import (
-    ColumnNotFoundError,
-    DriftpoolError,
-    NumericError,
-    RowParseError,
-    ValidationError,
-)
+from driftpool.errors import DriftpoolError, FileFormatError, NumericError, ValidationError
+
+
+def read_csv_text(path):
+    """The text ``load_csv`` parses: the file's characters, line ends as written."""
+    with data.open_text(path, newline="") as fh:
+        return fh.read()
 
 
 def load_checked(path, column, has_header=True):
     """``load_csv`` through the checked loop alone, the bulk parse left out."""
     path = Path(path)
-    return data._checked_column(path, data._read_csv_text(path), column, has_header)
+    return data._checked_column(path, read_csv_text(path), column, has_header)
 
 
 def outcome(load, *args):
@@ -83,7 +83,7 @@ def csv_files(draw):
     text = ending.join(lines) + (ending if draw(st.booleans()) else "")
     text = ("\ufeff" if draw(st.booleans()) else "") + text
     column = draw(st.one_of(st.sampled_from(header).map(str.strip),
-                            st.sampled_from(["0", "1", "2", "-1", "x"])))
+                            st.sampled_from(["0", "1", "2", "-1", "x", "²", "①", "--1"])))
     return text, column, has_header
 
 
@@ -98,20 +98,20 @@ class TestLoadCsv:
     def test_missing_column_names_available(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(ColumnNotFoundError, match=r"'z' not found.*\['a', 'b'\]"):
+        with pytest.raises(FileFormatError, match=r"'z' not found.*\['a', 'b'\]"):
             load_csv(path, "z")
 
     def test_parse_error_cites_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = ["v"] + ["1.5"] * 5 + ["abc", "2.5"]
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(RowParseError, match="row 7.*'abc'"):
+        with pytest.raises(FileFormatError, match="row 7.*'abc'"):
             load_csv(path, "v")
 
     def test_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("v\n1.0\ninf\n")
-        with pytest.raises(RowParseError, match="row 3"):
+        with pytest.raises(FileFormatError, match="row 3"):
             load_csv(path, "v")
 
     def test_missing_file(self, tmp_path):
@@ -127,8 +127,29 @@ class TestLoadCsv:
     def test_headerless_requires_index(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("1,10\n")
-        with pytest.raises(ColumnNotFoundError, match="zero-based"):
+        with pytest.raises(FileFormatError, match="zero-based"):
             load_csv(path, "value", has_header=False)
+
+    @pytest.mark.parametrize("column", ["²", "①", "--1", "-1", "1" * 5000])
+    @pytest.mark.parametrize("has_header", [True, False], ids=["header", "headerless"])
+    def test_a_reference_that_is_no_column(self, tmp_path, column, has_header):
+        # an index is an optional "-" and decimal digits, which "²" and "①" (digits,
+        # not decimal) and "--1" are not; int() refuses 5,000 digits; -1 is below 0
+        path = tmp_path / "two.csv"
+        path.write_text("a,b\n1,2\n" if has_header else "1,2\n")
+        if has_header:
+            message = f"{path}: column {column!r} not found; available: ['a', 'b']"
+        elif column == "-1":
+            message = f"{path}: column index must be >= 0, got -1"
+        else:
+            message = f"{path}: headerless file needs a zero-based column index, got {column!r}"
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+            load_csv(path, column, has_header)
+
+    def test_a_header_name_of_any_length_is_found(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("1" * 5000 + ",b\n1,2\n")
+        assert np.array_equal(load_csv(path, "1" * 5000), [1.0])
 
     def test_numeric_header_fallback_to_index(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -147,7 +168,7 @@ class TestLoadCsv:
     def test_short_row_cites_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b\n1,2\n3\n")
-        with pytest.raises(RowParseError, match="row 3"):
+        with pytest.raises(FileFormatError, match="row 3"):
             load_csv(path, "b")
 
     @pytest.mark.parametrize("body", ["value\n1\n2\n", '"value"\n"1"\n2\n'],
@@ -164,7 +185,7 @@ class TestLoadCsv:
         path = tmp_path / "twice.csv"
         path.write_text("\ufeff\ufeff" + body, encoding="utf-8")
         available = "available: " + repr(["\ufeffvalue"])
-        with pytest.raises(ColumnNotFoundError, match=re.escape(available)):
+        with pytest.raises(FileFormatError, match=re.escape(available)):
             load_csv(path, "value")
         assert np.array_equal(load_csv(path, "\ufeffvalue"), [1.0, 2.0])
 
@@ -177,7 +198,7 @@ class TestLoadCsv:
     def test_plain_text_is_parsed_in_bulk(self, tmp_path, text, column, has_header):
         path = tmp_path / "plain.csv"
         path.write_text(text, encoding="utf-8")
-        bulk = data._plain_column(path, data._read_csv_text(path), column, has_header)
+        bulk = data._plain_column(path, read_csv_text(path), column, has_header)
         assert bulk is not None
         assert outcome(lambda: bulk) == outcome(load_checked, path, column, has_header)
 
@@ -294,6 +315,19 @@ class TestGenerate:
         spec = spec_from_dict(d)
         assert (spec.schedule, spec.seed) == (((0, 400),), 1)
         assert spec_from_dict({k: d[k] for k in ("concepts", "schedule")}).seed == 0
+
+    @pytest.mark.parametrize("concepts, schedule, message", [
+        ([{"level": 1e308, "amplitude": 1e308}], [[0, 10]], "point 4 of concept 0 is inf"),
+        ([{"level": 0.0}, {"level": -1e308, "amplitude": 1e308}], [[0, 5], [1, 20]],
+         "point 16 of concept 1 is -inf"),
+        ([{"level": 0.0, "noise_sigma": 1e308}], [[0, 100]], r"point \d+ of concept 0 is -?inf"),
+    ], ids=["level-and-amplitude", "second-concept", "noise"])
+    def test_an_overflowing_stream_is_refused(self, concepts, schedule, message):
+        # each point is finite alone until level + amplitude * sin(2 pi i / 24), or
+        # its noise, passes the largest float; numpy's overflow warning is kept quiet
+        spec = spec_from_dict({"concepts": concepts, "schedule": schedule})
+        with pytest.raises(NumericError, match=f"^synthetic stream overflows: {message}$"):
+            generate(spec)
 
     @pytest.mark.parametrize("error", [ValueError("array is too big"), MemoryError()])
     def test_a_schedule_numpy_cannot_allocate_is_refused(self, monkeypatch, error):

@@ -21,7 +21,7 @@ from driftpool.engine import (
     warm_split_index,
     warm_up,
 )
-from driftpool.errors import DriftpoolError, NumericError, SizingError, ValidationError
+from driftpool.errors import DriftpoolError, NumericError, ValidationError
 from driftpool.forecasters import (
     FORECASTER_KINDS,
     LinearForecaster,
@@ -112,7 +112,7 @@ class TestSplit:
             assert a_hi <= b_lo
 
     def test_too_short_series_raises_with_minimum(self):
-        with pytest.raises(SizingError, match="at least 360"):
+        with pytest.raises(ValidationError, match="at least 360"):
             split_instances(np.zeros(200), EngineConfig(60, 30))
 
     def test_last_overrunning_instance_dropped(self):
