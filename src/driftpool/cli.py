@@ -174,8 +174,10 @@ def cmd_generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
     for idx, concept in enumerate(spec.concepts):
         mask = labels == idx
         if mask.any():
-            with np.errstate(over="ignore", invalid="ignore"):  # finite points may overflow a sum
-                mean, std = values[mask].mean(), values[mask].std()
+            # moments at a power-of-two scale that puts the peak in [1, 2): exact, no overflow
+            shift = 1 - np.frexp(np.abs(values[mask]).max())[1]
+            points = np.ldexp(values[mask], shift)
+            mean, std = (np.ldexp(m, -shift) for m in (points.mean(), points.std()))
             print(f"concept {idx}: level={concept.level} points={int(mask.sum())} "
                   f"mean={mean:.4f} std={std:.4f}")
     return {"values": values_path, "labels": labels_path, "n": len(values)}

@@ -135,53 +135,41 @@ def split_instances(series: np.ndarray, config: EngineConfig
 def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]:
     """Train the seed forecaster at the pool's raw learning rate; absorb every window.
 
-    The signatures are folded in one pass (``absorb_instance``'s arithmetic,
-    window after window, epoch after epoch), and each training step counts
-    toward the entry's prediction total, so it leaves the safety period
-    before the online stage begins. The fold runs first; should it fail at
-    some step, training still runs up to that step, so a training failure
-    there or earlier is the one raised, as in a loop that trains and absorbs
-    step by step. Either failure names its step and epoch. Returns the
-    per-step losses (handy for convergence checks); an empty warm set is a
-    no-op.
+    Each warm step trains, then folds its window's signature into the seed
+    entry (``absorb_instance``'s arithmetic, on local floats written back
+    once) and counts toward its prediction total, so the entry leaves the
+    safety period before the online stage begins. Either failure names its
+    step and epoch, and leaves the signatures and counts as they were.
+    Returns the per-step losses; an empty warm set is a no-op.
     """
     if len(pool.entries) != 1:
         raise ValidationError(f"warm-up expects a single-entry pool, got {len(pool.entries)}")
     entry, lr_raw = pool.entries[0], pool.lr_raw
     series, lookback = warm_instances.series, warm_instances.lookback
     span = lookback + warm_instances.horizon
+    train_step = entry.forecaster.train_step
 
     tau_l, n = entry.config.tau_l, entry.n
     g_mu, g_sigma, l_mu, l_sigma = (entry.global_mu, entry.global_sigma,
                                     entry.local_mu, entry.local_sigma)
-    failure = None
-    try:
-        for _ in range(epochs):
-            for mu, sigma in zip(warm_instances.x_mu, warm_instances.x_sigma):
-                g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)
-                n += 1
-                l_mu = blend(tau_l, mu, l_mu)
-                l_sigma = blend(tau_l, sigma, l_sigma)
-    except NumericError as exc:
-        failure = exc
-    folded = n - entry.n
-
     losses: list[float] = []
-    train_step = entry.forecaster.train_step
     for epoch in range(1, epochs + 1):
-        for t in warm_instances.starts:
+        for t, mu, sigma in zip(warm_instances.starts, warm_instances.x_mu,
+                                warm_instances.x_sigma):
             try:
                 losses.append(train_step(series[t:t + lookback], series[t + lookback:t + span],
                                          lr_raw))
+                g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)
             except NumericError as exc:
                 raise NumericError(f"{exc} at t={t} in warm-up epoch {epoch}") from exc
-            if failure is not None and len(losses) > folded:  # this step's fold failed
-                raise NumericError(f"{failure} at t={t} in warm-up epoch {epoch}") from failure
+            n += 1
+            l_mu = blend(tau_l, mu, l_mu)
+            l_sigma = blend(tau_l, sigma, l_sigma)
 
+    entry.n_pred += n - entry.n  # a lone entry never idles: the serve clock need not move
     entry.global_mu, entry.global_sigma, entry.local_mu, entry.local_sigma, entry.n = (
         g_mu, g_sigma, l_mu, l_sigma, n)
     entry._refresh()
-    entry.n_pred += folded  # a lone entry never idles: the serve clock need not move
     return losses
 
 

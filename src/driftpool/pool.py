@@ -8,7 +8,7 @@ are created by splitting the nearest existing forecaster when a window's
 mean deviates beyond the configured multiple of the matched gene's sigma,
 and removed when their idle count outgrows their prediction count. All
 mutation happens through the methods here, driven by one sequential engine
-loop; the warm-up alone folds its windows into the seed entry in one pass.
+loop; the warm-up alone writes the seed entry's signatures once, at its end.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class PoolEntry:
     seeded with one window's ``(mu, sigma)`` at ``n == 1``. ``mu``/``sigma``
     cache the effective (mixed) signature under ``config`` that retrieval
     scores; ``_refresh`` recomputes it after ``absorb_instance`` or the
-    warm-up's fold writes the signatures. ``last_served`` is the value of
+    warm-up writes the signatures. ``last_served`` is the value of
     the pool's serve clock (``Pool.served``) when the entry last served a
     step, or when it was created; ``Pool.n_wait`` reads its idleness off it.
     ``index`` is the ``Pool.index`` of the pool that holds the entry under

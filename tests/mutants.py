@@ -45,6 +45,10 @@ COLUMN_REFERENCE = "tests/test_data.py::TestLoadCsv::test_a_reference_that_is_no
 CHECKED_LOOP = "tests/test_data.py::TestLoadCsv::test_load_matches_the_checked_loop"
 PURITY_TIES = "tests/test_cli.py::TestPurity::test_window_and_entry_tie_rules"
 PURITY_RULE = "tests/test_cli.py::TestPurity::test_matches_the_documented_rule"
+WARM_UP = "tests/test_engine.py::TestWarmUp::"
+SORTED_INDEX = "tests/test_pool.py::TestSortedIndex::test_nearest_is_the_scan_first_min"
+PARAMETER_BUFFER = ("tests/test_forecasters.py::TestParameterBuffer::"
+                    "test_a_clone_owns_its_buffer_and_trains_like_a_fresh_model")
 
 MUTANTS = (
     Mutant("record-template-fields-swapped", "src/driftpool/manifest.py",
@@ -169,11 +173,103 @@ MUTANTS = (
     Mutant("purity-records-unsorted", "src/driftpool/cli.py",
            'for rec in sorted(records, key=lambda r: r["t"]):', "for rec in records:",
            tests=(PURITY_RULE,)),
-    # the warm-up's same-step rule: a training failure wins on the fold's failing step
-    Mutant("warm-up-fold-failure-before-training", "src/driftpool/engine.py",
-           "len(losses) > folded", "len(losses) >= folded",
-           tests=("tests/test_engine.py::TestWarmUp::"
-                  "test_a_training_failure_wins_on_the_fold_failures_step",)),
+    # the warm-up's one loop: each step trains, then folds its window
+    Mutant("warm-up-fold-before-training", "src/driftpool/engine.py",
+           "                losses.append(train_step(series[t:t + lookback], "
+           "series[t + lookback:t + span],\n"
+           "                                         lr_raw))\n"
+           "                g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)\n",
+           "                g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)\n"
+           "                losses.append(train_step(series[t:t + lookback], "
+           "series[t + lookback:t + span],\n"
+           "                                         lr_raw))\n",
+           tests=(WARM_UP + "test_a_training_failure_wins_on_the_fold_failures_step",)),
+    Mutant("warm-up-count-not-advanced", "src/driftpool/engine.py",
+           "            n += 1\n", "",
+           tests=(WARM_UP + "test_fold_equals_absorbing_step_by_step",)),
+    Mutant("warm-up-predictions-counted-per-step", "src/driftpool/engine.py",
+           "            l_sigma = blend(tau_l, sigma, l_sigma)\n\n"
+           "    entry.n_pred += n - entry.n",
+           "            l_sigma = blend(tau_l, sigma, l_sigma)\n"
+           "            entry.n_pred += 1\n\n"
+           "    entry.n_pred += 0",
+           tests=(WARM_UP + "test_a_failed_warm_up_leaves_the_seed_entry_as_it_was",)),
+    Mutant("warm-up-predictions-counted-after-write-back", "src/driftpool/engine.py",
+           "    entry.n_pred += n - entry.n  # a lone entry never idles: the serve clock need "
+           "not move\n"
+           "    entry.global_mu, entry.global_sigma, entry.local_mu, entry.local_sigma, "
+           "entry.n = (\n"
+           "        g_mu, g_sigma, l_mu, l_sigma, n)\n",
+           "    entry.global_mu, entry.global_sigma, entry.local_mu, entry.local_sigma, "
+           "entry.n = (\n"
+           "        g_mu, g_sigma, l_mu, l_sigma, n)\n"
+           "    entry.n_pred += n - entry.n\n",
+           tests=(WARM_UP + "test_counts_toward_safety_period",)),
+    # an online step's error names its step
+    Mutant("online-step-error-not-re-raised-with-t", "src/driftpool/engine.py",
+           'raise NumericError(f"{exc} at t={t}") from exc', "raise",
+           tests=("tests/test_cli.py::TestMainExitCodes::"
+                  "test_numeric_failure_prints_only_its_error_line",)),
+    # absorb_instance leaves the entry unchanged when the global moments overflow
+    Mutant("absorb-local-update-before-overflow-check", "src/driftpool/pool.py",
+           "    entry.global_mu, entry.global_sigma = fold_moments(\n"
+           "        entry.global_mu, entry.global_sigma, entry.n, mu)\n"
+           "    entry.n += 1\n"
+           "    entry.local_mu = blend(tau_l, mu, entry.local_mu)\n"
+           "    entry.local_sigma = blend(tau_l, sigma, entry.local_sigma)\n",
+           "    entry.local_mu = blend(tau_l, mu, entry.local_mu)\n"
+           "    entry.local_sigma = blend(tau_l, sigma, entry.local_sigma)\n"
+           "    entry.global_mu, entry.global_sigma = fold_moments(\n"
+           "        entry.global_mu, entry.global_sigma, entry.n, mu)\n"
+           "    entry.n += 1\n",
+           tests=("tests/test_pool.py::TestAbsorbInstance::"
+                  "test_overflow_raises_the_reference_error_and_keeps_the_genes",)),
+    # the sorted-index walk of Pool.nearest
+    Mutant("nearest-prunes-at-the-best-cost", "src/driftpool/pool.py",
+           "if abs(d) > best:", "if abs(d) >= best:",
+           tests=(SORTED_INDEX,)),
+    Mutant("nearest-tie-keeps-the-first-found", "src/driftpool/pool.py",
+           "if cost < best or (cost == best and entry.id < best_id):", "if cost < best:",
+           tests=(SORTED_INDEX,)),
+    Mutant("nearest-walks-right-first-on-a-tie", "src/driftpool/pool.py",
+           "mu - means[lo] <= means[hi] - mu", "mu - means[lo] < means[hi] - mu",
+           equivalent="both sides of a distance tie are scored, since hypot(d, s) >= |d| keeps "
+                      "the best cost at or above the tied distance, and the smaller-id rule "
+                      "then picks the same entry in either order"),
+    Mutant("nearest-signed-prune", "src/driftpool/pool.py",
+           "if abs(d) > best:", "if d > best:",
+           equivalent="d = mu - means[k] is the distance on the left and <= 0 on the right, so "
+                      "the walk only stops later; each extra entry it scores costs at least its "
+                      "distance, which is past the best cost"),
+    # the one parameter buffer and its fused update
+    Mutant("forecaster-without-deepcopy-hook", "src/driftpool/forecasters.py",
+           "    def __deepcopy__(self, memo)", "    def _deepcopy_unused(self, memo)",
+           tests=(PARAMETER_BUFFER,)),
+    Mutant("forecaster-clone-bound-to-the-parent-buffer", "src/driftpool/forecasters.py",
+           "        clone._lay_out(**self._layout)\n        clone._theta[:] = self._theta\n", "",
+           tests=(PARAMETER_BUFFER,)),
+    Mutant("forecaster-lr-only-negative-refused", "src/driftpool/forecasters.py",
+           "if not 0 <= lr < math.inf:", "if lr < 0:",
+           tests=("tests/test_forecasters.py::TestTrainStep::"
+                  "test_a_negative_or_non_finite_lr_is_refused",)),
+    Mutant("forecaster-lr-and-scale-two-multiplies", "src/driftpool/forecasters.py",
+           "np.multiply(g, lr * self._lr_scale, out=g)",
+           "np.multiply(g, lr, out=g)\n        np.multiply(g, self._lr_scale, out=g)",
+           tests=("tests/test_forecasters.py::TestContract::"
+                  "test_linear_update_matches_the_written_out_step",
+                  "tests/test_forecasters.py::TestContract::"
+                  "test_the_fused_update_is_the_written_out_step_at_any_shape")),
+    Mutant("mlp-d-pred-by-a-reciprocal", "src/driftpool/forecasters.py",
+           "np.divide(2.0 * err, self.horizon, out=g_b2)",
+           "np.multiply(err, 2.0 / self.horizon, out=g_b2)",
+           tests=("tests/test_forecasters.py::TestContract::"
+                  "test_mlp_update_matches_the_written_out_step",
+                  "tests/test_forecasters.py::TestContract::"
+                  "test_the_fused_update_is_the_written_out_step_at_any_shape")),
+    Mutant("tau-e-infinity-accepted", "src/driftpool/pool.py",
+           'tau_e: float = within("(0, inf)", 1.5)', 'tau_e: float = within("(0, inf]", 1.5)',
+           tests=("tests/test_pool.py::TestConfigValidation::test_rejects_out_of_range",
+                  "tests/test_cli.py::TestMainExitCodes::test_an_infinite_threshold_exits_2")),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".benchmarks",

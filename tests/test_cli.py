@@ -526,6 +526,28 @@ class TestCmdGenerate:
         assert rc == EXIT_OK
         assert (tmp_path / "out" / "results.json").exists()
 
+    @pytest.mark.parametrize("noise, seed", [(0.0, 0), (3.0, 4)])
+    def test_the_summary_gives_numpys_moments(self, tmp_path, capsys, noise, seed):
+        spec = default_stream_spec(noise_sigma=noise, seed=seed)
+        values, labels = generate(spec)
+        cmd_generate(spec, tmp_path)
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split(" mean=")[1] for line in lines] == [
+            f"{values[labels == k].mean():.4f} std={values[labels == k].std():.4f}"
+            for k in range(len(spec.concepts))]
+
+    def test_the_summary_of_a_concept_whose_sum_overflows_is_finite(self, tmp_path, capsys):
+        # every point is finite, but the sum behind each concept's mean overflows a float
+        levels = (1e308, -1.7e308)
+        spec = SyntheticSpec(concepts=tuple(ConceptSpec(level=v, amplitude=0.0) for v in levels),
+                             schedule=((0, 2000), (1, 1000), (0, 5)))
+        cmd_generate(spec, tmp_path)
+        lines = capsys.readouterr().out.splitlines()[1:]
+        for level, line in zip(levels, lines, strict=True):
+            mean, std = (float(x) for x in re.fullmatch(r".* mean=(\S+) std=(\S+)", line).groups())
+            assert mean == pytest.approx(level, rel=1e-12)
+            assert std <= 1e-12 * abs(level)
+
     def test_noise_is_refused_beside_spec(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"concepts": [{"level": 0.0}], "schedule": [[0, 10]]}))

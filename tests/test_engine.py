@@ -353,10 +353,11 @@ class TestWarmUp:
             return super().train_step(window, truth, lr)
 
     @pytest.mark.parametrize("fail_at, message", [
+        (156, "planted training failure at t=156 in warm-up epoch 1"),
         (157, "planted training failure at t=157 in warm-up epoch 1"),
         (158, "global moments overflow absorbing a window mean of 5.000000000000001e+153"
               " at t=157 in warm-up epoch 1"),
-    ], ids=["same-step", "next-step"])
+    ], ids=["step-before", "same-step", "next-step"])
     def test_a_training_failure_wins_on_the_fold_failures_step(self, fail_at, message):
         # RAMP at scope 1 fails the fold at t=157: training failing on that same
         # step is the error raised, and failing one step later is not reached
@@ -366,6 +367,26 @@ class TestWarmUp:
         pool = Pool(self.FailsOnCall(8, 4, fail_at), 0.01, config.cep)
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
             warm_up(pool, warm, 1)
+
+    @pytest.mark.parametrize("fail_at", [None, 40, 157], ids=["fold", "training", "same-step"])
+    def test_a_failed_warm_up_leaves_the_seed_entry_as_it_was(self, fail_at):
+        # RAMP at scope 1 fails the fold at t=157; a planted training failure fails earlier
+        # or on that step. The forecaster trained up to the failure, but the signatures,
+        # their count, the prediction total and the cached mixed signature did not move.
+        config = EngineConfig(lookback=8, horizon=4, forecaster="naive", warm_epochs=1,
+                              cep=CepConfig(scope_s=1))
+        warm, _ = split_instances(self.RAMP, config)
+        forecaster = NaiveForecaster(8, 4) if fail_at is None else self.FailsOnCall(8, 4, fail_at)
+        pool = Pool(forecaster, 0.01, config.cep)
+        entry = pool.entries[0]
+
+        def state():
+            return repr((genes_of(entry), entry.n_pred, entry.mu, entry.sigma))
+
+        before = state()
+        with pytest.raises(NumericError, match=f"at t={fail_at or 157} in warm-up epoch 1$"):
+            warm_up(pool, warm, 1)
+        assert state() == before
 
     def test_training_failure_names_its_step_and_epoch(self):
         # just past the stable rate, the weights outgrow a float in the second epoch
