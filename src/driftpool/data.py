@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import os
+import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -174,14 +175,22 @@ def _rows(path: Path, text: str) -> Iterator[tuple[int, list[str]]]:
         raise FileFormatError(f"{path}: row {line_no + 1}: {exc}") from None
 
 
+class _LongIndex(int):
+    """An index past ``int()``'s digit limit: ``sys.maxsize`` of its sign, printed abridged."""
+
+    def __str__(self) -> str:
+        return f"{self.text[:12]}... ({len(self.text.lstrip('-'))} digits)"
+
+
 def _column_index(path: Path, header: list[str] | None, column: str, has_header: bool) -> int:
     """Resolve ``column`` against a file's header row (None: the file is empty): a
     header name first, then a zero-based index; a headerless file takes only an index,
     an optional ``-`` followed by decimal digits."""
     try:  # the test keeps out spaces, "+" and "_", which int() would take
         index = int(column) if column.removeprefix("-").isdecimal() else None
-    except ValueError:  # past int()'s digit limit: more columns than any file has
-        index = None
+    except ValueError:  # past int()'s digit limit
+        index = _LongIndex(-sys.maxsize if column[0] == "-" else sys.maxsize)
+        index.text = column
     if has_header:
         if header is None:
             raise FileFormatError(f"{path}: file is empty, column {column!r} not found")

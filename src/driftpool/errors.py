@@ -43,13 +43,12 @@ def within(domain: str | tuple, default: typing.Any = dataclasses.MISSING):
 @functools.cache
 def field_types(cls: type) -> dict[str, tuple[type, bool]]:
     """(type, accepts None) of each field of a config dataclass, but for a field of a
-    generic type such as ``tuple[...]``, which its class checks. The generic is
-    told by its origin: on Python 3.10 ``isinstance(tuple[int], type)`` is True."""
+    generic type such as ``tuple[...]``, which its class checks."""
     out = {}
     for name, hint in typing.get_type_hints(cls).items():
         optional = type(None) in typing.get_args(hint)  # `X | None` is the only union
         kind = typing.get_args(hint)[0] if optional else hint
-        if typing.get_origin(kind) is None and isinstance(kind, type):
+        if isinstance(kind, type):
             out[name] = (kind, optional)
     return out
 

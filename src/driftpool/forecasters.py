@@ -13,7 +13,6 @@ models are small enough that numpy is all we need.
 from __future__ import annotations
 
 import copy
-import hashlib
 import math
 from abc import ABC, abstractmethod
 from typing import NamedTuple
@@ -101,10 +100,6 @@ class Forecaster(ABC):
         np.subtract(self._theta, g, out=self._theta)
         return loss
 
-    def parameters(self) -> list[np.ndarray]:
-        """Live views of all trainable arrays, in buffer order (may be empty)."""
-        return [getattr(self, name) for name in self._layout]
-
     def deep_clone(self) -> "Forecaster":
         return copy.deepcopy(self)
 
@@ -115,14 +110,6 @@ class Forecaster(ABC):
         clone._lay_out(**self._layout)
         clone._theta[:] = self._theta
         return clone
-
-    def parameter_checksum(self) -> str:
-        h = hashlib.sha256()
-        h.update(type(self).__name__.encode())
-        for p in self.parameters():
-            h.update(str(p.shape).encode())
-            h.update(p.tobytes())
-        return h.hexdigest()
 
     def _check_window(self, window: np.ndarray) -> np.ndarray:
         arr = np.asarray(window, dtype=float)

@@ -72,7 +72,7 @@ class PoolEntry:
     scores; ``_refresh`` recomputes it after ``absorb_instance`` or the
     warm-up writes the signatures. ``last_served`` is the value of
     the pool's serve clock (``Pool.served``) when the entry last served a
-    step, or when it was created; ``Pool.n_wait`` reads its idleness off it.
+    step, or when it was created; its idle count is ``Pool.served - last_served``.
     ``index`` is the ``Pool.index`` of the pool that holds the entry under
     the euclidean score, else None.
     """
@@ -170,11 +170,11 @@ class Pool:
     """Ordered collection of entries; ids increase in list order, oldest first.
 
     ``served`` counts the steps ``mark_selected`` has marked; an entry's idle
-    count is the steps marked since it last served one (``n_wait``). Under
-    the euclidean score, ``index`` is a pair of lists, ``(means, ranked)``,
-    for ``nearest`` to search: the cached ``mu`` of every live entry, sorted
-    (equal means in any order), and the entries in the same order.
-    ``evolve`` and the removals add and drop entries, and
+    count, ``served - entry.last_served``, is the steps marked since it last
+    served one. Under the euclidean score, ``index`` is a pair of lists,
+    ``(means, ranked)``, for ``nearest`` to search: the cached ``mu`` of
+    every live entry, sorted (equal means in any order), and the entries in
+    the same order. ``evolve`` and the removals add and drop entries, and
     ``PoolEntry._refresh`` moves them. Under ``mle`` it is None.
     """
 
@@ -190,10 +190,6 @@ class Pool:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def n_wait(self, entry: PoolEntry) -> int:
-        """Steps served since ``entry`` last served one (or was created)."""
-        return self.served - entry.last_served
 
     def nearest(self, mu: float, sigma: float) -> PoolEntry:
         """Entry with minimal retrieval cost for (mu, sigma); ties go to the smallest id.
@@ -281,9 +277,9 @@ class Pool:
         """Drop entries idle beyond tau_e times their prediction count.
 
         The most recently selected entry always survives, and so the pool
-        never empties: ``mark_selected`` leaves it at ``n_wait == 0``, a
-        split's child also starts at 0, and only ``mark_selected`` advances
-        the serve clock. Since ``tau_e > 0``, an entry at 0 is never stale.
+        never empties: ``mark_selected`` leaves it idle for 0 steps, a split's
+        child also starts at 0, and only ``mark_selected`` advances the serve
+        clock. Since ``tau_e > 0``, an entry idle for 0 steps is never stale.
         """
         if not self.config.elimination:
             return []

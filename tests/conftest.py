@@ -9,7 +9,7 @@ from hypothesis import Phase, settings
 from driftpool.engine import EngineConfig, StepLog, online_step, split_instances, warm_up
 from driftpool.forecasters import LinearForecaster
 from driftpool.pool import Pool
-from reference import genes_of
+from reference import genes_of, n_wait, parameter_checksum
 
 # No explain phase for any property test: on a failing run it re-runs variants of
 # the shrunk example to say which parts matter, which took one bundle test 40 s and
@@ -43,8 +43,8 @@ def abandoned_step():
         online_step(pool, online, i, log)
 
     before = {
-        e.id: SimpleNamespace(checksum=e.forecaster.parameter_checksum(), genes=genes_of(e),
-                              n_pred=e.n_pred, n_wait=pool.n_wait(e), lr_current=e.lr_current)
+        e.id: SimpleNamespace(checksum=parameter_checksum(e.forecaster), genes=genes_of(e),
+                              n_pred=e.n_pred, n_wait=n_wait(pool, e), lr_current=e.lr_current)
         for e in pool.entries
     }
     online_step(pool, online, target, log)

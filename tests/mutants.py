@@ -47,6 +47,12 @@ PURITY_TIES = "tests/test_cli.py::TestPurity::test_window_and_entry_tie_rules"
 PURITY_RULE = "tests/test_cli.py::TestPurity::test_matches_the_documented_rule"
 WARM_UP = "tests/test_engine.py::TestWarmUp::"
 SORTED_INDEX = "tests/test_pool.py::TestSortedIndex::test_nearest_is_the_scan_first_min"
+LONG_INDEX = ("tests/test_data.py::TestLoadCsv::"
+              "test_an_index_past_the_digit_limit_reads_as_a_short_one")
+SETTING_REFUSED = "tests/test_settings.py::test_a_wrong_value_is_refused_naming_its_field"
+CEP_RANGES = "tests/test_pool.py::TestConfigValidation::test_rejects_out_of_range"
+SIGNATURES = "tests/test_engine.py::TestSignatures::"
+GLOBAL_UPDATE = "tests/test_gene.py::TestGlobalUpdate::"
 PARAMETER_BUFFER = ("tests/test_forecasters.py::TestParameterBuffer::"
                     "test_a_clone_owns_its_buffer_and_trains_like_a_fresh_model")
 
@@ -73,13 +79,19 @@ MUTANTS = (
     # a column reference is parsed once; a synthetic stream must be finite
     Mutant("column-index-isdigit", "src/driftpool/data.py",
            'column.removeprefix("-").isdecimal()', 'column.removeprefix("-").isdigit()',
-           equivalent='int() refuses the digits that are not decimal ("²", "①"), and the '
-                      "except ValueError beside it then reads them as no index, as the guard "
-                      "does"),
+           tests=(COLUMN_REFERENCE,)),  # "²" reaches int() and reads as an index past its limit
     Mutant("column-index-lstrip", "src/driftpool/data.py",
            'column.removeprefix("-").isdecimal()', 'column.lstrip("-").isdecimal()',
-           equivalent='int() refuses "--1", and the except ValueError beside it then reads it '
-                      "as no index, as the guard does"),
+           tests=(COLUMN_REFERENCE,)),  # "--1" likewise
+    Mutant("column-index-past-the-digit-limit-is-no-index", "src/driftpool/data.py",
+           'index = _LongIndex(-sys.maxsize if column[0] == "-" else sys.maxsize)\n'
+           "        index.text = column\n",
+           "index = None\n",
+           tests=(COLUMN_REFERENCE, LONG_INDEX)),
+    Mutant("column-index-past-the-digit-limit-unsigned", "src/driftpool/data.py",
+           '_LongIndex(-sys.maxsize if column[0] == "-" else sys.maxsize)',
+           "_LongIndex(sys.maxsize)",
+           tests=(LONG_INDEX,)),
     Mutant("column-index-negative-in-header", "src/driftpool/data.py",
            "if index is not None and 0 <= index < len(header):",
            "if index is not None and index < len(header):",
@@ -266,6 +278,55 @@ MUTANTS = (
                   "test_mlp_update_matches_the_written_out_step",
                   "tests/test_forecasters.py::TestContract::"
                   "test_the_fused_update_is_the_written_out_step_at_any_shape")),
+    # the one settings checker (errors.py)
+    Mutant("check-value-int-for-float-unbounded", "src/driftpool/errors.py",
+           "ok = abs(value) <= sys.float_info.max", "ok = True",
+           tests=(SETTING_REFUSED,)),
+    Mutant("check-value-bool-for-any-kind", "src/driftpool/errors.py",
+           "ok = kind is bool", "ok = True",
+           tests=(SETTING_REFUSED,)),
+    Mutant("check-value-open-low-end-closed", "src/driftpool/errors.py",
+           "else (low < value))", "else (low <= value))",
+           tests=(SETTING_REFUSED, CEP_RANGES)),
+    Mutant("check-value-open-high-end-closed", "src/driftpool/errors.py",
+           "else (value < high))", "else (value <= high))",
+           tests=(SETTING_REFUSED, CEP_RANGES)),
+    Mutant("check-value-finite-bound-unnamed", "src/driftpool/errors.py",
+           'if domain else "finite"', 'if domain else ""',
+           tests=("tests/test_settings.py::test_a_value_that_used_to_slip_through",)),
+    Mutant("check-fields-domain-dropped", "src/driftpool/errors.py",
+           '*types[f.name], f.metadata.get("domain"))', "*types[f.name])",
+           tests=(CEP_RANGES, "tests/test_engine.py::TestInstances::test_config_validation")),
+    Mutant("field-types-generic-kept", "src/driftpool/errors.py",
+           "        if isinstance(kind, type):\n", "        if True:\n",
+           tests=("tests/test_settings.py::test_a_generic_field_is_left_to_its_class",)),
+    Mutant("field-types-optional-unread", "src/driftpool/errors.py",
+           "optional = type(None) in typing.get_args(hint)", "optional = False",
+           tests=("tests/test_settings.py::test_a_generic_field_is_left_to_its_class",
+                  "tests/test_settings.py::test_every_setting_declares_its_domain")),
+    # signatures and their streaming updates (gene.py)
+    Mutant("reject-non-finite-window-one-short", "src/driftpool/gene.py",
+           "hit = bad[starts + offset + length]", "hit = bad[starts + offset + length - 1]",
+           tests=(SIGNATURES + "test_non_finite_inside_covered_windows_raises",)),
+    Mutant("window-genes-tail-at-the-window-start", "src/driftpool/gene.py",
+           "first = starts + (offset + length - tail)", "first = starts + offset",
+           tests=(SIGNATURES + "test_pass_equals_compute_gene",
+                  SIGNATURES + "test_real_chunk_boundary")),
+    Mutant("window-genes-sigma-unchecked", "src/driftpool/gene.py",
+           "finite = np.isfinite(mu) & np.isfinite(sigma)", "finite = np.isfinite(mu)",
+           tests=(SIGNATURES + "test_overflowing_signature_raises_naming_its_window",)),
+    Mutant("blend-weights-swapped", "src/driftpool/gene.py",
+           "return w * a + (1.0 - w) * b", "return w * b + (1.0 - w) * a",
+           tests=("tests/test_gene.py::TestEmaUpdate::test_direct_substitution",
+                  "tests/test_gene.py::TestMixGene::test_extremes")),
+    Mutant("fold-moments-spread-term-unsquared", "src/driftpool/gene.py",
+           "(n / (n + 1) ** 2)", "(n / (n + 1))",
+           tests=(GLOBAL_UPDATE + "test_two_value_batch",
+                  GLOBAL_UPDATE + "test_online_equals_batch")),
+    Mutant("fold-moments-overflow-uncaught", "src/driftpool/gene.py",
+           "    except OverflowError:\n        new_var = math.inf",
+           "    except ZeroDivisionError:\n        new_var = math.inf",
+           tests=(GLOBAL_UPDATE + "test_overflowing_moments_raise_numeric_error",)),
     Mutant("tau-e-infinity-accepted", "src/driftpool/pool.py",
            'tau_e: float = within("(0, inf)", 1.5)', 'tau_e: float = within("(0, inf]", 1.5)',
            tests=("tests/test_pool.py::TestConfigValidation::test_rejects_out_of_range",

@@ -21,8 +21,11 @@ step for step, bit for bit. This module imports no function and no
 pool class from ``driftpool.engine`` or ``driftpool.pool``, only their
 config and result dataclasses. ``genes_of`` and ``set_genes`` read and
 write a library pool entry's signature floats in the same tuple form.
+``parameters``, ``parameter_checksum`` and ``n_wait`` read a library
+forecaster's parameters and a library pool entry's idle count for tests.
 """
 
+import hashlib
 import math
 from collections import namedtuple
 from dataclasses import replace
@@ -68,6 +71,25 @@ def set_genes(entry, genes):
     refresh its cached mixed signature."""
     (entry.local_mu, entry.local_sigma), (entry.global_mu, entry.global_sigma), entry.n = genes
     entry._refresh()
+
+
+def parameters(model):
+    """Live views of a forecaster's trainable arrays, in buffer order (may be empty)."""
+    return [getattr(model, name) for name in model._layout]
+
+
+def parameter_checksum(model):
+    """sha256 over a forecaster's class name and each parameter's shape and bytes."""
+    h = hashlib.sha256(type(model).__name__.encode())
+    for p in parameters(model):
+        h.update(str(p.shape).encode())
+        h.update(p.tobytes())
+    return h.hexdigest()
+
+
+def n_wait(pool, entry):
+    """Steps ``pool`` served since ``entry`` last served one (or was created)."""
+    return pool.served - entry.last_served
 
 
 def effective_gene(genes, config):

@@ -22,7 +22,15 @@ from driftpool.forecasters import NaiveForecaster, make_forecaster, mse
 from driftpool.gene import fold_moments
 from driftpool.manifest import RunManifest
 from driftpool.pool import CepConfig, Pool, lr_tick
-from reference import Gene, genes_of, retrieval_cost, run_bare, set_genes
+from reference import (
+    Gene,
+    genes_of,
+    parameter_checksum,
+    parameters,
+    retrieval_cost,
+    run_bare,
+    set_genes,
+)
 
 
 @contextmanager
@@ -126,18 +134,18 @@ def test_c04_gradient_check():
             lookback = int(rng.integers(2, 9))
             horizon = int(rng.integers(1, 6))
             model = make_forecaster(kind, lookback, horizon, hidden=5, seed=case)
-            for p in model.parameters():
+            for p in parameters(model):
                 p += rng.normal(scale=0.5, size=p.shape)
             x = rng.normal(size=lookback)
             y = rng.normal(size=horizon)
 
-            before = [p.copy() for p in model.parameters()]
+            before = [p.copy() for p in parameters(model)]
             probe = model.deep_clone()
             probe.train_step(x, y, 1.0)
-            applied = [b - a for b, a in zip(before, probe.parameters())]
+            applied = [b - a for b, a in zip(before, parameters(probe))]
 
             step = 1e-5
-            for pi, p in enumerate(model.parameters()):
+            for pi, p in enumerate(parameters(model)):
                 flat = p.ravel()
                 grad = applied[pi].ravel()
                 for i in range(flat.size):
@@ -291,7 +299,7 @@ def test_c10_gradient_abandonment(abandoned_step):
         assert record.abandoned
         assert record.evolved_from is None
         for entry in pool.entries:
-            assert entry.forecaster.parameter_checksum() == before[entry.id].checksum
+            assert parameter_checksum(entry.forecaster) == before[entry.id].checksum
             assert genes_of(entry) == before[entry.id].genes
         served = next(e for e in pool.entries if e.id == record.selected_entry_id)
         assert served.n_pred == before[served.id].n_pred + 1

@@ -1007,6 +1007,18 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_a_column_index_past_the_digit_limit_exits_4(self, tmp_path, capsys, sign):
+        path = tmp_path / "in.csv"
+        path.write_text("1,2\n" * 400)
+        argv = ["run", "--data", str(path), f"--column={sign}{'1' * 5000}", "--lookback", "8",
+                "--horizon", "4", "--no-header", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_IO
+        rule = "column index must be >= 0, got" if sign else "row 1: only 2 fields, need column"
+        assert capsys.readouterr().err == (
+            f"error: {path}: {rule} {sign}{'1' * (12 - len(sign))}... (5000 digits)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["generate", "run-manifest", "run-hidden"])
     def test_a_size_numpy_refuses_exits_2(self, tmp_path, capsys, command):
         # 2**62 float64 values exceed numpy's limit on an array's bytes, so it

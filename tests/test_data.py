@@ -141,10 +141,28 @@ class TestLoadCsv:
             message = f"{path}: column {column!r} not found; available: ['a', 'b']"
         elif column == "-1":
             message = f"{path}: column index must be >= 0, got -1"
+        elif column == "1" * 5000:  # an index past the last column, its digits elided
+            message = f"{path}: row 1: only 2 fields, need column {'1' * 12}... (5000 digits)"
         else:
             message = f"{path}: headerless file needs a zero-based column index, got {column!r}"
         with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
             load_csv(path, column, has_header)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_an_index_past_the_digit_limit_reads_as_a_short_one(self, tmp_path, sign):
+        # int() refuses an index over 4,300 digits; it still takes the path and the
+        # message of a 30-digit index of its sign, without echoing every digit
+        path = tmp_path / "raw.csv"
+        path.write_text("1\n2\n3\n")
+        short, long = sign + "9" * 30, sign + "1" * 5000
+        messages = []
+        for column in (short, long):
+            with pytest.raises(FileFormatError) as raised:
+                load_csv(path, column, has_header=False)
+            messages.append(str(raised.value))
+        rule = (f"{path}: column index must be >= 0, got " if sign
+                else f"{path}: row 1: only 1 fields, need column ")
+        assert messages == [rule + short, rule + long[:12] + "... (5000 digits)"]
 
     def test_a_header_name_of_any_length_is_found(self, tmp_path):
         path = tmp_path / "long.csv"

@@ -32,7 +32,7 @@ from driftpool.forecasters import (
 from driftpool.gene import compute_gene
 from driftpool.manifest import RunManifest, build_bundle
 from driftpool.pool import CepConfig, Pool, absorb_instance
-from reference import Gene, genes_of, run_bare, set_genes
+from reference import Gene, genes_of, n_wait, parameter_checksum, run_bare, set_genes
 
 
 def enumerate_windows(n, start, stop, stride, lookback, horizon):
@@ -274,11 +274,10 @@ class TestWarmUp:
         warm, _ = split_instances(series, EngineConfig(lookback=8, horizon=4))
         for lr in (0.01, 0.002):
             pool = Pool(LinearForecaster(8, 4), lr, CepConfig())
-            reference = LinearForecaster(8, 4)
-            expected = [reference.train_step(x, y, lr) for _, x, y in pairs(warm)]
+            solo = LinearForecaster(8, 4)
+            expected = [solo.train_step(x, y, lr) for _, x, y in pairs(warm)]
             assert warm_up(pool, warm, 1) == expected
-            assert (pool.entries[0].forecaster.parameter_checksum()
-                    == reference.parameter_checksum())
+            assert parameter_checksum(pool.entries[0].forecaster) == parameter_checksum(solo)
 
     def test_requires_single_entry_pool(self):
         pool = self.make_pool()
@@ -315,7 +314,7 @@ class TestWarmUp:
         a, b = folded.entries[0], stepped.entries[0]
         assert repr(genes_of(a)) == repr(genes_of(b))  # tells 0.0 from -0.0
         assert repr((a.mu, a.sigma)) == repr((b.mu, b.sigma))
-        assert (a.n_pred, folded.n_wait(a)) == (b.n_pred, stepped.n_wait(b))
+        assert (a.n_pred, n_wait(folded, a)) == (b.n_pred, n_wait(stepped, b))
         assert a.n_pred == epochs * len(warm)
 
     # 150 x -1e154, a ramp to 1e154, 60 x 1e154, then -1e154 to 1,200 points:
@@ -424,11 +423,11 @@ class TestOnlineStep:
         assert {e.id for e in pool.entries} <= before.keys()
         for e in pool.entries:
             served = e.id == record.selected_entry_id
-            assert e.forecaster.parameter_checksum() == before[e.id].checksum
+            assert parameter_checksum(e.forecaster) == before[e.id].checksum
             assert genes_of(e) == before[e.id].genes
             assert e.lr_current == before[e.id].lr_current
             assert e.n_pred == before[e.id].n_pred + served
-            assert pool.n_wait(e) == (0 if served else before[e.id].n_wait + 1)
+            assert n_wait(pool, e) == (0 if served else before[e.id].n_wait + 1)
 
     def test_pool_config_governs_the_step(self):
         # a shifting stream that splits under the default thresholds

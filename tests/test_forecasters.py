@@ -20,6 +20,7 @@ from driftpool.forecasters import (
     make_forecaster,
     mse,
 )
+from reference import parameter_checksum, parameters
 
 
 def numeric_gradient(f, params, step=1e-5):
@@ -43,11 +44,11 @@ def numeric_gradient(f, params, step=1e-5):
 
 def analytic_gradient(model, x, y):
     """Recover the applied gradient from one unit-lr-free train_step."""
-    before = [p.copy() for p in model.parameters()]
+    before = [p.copy() for p in parameters(model)]
     clone = model.deep_clone()
     lr = 1.0
     clone.train_step(x, y, lr)
-    return [(b - a) / lr for b, a in zip(before, clone.parameters())]
+    return [(b - a) / lr for b, a in zip(before, parameters(clone))]
 
 
 def written_out_step(params, x, y, lr):
@@ -108,10 +109,10 @@ class TestPredict:
 class TestTrainStep:
     def test_zero_lr_returns_loss_and_keeps_params(self):
         f = LinearForecaster(2, 1)
-        before = f.parameter_checksum()
+        before = parameter_checksum(f)
         loss = f.train_step(np.array([1.0, 0.0]), np.array([2.0]), 0.0)
         assert loss == 4.0
-        assert f.parameter_checksum() == before
+        assert parameter_checksum(f) == before
 
     def test_loss_measured_before_update(self):
         f = LinearForecaster(2, 1)
@@ -132,7 +133,7 @@ class TestTrainStep:
         def loss():
             return mse(f.predict(x), y)
 
-        numeric = numeric_gradient(loss, f.parameters())
+        numeric = numeric_gradient(loss, parameters(f))
         applied = analytic_gradient(f, x, y)
         assert max_rel_error(applied, numeric) < 1e-6
 
@@ -141,10 +142,10 @@ class TestTrainStep:
     def test_a_negative_or_non_finite_lr_is_refused(self, kind, lr):
         # NaN fails every comparison, so `lr < 0` alone would let it through to the weights
         f = make_forecaster(kind, 3, 2)
-        before = f.parameter_checksum()
+        before = parameter_checksum(f)
         with pytest.raises(ValidationError, match=f"^lr must be finite and >= 0, got {lr}$"):
             f.train_step(np.ones(3), np.ones(2), lr)
-        assert f.parameter_checksum() == before
+        assert parameter_checksum(f) == before
 
     def test_repeated_steps_converge(self):
         rng = np.random.default_rng(5)
@@ -159,9 +160,9 @@ class TestTrainStep:
         f = NaiveForecaster(3, 2)
         x = np.array([0.0, 0.0, 1.0])
         y = np.array([3.0, 3.0])
-        before = f.parameter_checksum()
+        before = parameter_checksum(f)
         assert f.train_step(x, y, 0.5) == 4.0
-        assert f.parameter_checksum() == before
+        assert parameter_checksum(f) == before
 
     def test_divergence_surfaces_as_numeric_error(self):
         f = LinearForecaster(4, 2)
@@ -201,12 +202,12 @@ class TestContract:
     def test_mlp_update_matches_the_written_out_step(self):
         rng = np.random.default_rng(8)
         f = MlpForecaster(5, 3, hidden=4, seed=2)
-        ref = [p.copy() for p in f.parameters()]
+        ref = [p.copy() for p in parameters(f)]
         for _ in range(10):
             x, y, lr = rng.normal(size=5), rng.normal(size=3), 0.07
             ref = written_out_step(ref, x, y, lr)
             f.train_step(x, y, lr)
-            for got, want in zip(f.parameters(), ref, strict=True):
+            for got, want in zip(parameters(f), ref, strict=True):
                 assert np.array_equal(got, want)
 
     def test_linear_update_matches_the_written_out_step(self):
@@ -214,12 +215,12 @@ class TestContract:
         f = LinearForecaster(5, 3)
         f.weights[:] = rng.normal(size=(3, 5))
         f.bias[:] = rng.normal(size=3)
-        ref = [p.copy() for p in f.parameters()]
+        ref = [p.copy() for p in parameters(f)]
         for _ in range(10):
             x, y, lr = rng.normal(size=5), rng.normal(size=3), 0.07
             ref = written_out_step(ref, x, y, lr)
             f.train_step(x, y, lr)
-            for got, want in zip(f.parameters(), ref, strict=True):
+            for got, want in zip(parameters(f), ref, strict=True):
                 assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
@@ -230,15 +231,15 @@ class TestContract:
         # odd sizes start the views inside the one buffer at 8-byte-only offsets
         rng = np.random.default_rng(seed)
         f = make_forecaster(kind, lookback, horizon, hidden=hidden, seed=seed)
-        for p in f.parameters():
+        for p in parameters(f):
             p += rng.normal(scale=0.5, size=p.shape)
-        ref = [p.copy() for p in f.parameters()]
+        ref = [p.copy() for p in parameters(f)]
         for _ in range(4):
             x, y = rng.normal(size=lookback), rng.normal(size=horizon)
             lr = float(rng.uniform(0.0, 0.2))
             ref = written_out_step(ref, x, y, lr)
             f.train_step(x, y, lr)
-            for got, want in zip(f.parameters(), ref, strict=True):
+            for got, want in zip(parameters(f), ref, strict=True):
                 assert np.array_equal(got, want)
 
     @settings(max_examples=300, deadline=None)
@@ -261,7 +262,7 @@ class TestContract:
         mlp = make_forecaster("mlp", 4, 2, hidden=7, seed=3)
         assert mlp.hidden == 7
         same = MlpForecaster(4, 2, hidden=7, seed=3)
-        assert mlp.parameter_checksum() == same.parameter_checksum()
+        assert parameter_checksum(mlp) == parameter_checksum(same)
 
     def test_engine_default_lr_reads_the_table(self):
         from driftpool.engine import EngineConfig
@@ -279,7 +280,7 @@ class TestGradientCheck:
             lookback = int(rng.integers(2, 8))
             horizon = int(rng.integers(1, 5))
             f = make_forecaster(kind, lookback, horizon, hidden=6, seed=case)
-            for p in f.parameters():
+            for p in parameters(f):
                 p += rng.normal(scale=0.5, size=p.shape)
             x = rng.normal(size=lookback)
             y = rng.normal(size=horizon)
@@ -287,7 +288,7 @@ class TestGradientCheck:
             def loss():
                 return mse(f.predict(x), y)
 
-            numeric = numeric_gradient(loss, f.parameters())
+            numeric = numeric_gradient(loss, parameters(f))
             applied = analytic_gradient(f, x, y)
             assert max_rel_error(applied, numeric) < 1e-4
 
@@ -299,23 +300,23 @@ class TestCloning:
         clone = f.deep_clone()
         x = np.linspace(0, 1, 6)
         assert np.array_equal(f.predict(x), clone.predict(x))
-        assert f.parameter_checksum() == clone.parameter_checksum()
+        assert parameter_checksum(f) == parameter_checksum(clone)
 
     def test_training_original_leaves_clone_untouched(self):
         f = MlpForecaster(6, 3, hidden=4, seed=0)
         clone = f.deep_clone()
-        fingerprint = clone.parameter_checksum()
+        fingerprint = parameter_checksum(clone)
         for _ in range(5):
             f.train_step(np.ones(6), np.zeros(3), 0.05)
-        assert clone.parameter_checksum() == fingerprint
-        assert f.parameter_checksum() != fingerprint
+        assert parameter_checksum(clone) == fingerprint
+        assert parameter_checksum(f) != fingerprint
 
     def test_training_clone_leaves_original_untouched(self):
         f = LinearForecaster(6, 3)
-        fingerprint = f.parameter_checksum()
+        fingerprint = parameter_checksum(f)
         clone = f.deep_clone()
         clone.train_step(np.ones(6), np.ones(3), 0.05)
-        assert f.parameter_checksum() == fingerprint
+        assert parameter_checksum(f) == fingerprint
 
     def test_independence_under_interleaved_training(self):
         rng = np.random.default_rng(9)
@@ -328,7 +329,7 @@ class TestCloning:
                 clone.train_step(rng.normal(size=4), rng.normal(size=2), 0.02)
             f.train_step(x, y, 0.02)
             solo.train_step(x, y, 0.02)
-        assert f.parameter_checksum() == solo.parameter_checksum()
+        assert parameter_checksum(f) == parameter_checksum(solo)
 
 
 class TestParameterBuffer:
@@ -343,29 +344,29 @@ class TestParameterBuffer:
         for x, y in steps[:5]:
             f.train_step(x, y, 0.05)
             fresh.train_step(x, y, 0.05)
-        parent_sum = f.parameter_checksum()
+        parent_sum = parameter_checksum(f)
         clone = copier(f)
         assert type(clone) is type(f)
         for model in (f, clone):
-            assert sum(p.size for p in model.parameters()) == model._theta.size
-            for p, g in zip(model.parameters(), model._grads, strict=True):
+            assert sum(p.size for p in parameters(model)) == model._theta.size
+            for p, g in zip(parameters(model), model._grads, strict=True):
                 assert p.base is model._theta and g.base is model._grad
-        for p, q in zip(f.parameters() + f._grads, clone.parameters() + clone._grads):
+        for p, q in zip(parameters(f) + f._grads, parameters(clone) + clone._grads):
             assert not np.shares_memory(p, q)
         for x, y in steps[5:]:
             clone.train_step(x, y, 0.05)
             fresh.train_step(x, y, 0.05)
-        assert clone.parameter_checksum() == fresh.parameter_checksum()
-        assert f.parameter_checksum() == parent_sum
+        assert parameter_checksum(clone) == parameter_checksum(fresh)
+        assert parameter_checksum(f) == parent_sum
 
 
 class TestDeterminism:
     def test_same_seed_same_init(self):
         a = MlpForecaster(7, 3, hidden=5, seed=42)
         b = MlpForecaster(7, 3, hidden=5, seed=42)
-        assert a.parameter_checksum() == b.parameter_checksum()
+        assert parameter_checksum(a) == parameter_checksum(b)
         c = MlpForecaster(7, 3, hidden=5, seed=43)
-        assert c.parameter_checksum() != a.parameter_checksum()
+        assert parameter_checksum(c) != parameter_checksum(a)
 
     def test_same_training_sequence_same_checksum(self):
         rng1 = np.random.default_rng(1)
@@ -375,7 +376,7 @@ class TestDeterminism:
         for _ in range(25):
             a.train_step(rng1.normal(size=5), rng1.normal(size=2), 0.01)
             b.train_step(rng2.normal(size=5), rng2.normal(size=2), 0.01)
-        assert a.parameter_checksum() == b.parameter_checksum()
+        assert parameter_checksum(a) == parameter_checksum(b)
 
 
 def test_unknown_kind_rejected():

@@ -21,7 +21,16 @@ from driftpool.pool import (
     lr_tick,
     should_evolve,
 )
-from reference import Gene, absorb, distances, effective_gene, genes_of, retrieval_cost, set_genes
+from reference import (
+    Gene,
+    absorb,
+    distances,
+    effective_gene,
+    genes_of,
+    n_wait,
+    retrieval_cost,
+    set_genes,
+)
 
 
 def make_pool(config=None, lr_raw=0.01, lookback=4, horizon=2):
@@ -246,7 +255,7 @@ class TestEvolve:
             x = rng.normal(scale=3.0, size=4)
             assert np.array_equal(parent.forecaster.predict(x), child.forecaster.predict(x))
         assert genes_of(child) == ((5.0, 1.0), (5.0, 1.0), 1)
-        assert (child.n_pred, pool.n_wait(child)) == (0, 0)
+        assert (child.n_pred, n_wait(pool, child)) == (0, 0)
 
     def test_initial_lr_reduced(self):
         pool = make_pool(CepConfig(tau_lr=0.5, t_lr=10), lr_raw=0.01)
@@ -334,8 +343,8 @@ class TestMarkSelected:
         b, _ = pool.evolve(a, 1, 1)
         for _ in range(3):
             pool.mark_selected(a)
-        assert (a.n_pred, pool.n_wait(a)) == (3, 0)
-        assert (b.n_pred, pool.n_wait(b)) == (0, 3)
+        assert (a.n_pred, n_wait(pool, a)) == (3, 0)
+        assert (b.n_pred, n_wait(pool, b)) == (0, 3)
 
     def test_alternating_resets_wait(self):
         pool = make_pool()
@@ -343,15 +352,15 @@ class TestMarkSelected:
         b, _ = pool.evolve(a, 1, 1)
         pool.mark_selected(a)
         pool.mark_selected(b)
-        assert (pool.n_wait(a), pool.n_wait(b)) == (1, 0)
+        assert (n_wait(pool, a), n_wait(pool, b)) == (1, 0)
         pool.mark_selected(a)
-        assert (pool.n_wait(a), pool.n_wait(b)) == (0, 1)
+        assert (n_wait(pool, a), n_wait(pool, b)) == (0, 1)
 
     def test_single_entry_never_waits(self):
         pool = make_pool()
         for _ in range(10):
             pool.mark_selected(pool.entries[0])
-        assert pool.n_wait(pool.entries[0]) == 0
+        assert n_wait(pool, pool.entries[0]) == 0
         assert pool.entries[0].n_pred == 10
 
 
@@ -367,7 +376,7 @@ class TestEliminateStale:
             pool.mark_selected(b)
         for _ in range(idle):
             pool.mark_selected(a)
-        assert (b.n_pred, pool.n_wait(b)) == (served, idle)
+        assert (b.n_pred, n_wait(pool, b)) == (served, idle)
         return pool, a, b
 
     def test_removes_beyond_ratio(self):
@@ -399,7 +408,7 @@ class TestEliminateStale:
         cfg = pool.config
         assert last in [e.id for e in pool.entries]
         for e in pool.entries:
-            assert pool.n_wait(e) <= cfg.tau_e * e.n_pred
+            assert n_wait(pool, e) <= cfg.tau_e * e.n_pred
 
 
 class TestAbsorbInstance:
@@ -564,7 +573,7 @@ def pool_machine(caps):
             before = [e.id for e in self.pool.entries]
             child, reported = self.pool.evolve(parent, gene.mu, gene.sigma)
             assert child.id > max(before)
-            assert (child.n_pred, self.pool.n_wait(child), child.n) == (0, 0, 1)
+            assert (child.n_pred, n_wait(self.pool, child), child.n) == (0, 0, 1)
             cap = self.config.max_pool_size
             evicted = before[:1] if cap is not None and len(before) + 1 > cap else []
             assert reported == evicted
@@ -579,8 +588,8 @@ def pool_machine(caps):
             chosen = self.pick(i)
             self.pool.mark_selected(chosen)
             self.shadow = {
-                x: (n_pred + 1, 0) if x == chosen.id else (n_pred, n_wait + 1)
-                for x, (n_pred, n_wait) in self.shadow.items()
+                x: (n_pred + 1, 0) if x == chosen.id else (n_pred, idle + 1)
+                for x, (n_pred, idle) in self.shadow.items()
             }
             self.last = chosen.id
 
@@ -627,8 +636,8 @@ def pool_machine(caps):
             low = self.config.tau_lr * self.lr_raw
             for e in entries:
                 assert low <= e.lr_current <= self.lr_raw
-            assert {e.id: (e.n_pred, self.pool.n_wait(e)) for e in entries} == self.shadow
-            assert any(self.pool.n_wait(e) == 0 for e in entries)
+            assert {e.id: (e.n_pred, n_wait(self.pool, e)) for e in entries} == self.shadow
+            assert any(n_wait(self.pool, e) == 0 for e in entries)
             for e in entries:
                 assert cache_matches_reference(e, self.config)
             assert_index_holds_live_entries(self.pool)

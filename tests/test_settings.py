@@ -92,7 +92,7 @@ def test_a_fractional_period_keeps_working():
 
 def test_a_generic_field_is_left_to_its_class():
     """``tuple[...]`` fields are read by their class's own loop, never passed to
-    ``isinstance``; the test is by origin, since Python 3.10 calls a generic a type."""
+    ``isinstance``: from Python 3.11 on, a generic alias is not a type."""
     assert field_types(SyntheticSpec) == {"seed": (int, False)}
 
     @dataclasses.dataclass
