@@ -185,25 +185,26 @@ class _LongIndex(int):
 def _column_index(path: Path, header: list[str] | None, column: str, has_header: bool) -> int:
     """Resolve ``column`` against a file's header row (None: the file is empty): a
     header name first, then a zero-based index; a headerless file takes only an index,
-    an optional ``-`` followed by decimal digits."""
+    an optional ``-`` followed by decimal digits. Errors abridge a reference past 80
+    characters as ``_LongIndex`` abridges an index."""
     try:  # the test keeps out spaces, "+" and "_", which int() would take
         index = int(column) if column.removeprefix("-").isdecimal() else None
     except ValueError:  # past int()'s digit limit
         index = _LongIndex(-sys.maxsize if column[0] == "-" else sys.maxsize)
         index.text = column
+    shown = repr(column) if len(column) <= 80 else f"{column[:12]!r}... ({len(column)} characters)"
     if has_header:
         if header is None:
-            raise FileFormatError(f"{path}: file is empty, column {column!r} not found")
+            raise FileFormatError(f"{path}: file is empty, column {shown} not found")
         header = [h.strip() for h in header]
         if column in header:
             return header.index(column)
         if index is not None and 0 <= index < len(header):
             return index
-        raise FileFormatError(f"{path}: column {column!r} not found; available: {header}")
+        raise FileFormatError(f"{path}: column {shown} not found; available: {header}")
     if index is None:
-        raise FileFormatError(
-            f"{path}: headerless file needs a zero-based column index, got {column!r}"
-        )
+        raise FileFormatError(f"{path}: headerless file needs a zero-based column index, "
+                              f"got {shown}")
     if index < 0:
         raise FileFormatError(f"{path}: column index must be >= 0, got {index}")
     return index

@@ -12,7 +12,6 @@ models are small enough that numpy is all we need.
 
 from __future__ import annotations
 
-import copy
 import math
 from abc import ABC, abstractmethod
 from typing import NamedTuple
@@ -50,6 +49,8 @@ class Forecaster(ABC):
     whole buffer at ``lr * _lr_scale``. Parameters are views into that
     buffer: write them in place (``f.weights[:] = ...``), since rebinding
     the attribute detaches it and training no longer reaches it.
+    ``_lay_out`` lays out the buffer it is given. A clone is a copy of the
+    parent's buffer laid out the same way; it shares the immutable settings.
     """
 
     _layout: dict[str, tuple[int, ...]] = {}  # parameter name -> shape, in buffer order
@@ -66,11 +67,11 @@ class Forecaster(ABC):
     def _gradient(self, x: np.ndarray, err: np.ndarray, cache) -> None:
         pass  # no parameters, nothing to train
 
-    def _lay_out(self, **shapes: tuple[int, ...]) -> None:
-        """Give the model zeroed parameters of these shapes, as views in this order
-        into one buffer, and a gradient buffer with views of the same layout."""
-        size = sum(math.prod(shape) for shape in shapes.values())
-        self._layout, self._theta, self._grad = shapes, np.zeros(size), np.zeros(size)
+    def _lay_out(self, theta: np.ndarray | None = None, /, **shapes: tuple[int, ...]) -> None:
+        """Lay out the buffer ``theta`` (zeros when None) as parameters of these shapes,
+        views in this order, and give the model a zeroed gradient buffer of that layout."""
+        theta = np.zeros(sum(map(math.prod, shapes.values()))) if theta is None else theta
+        self._layout, self._theta, self._grad = shapes, theta, np.zeros(theta.size)
         self._grads, at = [], 0
         for name, shape in shapes.items():
             end = at + math.prod(shape)
@@ -101,15 +102,13 @@ class Forecaster(ABC):
         return loss
 
     def deep_clone(self) -> "Forecaster":
-        return copy.deepcopy(self)
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone._lay_out(self._theta.copy(), **self._layout)
+        return clone
 
     def __deepcopy__(self, memo) -> "Forecaster":
-        # a member-wise deepcopy would copy each view on its own, off the buffer;
-        # every other attribute is an immutable setting
-        clone = copy.copy(self)
-        clone._lay_out(**self._layout)
-        clone._theta[:] = self._theta
-        return clone
+        return self.deep_clone()  # a member-wise copy would copy each view off the buffer
 
     def _check_window(self, window: np.ndarray) -> np.ndarray:
         arr = np.asarray(window, dtype=float)

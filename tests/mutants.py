@@ -258,8 +258,13 @@ MUTANTS = (
            "    def __deepcopy__(self, memo)", "    def _deepcopy_unused(self, memo)",
            tests=(PARAMETER_BUFFER,)),
     Mutant("forecaster-clone-bound-to-the-parent-buffer", "src/driftpool/forecasters.py",
-           "        clone._lay_out(**self._layout)\n        clone._theta[:] = self._theta\n", "",
+           "clone._lay_out(self._theta.copy(), **self._layout)",
+           "clone._lay_out(self._theta, **self._layout)",
            tests=(PARAMETER_BUFFER,)),
+    Mutant("forecaster-gradient-laid-over-the-parameters", "src/driftpool/forecasters.py",
+           "shapes, theta, np.zeros(theta.size)", "shapes, theta, theta",
+           tests=(PARAMETER_BUFFER, "tests/test_forecasters.py::TestContract::"
+                                    "test_linear_update_matches_the_written_out_step")),
     Mutant("forecaster-lr-only-negative-refused", "src/driftpool/forecasters.py",
            "if not 0 <= lr < math.inf:", "if lr < 0:",
            tests=("tests/test_forecasters.py::TestTrainStep::"

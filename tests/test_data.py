@@ -130,21 +130,23 @@ class TestLoadCsv:
         with pytest.raises(FileFormatError, match="zero-based"):
             load_csv(path, "value", has_header=False)
 
-    @pytest.mark.parametrize("column", ["²", "①", "--1", "-1", "1" * 5000])
+    @pytest.mark.parametrize("column", ["²", "①", "--1", "-1", "1" * 5000, "x" * 5000])
     @pytest.mark.parametrize("has_header", [True, False], ids=["header", "headerless"])
     def test_a_reference_that_is_no_column(self, tmp_path, column, has_header):
         # an index is an optional "-" and decimal digits, which "²" and "①" (digits,
-        # not decimal) and "--1" are not; int() refuses 5,000 digits; -1 is below 0
+        # not decimal) and "--1" are not; int() refuses 5,000 digits; -1 is below 0;
+        # a reference past 80 characters is echoed as its first 12 and its length
         path = tmp_path / "two.csv"
         path.write_text("a,b\n1,2\n" if has_header else "1,2\n")
+        shown = f"{column[:12]!r}... (5000 characters)" if len(column) == 5000 else repr(column)
         if has_header:
-            message = f"{path}: column {column!r} not found; available: ['a', 'b']"
+            message = f"{path}: column {shown} not found; available: ['a', 'b']"
         elif column == "-1":
             message = f"{path}: column index must be >= 0, got -1"
         elif column == "1" * 5000:  # an index past the last column, its digits elided
             message = f"{path}: row 1: only 2 fields, need column {'1' * 12}... (5000 digits)"
         else:
-            message = f"{path}: headerless file needs a zero-based column index, got {column!r}"
+            message = f"{path}: headerless file needs a zero-based column index, got {shown}"
         with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
             load_csv(path, column, has_header)
 
@@ -226,6 +228,7 @@ class TestLoadCsv:
     @example(('v\n"' + "1" * 41 + '"\n2\n', "v", True))
     @example(("v\n0.5\n\n \n2\n", "v", True))
     @example(("v\r\n1\r2\n", "0", True))
+    @example(("a,b\n1,2\r3,4\n", "a", True))  # csv ends a row at a bare CR
     @example(('a,b,c\n"x,y",2,3\n', "c", True))  # a quoted comma shifts the split
     @example(("\n1\n", "", True))  # csv reads a blank first line as no cells, not one
     def test_load_matches_the_checked_loop(self, file):

@@ -333,8 +333,9 @@ class TestCloning:
 
 
 class TestParameterBuffer:
-    @pytest.mark.parametrize("copier", [Forecaster.deep_clone, copy.deepcopy],
-                             ids=["deep_clone", "deepcopy"])
+    @pytest.mark.parametrize(
+        "copier", [Forecaster.deep_clone, copy.deepcopy, lambda f: f.deep_clone().deep_clone()],
+        ids=["deep_clone", "deepcopy", "clone_of_a_clone"])
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_a_clone_owns_its_buffer_and_trains_like_a_fresh_model(self, kind, copier):
         rng = np.random.default_rng(13)
@@ -347,7 +348,9 @@ class TestParameterBuffer:
         parent_sum = parameter_checksum(f)
         clone = copier(f)
         assert type(clone) is type(f)
+        assert not clone._grad.any()  # a clone's gradient buffer starts zeroed
         for model in (f, clone):
+            assert not np.shares_memory(model._theta, model._grad)
             assert sum(p.size for p in parameters(model)) == model._theta.size
             for p, g in zip(parameters(model), model._grads, strict=True):
                 assert p.base is model._theta and g.base is model._grad
