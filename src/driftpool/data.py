@@ -82,9 +82,8 @@ def warm_split_index(n: int) -> int:
     return n // 4
 
 
-def default_stream_spec(noise_sigma: float = 0.25, seed: int = 0,
-                        segment: int = 3000) -> SyntheticSpec:
-    """Three well-separated concepts scheduled A-B-A-C-B-A.
+def default_stream_spec(noise_sigma: float = 0.25, seed: int = 0) -> SyntheticSpec:
+    """Three well-separated concepts scheduled A-B-A-C-B-A, 3,000 points each.
 
     Levels 0 / 8 / -8 with unit amplitude keep the window means many
     noise deviations apart, so splits and retrievals are unambiguous.
@@ -94,8 +93,7 @@ def default_stream_spec(noise_sigma: float = 0.25, seed: int = 0,
         ConceptSpec(level=8.0, amplitude=1.0, period=24, noise_sigma=noise_sigma),
         ConceptSpec(level=-8.0, amplitude=1.0, period=24, noise_sigma=noise_sigma),
     )
-    schedule = ((0, segment), (1, segment), (0, segment),
-                (2, segment), (1, segment), (0, segment))
+    schedule = tuple((i, 3000) for i in (0, 1, 0, 2, 1, 0))
     return SyntheticSpec(concepts=concepts, schedule=schedule, seed=seed)
 
 
@@ -182,17 +180,22 @@ class _LongIndex(int):
         return f"{self.text[:12]}... ({len(self.text.lstrip('-'))} digits)"
 
 
+def _shown(text: str) -> str:
+    """``text`` as errors show it: its repr up to 80 characters, else its first 12 and its length."""
+    return repr(text) if len(text) <= 80 else f"{text[:12]!r}... ({len(text)} characters)"
+
+
 def _column_index(path: Path, header: list[str] | None, column: str, has_header: bool) -> int:
     """Resolve ``column`` against a file's header row (None: the file is empty): a
     header name first, then a zero-based index; a headerless file takes only an index,
-    an optional ``-`` followed by decimal digits. Errors abridge a reference past 80
-    characters as ``_LongIndex`` abridges an index."""
+    an optional ``-`` followed by decimal digits. Errors show the reference and the
+    first 10 header names through ``_shown``, and a longer header's length."""
     try:  # the test keeps out spaces, "+" and "_", which int() would take
         index = int(column) if column.removeprefix("-").isdecimal() else None
     except ValueError:  # past int()'s digit limit
         index = _LongIndex(-sys.maxsize if column[0] == "-" else sys.maxsize)
         index.text = column
-    shown = repr(column) if len(column) <= 80 else f"{column[:12]!r}... ({len(column)} characters)"
+    shown = _shown(column)
     if has_header:
         if header is None:
             raise FileFormatError(f"{path}: file is empty, column {shown} not found")
@@ -201,7 +204,9 @@ def _column_index(path: Path, header: list[str] | None, column: str, has_header:
             return header.index(column)
         if index is not None and 0 <= index < len(header):
             return index
-        raise FileFormatError(f"{path}: column {shown} not found; available: {header}")
+        more = f"... ({len(header)} columns)" if len(header) > 10 else ""
+        raise FileFormatError(f"{path}: column {shown} not found; available: "
+                              f"[{', '.join(map(_shown, header[:10]))}]{more}")
     if index is None:
         raise FileFormatError(f"{path}: headerless file needs a zero-based column index, "
                               f"got {shown}")

@@ -132,15 +132,15 @@ def split_instances(series: np.ndarray, config: EngineConfig
     return warm, online
 
 
-def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]:
+def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> None:
     """Train the seed forecaster at the pool's raw learning rate; absorb every window.
 
     Each warm step trains, then folds its window's signature into the seed
     entry (``absorb_instance``'s arithmetic, on local floats written back
     once) and counts toward its prediction total, so the entry leaves the
     safety period before the online stage begins. Either failure names its
-    step and epoch, and leaves the signatures and counts as they were.
-    Returns the per-step losses; an empty warm set is a no-op.
+    step and epoch, and leaves the signatures and counts as they were. An
+    empty warm set is a no-op.
     """
     if len(pool.entries) != 1:
         raise ValidationError(f"warm-up expects a single-entry pool, got {len(pool.entries)}")
@@ -152,13 +152,11 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]
     tau_l, n = entry.config.tau_l, entry.n
     g_mu, g_sigma, l_mu, l_sigma = (entry.global_mu, entry.global_sigma,
                                     entry.local_mu, entry.local_sigma)
-    losses: list[float] = []
     for epoch in range(1, epochs + 1):
         for t, mu, sigma in zip(warm_instances.starts, warm_instances.x_mu,
                                 warm_instances.x_sigma):
             try:
-                losses.append(train_step(series[t:t + lookback], series[t + lookback:t + span],
-                                         lr_raw))
+                train_step(series[t:t + lookback], series[t + lookback:t + span], lr_raw)
                 g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)
             except NumericError as exc:
                 raise NumericError(f"{exc} at t={t} in warm-up epoch {epoch}") from exc
@@ -170,7 +168,6 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> list[float]
     entry.global_mu, entry.global_sigma, entry.local_mu, entry.local_sigma, entry.n = (
         g_mu, g_sigma, l_mu, l_sigma, n)
     entry._refresh()
-    return losses
 
 
 def online_step(pool: Pool, online: InstanceSet, i: int, log: StepLog,
@@ -198,9 +195,7 @@ def online_step(pool: Pool, online: InstanceSet, i: int, log: StepLog,
         abandoned = cep.gradient_abandonment and should_evolve(current, online.y_mu[i])
         if abandoned or log_forecasts:
             forecast = current.forecaster.predict(x)
-            if not np.isfinite(forecast).all():
-                raise NumericError("non-finite forecast")
-            err = mse(forecast, y)
+            err = mse(forecast, y)  # a non-finite forecast raises here
         if not abandoned:
             err = current.forecaster.train_step(x, y, current.lr_current)
             lr_tick(current, pool.lr_raw)

@@ -278,37 +278,17 @@ def _list_json(values: list) -> str:
     return "[\n        " + ",\n        ".join(map(repr, values)) + "\n      ]"
 
 
-def _write_results_json(bundle: dict, fh) -> None:
-    """The bundle as json.dumps(indent=2, sort_keys=True) encodes it, plus a newline.
-
-    json's indenting encoder is pure Python, so only the small head goes
-    through it, and each record is written from the template: its values are
-    exact ints, bools and finite floats, whose repr is their JSON.
-    """
-    head = json.dumps({**bundle, "records": []}, indent=2, sort_keys=True)
-    # a line at a two-space indent is a top-level key; strings hold no raw newline
-    before, _, after = head.partition('\n  "records": []')
-    fh.write(before + '\n  "records": [')
-    sep = "\n"
-    for r in bundle["records"]:  # never empty: split_instances sees to that
-        forecast = f'"forecast": {_list_json(r["forecast"])},\n      ' if "forecast" in r else ""
-        fh.write(sep + _RECORD_JSON % (
-            "true" if r["abandoned"] else "false", _list_json(r["eliminated_ids"]),
-            r["entry_id"], "true" if r["evolved"] else "false", forecast, r["gene_mu"],
-            r["gene_sigma"], r["mse"], r["pool_size"], r["t"]))
-        sep = ",\n"
-    fh.write("\n  ]" + after + "\n")
-
-
 def write_bundle(bundle: dict, out_dir: str | Path, labels: np.ndarray | None = None) -> dict:
     """Write results.json and the flat CSV extracts of a bundle that
-    ``build_bundle`` made; returns the file map.
+    ``build_bundle`` made, in one walk over its records; returns the file map.
 
     Its records hold exact ints and bools and finite floats, so results.json is
-    ``json.dumps(bundle, indent=2, sort_keys=True)`` plus a newline; a hand-edited
-    record is not re-routed through json. The three files are written whole
-    before any replaces its predecessor, so a record that fails to encode
-    leaves the earlier bundle as it was.
+    ``json.dumps(bundle, indent=2, sort_keys=True)`` plus a newline: json's
+    indenting encoder is pure Python, so only the small head goes through it,
+    and each record is written from the template, its values' repr being their
+    JSON. A hand-edited record is not re-routed through json. The three files
+    are written whole before any replaces its predecessor, so a record that
+    fails to encode leaves the earlier bundle as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -317,20 +297,28 @@ def write_bundle(bundle: dict, out_dir: str | Path, labels: np.ndarray | None = 
         "instances": out / "instances.csv",
         "trajectories": out / "trajectories.csv",
     }
-    records = bundle["records"]
+    head = json.dumps({**bundle, "records": []}, indent=2, sort_keys=True)
+    # a line at a two-space indent is a top-level key; strings hold no raw newline
+    before, _, after = head.partition('\n  "records": []')
     with (atomic_open(paths["results"]) as results,
           atomic_open(paths["instances"]) as instances,
           atomic_open(paths["trajectories"]) as trajectories):
-        _write_results_json(bundle, results)
+        results.write(before + '\n  "records": [')
         instances.write("t,entry_id,mse,evolved,abandoned,pool_size\n")
-        instances.writelines(
-            "%d,%d,%.17g,%d,%d,%d\n" % (r["t"], r["entry_id"], r["mse"], r["evolved"],
-                                         r["abandoned"], r["pool_size"])
-            for r in records
-        )
         trajectories.write("t,entry_id,mu,sigma\n")
-        trajectories.writelines("%d,%d,%.17g,%.17g\n" % (r["t"], r["entry_id"], r["gene_mu"],
-                                                           r["gene_sigma"]) for r in records)
+        sep = "\n"
+        for r in bundle["records"]:  # never empty: split_instances sees to that
+            t, eid, err, evolved, abandoned, size, mu, sigma = (
+                r["t"], r["entry_id"], r["mse"], r["evolved"], r["abandoned"], r["pool_size"],
+                r["gene_mu"], r["gene_sigma"])
+            forecast = f'"forecast": {_list_json(r["forecast"])},\n      ' if "forecast" in r else ""
+            results.write(sep + _RECORD_JSON % (
+                "true" if abandoned else "false", _list_json(r["eliminated_ids"]), eid,
+                "true" if evolved else "false", forecast, mu, sigma, err, size, t))
+            instances.write("%d,%d,%.17g,%d,%d,%d\n" % (t, eid, err, evolved, abandoned, size))
+            trajectories.write("%d,%d,%.17g,%.17g\n" % (t, eid, mu, sigma))
+            sep = ",\n"
+        results.write("\n  ]" + after + "\n")
     if labels is not None:
         paths["labels"] = out / "labels.csv"
         write_column_csv(paths["labels"], labels, "label", "%d")

@@ -64,7 +64,13 @@ MUTANTS = (
            """},\\n      ' if "forecast" in r""", """},\\n    ' if "forecast" in r""",
            tests=("tests/test_golden.py::test_logged_forecasts_digest", PROPERTY)),
     Mutant("record-evolved-from-abandoned", "src/driftpool/manifest.py",
-           '"true" if r["evolved"] else "false"', '"true" if r["abandoned"] else "false"',
+           '"true" if evolved else "false"', '"true" if abandoned else "false"',
+           tests=("tests/test_golden.py::test_default_stream_linear_digest", PROPERTY)),
+    Mutant("instances-row-flags-swapped", "src/driftpool/manifest.py",
+           "(t, eid, err, evolved, abandoned, size)", "(t, eid, err, abandoned, evolved, size)",
+           tests=("tests/test_golden.py::test_default_stream_linear_digest", PROPERTY)),
+    Mutant("trajectories-row-mu-and-sigma-swapped", "src/driftpool/manifest.py",
+           "(t, eid, mu, sigma)", "(t, eid, sigma, mu)",
            tests=("tests/test_golden.py::test_default_stream_linear_digest", PROPERTY)),
     Mutant("record-pool-size-as-str", "src/driftpool/manifest.py",
            '"pool_size": %d,', '"pool_size": %s,',
@@ -96,6 +102,9 @@ MUTANTS = (
            "if index is not None and 0 <= index < len(header):",
            "if index is not None and index < len(header):",
            tests=(COLUMN_REFERENCE,)),
+    Mutant("available-lists-11-names", "src/driftpool/data.py",
+           "map(_shown, header[:10])", "map(_shown, header[:11])",
+           tests=("tests/test_data.py::TestLoadCsv::test_missing_column_names_available",)),
     Mutant("generate-finiteness-check-dropped", "src/driftpool/data.py",
            "    if len(bad):\n        raise NumericError(",
            "    if False:\n        raise NumericError(",
@@ -187,14 +196,12 @@ MUTANTS = (
            tests=(PURITY_RULE,)),
     # the warm-up's one loop: each step trains, then folds its window
     Mutant("warm-up-fold-before-training", "src/driftpool/engine.py",
-           "                losses.append(train_step(series[t:t + lookback], "
-           "series[t + lookback:t + span],\n"
-           "                                         lr_raw))\n"
+           "                train_step(series[t:t + lookback], series[t + lookback:t + span], "
+           "lr_raw)\n"
            "                g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)\n",
            "                g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)\n"
-           "                losses.append(train_step(series[t:t + lookback], "
-           "series[t + lookback:t + span],\n"
-           "                                         lr_raw))\n",
+           "                train_step(series[t:t + lookback], series[t + lookback:t + span], "
+           "lr_raw)\n",
            tests=(WARM_UP + "test_a_training_failure_wins_on_the_fold_failures_step",)),
     Mutant("warm-up-count-not-advanced", "src/driftpool/engine.py",
            "            n += 1\n", "",

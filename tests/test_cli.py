@@ -70,6 +70,12 @@ def synthetic_manifest(data=None, out_dir=None, **engine):
     return RunManifest(data=data, engine=EngineConfig(**engine), out_dir=out_dir)
 
 
+def short_stream_spec(seed):
+    """The default stream's A-B-A-C-B-A schedule at noise 0.2, 300 points a segment."""
+    spec = default_stream_spec(noise_sigma=0.2, seed=seed)
+    return dataclasses.replace(spec, schedule=tuple((i, 300) for i, _ in spec.schedule))
+
+
 def spiked(row, value):
     """1,200 zeros but ``value`` at ``row``."""
     values = np.zeros(1200)
@@ -181,7 +187,7 @@ class TestConfigFile:
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         series_dir = tmp_path / "gen"
-        cmd_generate(default_stream_spec(noise_sigma=0.2, seed=1, segment=300), series_dir)
+        cmd_generate(short_stream_spec(seed=1), series_dir)
         capsys.readouterr()
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lookback = 16\nhorizon = 8\nseed = 5\nwarm_epochs = 1\nforecaster = naive\n")
@@ -197,7 +203,7 @@ class TestConfigFile:
 
     def test_config_file_can_fully_specify_a_run(self, tmp_path, capsys):
         series_dir = tmp_path / "gen"
-        cmd_generate(default_stream_spec(noise_sigma=0.2, seed=1, segment=300), series_dir)
+        cmd_generate(short_stream_spec(seed=1), series_dir)
         capsys.readouterr()
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -211,7 +217,7 @@ class TestConfigFile:
         assert bundle["manifest"]["data"]["column"] == "value"
 
     def test_flags_config_file_and_saved_manifest_hash_alike(self, tmp_path, capsys):
-        cmd_generate(default_stream_spec(noise_sigma=0.2, seed=1, segment=300), tmp_path)
+        cmd_generate(short_stream_spec(seed=1), tmp_path)
         data = str(tmp_path / "values.csv")
         (tmp_path / "run.cfg").write_text(
             f"data = {data}\ncolumn = value\nlookback = 16\nhorizon = 8\n"
@@ -236,7 +242,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("where", ["config", "manifest"])
     def test_a_byte_order_mark_is_dropped(self, tmp_path, capsys, where):
-        cmd_generate(default_stream_spec(noise_sigma=0.2, seed=1, segment=300), tmp_path)
+        cmd_generate(short_stream_spec(seed=1), tmp_path)
         if where == "config":
             text = (f"data = {tmp_path / 'values.csv'}\ncolumn = value\nlookback = 16\n"
                     "horizon = 8\nforecaster = naive\nwarm_epochs = 1\n")
@@ -368,8 +374,18 @@ class TestWriteBundle:
                   "config_hash": manifest.data["path"]}
         with tempfile.TemporaryDirectory() as out:
             write_bundle(bundle, out)
-            written = (Path(out) / "results.json").read_text(encoding="utf-8")
+            written, instances, trajectories = (
+                (Path(out) / name).read_text(encoding="utf-8")
+                for name in ("results.json", "instances.csv", "trajectories.csv"))
         assert written == json.dumps(bundle, indent=2, sort_keys=True) + "\n"
+        # each CSV row is its record's fields, every float as %.17g
+        records = bundle["records"]
+        assert instances.splitlines() == ["t,entry_id,mse,evolved,abandoned,pool_size"] + [
+            "%d,%d,%.17g,%d,%d,%d" % (r["t"], r["entry_id"], r["mse"], r["evolved"],
+                                      r["abandoned"], r["pool_size"]) for r in records]
+        assert trajectories.splitlines() == ["t,entry_id,mu,sigma"] + [
+            "%d,%d,%.17g,%.17g" % (r["t"], r["entry_id"], r["gene_mu"], r["gene_sigma"])
+            for r in records]
 
 
 class TestCmdCompare:
@@ -517,7 +533,7 @@ class TestCmdGenerate:
         ).read_bytes()
 
     def test_generate_then_run_csv(self, tmp_path, capsys):
-        cmd_generate(default_stream_spec(noise_sigma=0.2, seed=2, segment=300), tmp_path)
+        cmd_generate(short_stream_spec(seed=2), tmp_path)
         rc = main([
             "run", "--data", str(tmp_path / "values.csv"), "--column", "value",
             "--lookback", "16", "--horizon", "8", "--forecaster", "naive",
@@ -1260,7 +1276,7 @@ class TestAblationFlags:
     def run_flags(self, tmp_path, *flags):
         from driftpool.cli import cmd_generate as gen
 
-        gen(default_stream_spec(noise_sigma=0.2, seed=1, segment=300), tmp_path / "d")
+        gen(short_stream_spec(seed=1), tmp_path / "d")
         out = tmp_path / "out"
         rc = main([
             "run", "--data", str(tmp_path / "d" / "values.csv"), "--column", "value",

@@ -95,10 +95,18 @@ class TestLoadCsv:
         assert values.dtype == np.float64
         assert np.array_equal(values, [1.0, 2.0, 3.0])
 
-    def test_missing_column_names_available(self, tmp_path):
-        path = tmp_path / "two.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(FileFormatError, match=r"'z' not found.*\['a', 'b'\]"):
+    @pytest.mark.parametrize("header, available", [
+        (["a", "b"], "['a', 'b']"),
+        ([f"c{i}" for i in range(5000)],
+         "['c0', 'c1', 'c2', 'c3', 'c4', 'c5', 'c6', 'c7', 'c8', 'c9']... (5000 columns)"),
+        (["x" * 3000], "['xxxxxxxxxxxx'... (3000 characters)]"),
+    ], ids=["two", "5000-columns", "3000-character-name"])
+    def test_missing_column_names_available(self, tmp_path, header, available):
+        # the first 10 names, each abridged past 80 characters as a reference is
+        path = tmp_path / "header.csv"
+        path.write_text(",".join(header) + "\n" + ",".join("1" * len(header)) + "\n")
+        message = f"{path}: column 'z' not found; available: {available}"
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
             load_csv(path, "z")
 
     def test_parse_error_cites_row(self, tmp_path):

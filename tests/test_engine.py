@@ -58,6 +58,21 @@ def no_instances():
     return InstanceSet(np.zeros(12), np.arange(0), 8, 4, 8)
 
 
+def warm_up_losses(pool, warm_instances, epochs):
+    """Runs ``warm_up``, which returns None, and returns the losses its seed
+    model's ``train_step`` returned, in order."""
+    model, losses = pool.entries[0].forecaster, []
+    step = model.train_step
+
+    def recorded(*args):
+        losses.append(step(*args))
+        return losses[-1]
+
+    with mock.patch.object(model, "train_step", wraps=recorded):
+        assert warm_up(pool, warm_instances, epochs) is None
+    return losses
+
+
 def shifted_series(levels, seg, sigma=0.25, seed=0):
     rng = np.random.default_rng(seed)
     return np.concatenate([np.full(seg, lvl) + rng.normal(0, sigma, seg) for lvl in levels])
@@ -235,7 +250,7 @@ class TestWarmUp:
     def test_zero_instances_is_a_noop(self):
         pool = self.make_pool()
         before = genes_of(pool.entries[0])
-        assert warm_up(pool, no_instances(), 5) == []
+        assert warm_up(pool, no_instances(), 5) is None
         assert genes_of(pool.entries[0]) == before
         assert len(pool) == 1
 
@@ -266,7 +281,8 @@ class TestWarmUp:
         config = EngineConfig(lookback=8, horizon=4, warm_epochs=3, lr_raw=0.01)
         warm, _ = split_instances(series, config)
         pool = Pool(LinearForecaster(8, 4), 0.01, config.cep)
-        losses = warm_up(pool, warm, 3)
+        losses = warm_up_losses(pool, warm, 3)
+        assert len(losses) == 3 * len(warm)
         assert losses[-1] < losses[0]
 
     def test_trains_at_the_pool_lr(self):
@@ -276,7 +292,7 @@ class TestWarmUp:
             pool = Pool(LinearForecaster(8, 4), lr, CepConfig())
             solo = LinearForecaster(8, 4)
             expected = [solo.train_step(x, y, lr) for _, x, y in pairs(warm)]
-            assert warm_up(pool, warm, 1) == expected
+            assert warm_up_losses(pool, warm, 1) == expected
             assert parameter_checksum(pool.entries[0].forecaster) == parameter_checksum(solo)
 
     def test_requires_single_entry_pool(self):
@@ -481,7 +497,7 @@ class TestOnlineStep:
 
     @pytest.mark.parametrize("y_mu, abandoned, message", [
         (0.0, False, "non-finite training loss at t=7$"),
-        (100.0, True, "non-finite forecast at t=7$"),
+        (100.0, True, "non-finite mse at t=7$"),
     ])
     def test_non_finite_forecast_names_its_step(self, y_mu, abandoned, message):
         # a settled entry at (0, 1): the window never splits; the truth's mean
