@@ -103,9 +103,9 @@ def _run_command(args) -> int:
 
 # --- compare ------------------------------------------------------------------
 
-def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
+def cmd_compare(manifests: list[RunManifest], names: list[str],
                 out_dir: str | None = None) -> list[dict]:
-    """Run every manifest and report mean MSE deltas against the first one."""
+    """Run every manifest, each row named by ``names``; report deltas against the first."""
     if len(manifests) < 2:
         raise ValidationError("compare needs at least 2 manifests")
     # MSEs are comparable only over one series, scaled alike and cut into the same windows
@@ -119,9 +119,8 @@ def cmd_compare(manifests: list[RunManifest], names: list[str] | None = None,
             raise ValidationError(
                 f"manifest #{i} differs from the baseline in series/lookback/horizon")
         series.append(values)
-    names = names if names is not None else [f"manifest{i}" for i in range(len(manifests))]
     rows = []
-    for name, m, values in zip(names, manifests, series):
+    for name, m, values in zip(names, manifests, series, strict=True):
         result = engine.run(values, m.engine)
         rows.append({"name": name, "mean_mse": result.mean_mse})
     base = rows[0]["mean_mse"]

@@ -21,7 +21,7 @@ import numpy as np
 from .data import warm_split_index
 from .errors import NumericError, ValidationError, check_fields, within
 from .forecasters import FORECASTER_KINDS, KINDS, make_forecaster, mse
-from .gene import blend, fold_moments, reject_non_finite, window_genes
+from .gene import reject_non_finite, window_genes
 from .gene import compute_gene  # unused: perfbench/child.py traces engine.compute_gene by name
 from .pool import CepConfig, Pool, absorb_instance, lr_tick, should_evolve
 
@@ -135,12 +135,12 @@ def split_instances(series: np.ndarray, config: EngineConfig
 def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> None:
     """Train the seed forecaster at the pool's raw learning rate; absorb every window.
 
-    Each warm step trains, then folds its window's signature into the seed
-    entry (``absorb_instance``'s arithmetic, on local floats written back
-    once) and counts toward its prediction total, so the entry leaves the
-    safety period before the online stage begins. Either failure names its
-    step and epoch, and leaves the signatures and counts as they were. An
-    empty warm set is a no-op.
+    Each warm step trains, then absorbs its window's signature into the seed
+    entry (``absorb_instance``) and counts toward its prediction total, so
+    the entry leaves the safety period before the online stage begins.
+    Either failure names its step and epoch, a training failure first on
+    the same step; the entry keeps every step before the failing one, as
+    its forecaster keeps their training. An empty warm set is a no-op.
     """
     if len(pool.entries) != 1:
         raise ValidationError(f"warm-up expects a single-entry pool, got {len(pool.entries)}")
@@ -148,26 +148,15 @@ def warm_up(pool: Pool, warm_instances: InstanceSet, epochs: int) -> None:
     series, lookback = warm_instances.series, warm_instances.lookback
     span = lookback + warm_instances.horizon
     train_step = entry.forecaster.train_step
-
-    tau_l, n = entry.config.tau_l, entry.n
-    g_mu, g_sigma, l_mu, l_sigma = (entry.global_mu, entry.global_sigma,
-                                    entry.local_mu, entry.local_sigma)
     for epoch in range(1, epochs + 1):
         for t, mu, sigma in zip(warm_instances.starts, warm_instances.x_mu,
                                 warm_instances.x_sigma):
             try:
                 train_step(series[t:t + lookback], series[t + lookback:t + span], lr_raw)
-                g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)
+                absorb_instance(entry, mu, sigma)
             except NumericError as exc:
                 raise NumericError(f"{exc} at t={t} in warm-up epoch {epoch}") from exc
-            n += 1
-            l_mu = blend(tau_l, mu, l_mu)
-            l_sigma = blend(tau_l, sigma, l_sigma)
-
-    entry.n_pred += n - entry.n  # a lone entry never idles: the serve clock need not move
-    entry.global_mu, entry.global_sigma, entry.local_mu, entry.local_sigma, entry.n = (
-        g_mu, g_sigma, l_mu, l_sigma, n)
-    entry._refresh()
+            entry.n_pred += 1  # a lone entry never idles: the serve clock need not move
 
 
 def online_step(pool: Pool, online: InstanceSet, i: int, log: StepLog,

@@ -6,9 +6,9 @@ their mixed signature's mean, so retrieval scores only the entries near a
 window's mean; an entry moves in that order whenever its mean changes. Entries
 are created by splitting the nearest existing forecaster when a window's
 mean deviates beyond the configured multiple of the matched gene's sigma,
-and removed when their idle count outgrows their prediction count. All
-mutation happens through the methods here, driven by one sequential engine
-loop; the warm-up alone writes the seed entry's signatures once, at its end.
+and removed when their idle count outgrows their prediction count. Only
+the code here writes an entry's signatures, its cached mixed signature and
+the index, driven by the engine's sequential warm-up and online loops.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class PoolEntry:
     ``global_mu``/``global_sigma`` and the absorbed-sample count ``n``,
     seeded with one window's ``(mu, sigma)`` at ``n == 1``. ``mu``/``sigma``
     cache the effective (mixed) signature under ``config`` that retrieval
-    scores; ``_refresh`` recomputes it after ``absorb_instance`` or the
-    warm-up writes the signatures. ``last_served`` is the value of
+    scores. After the seed only ``absorb_instance`` writes the signatures, and
+    ``_refresh`` recomputes the cache each time. ``last_served`` is the value of
     the pool's serve clock (``Pool.served``) when the entry last served a
     step, or when it was created; its idle count is ``Pool.served - last_served``.
     ``index`` is the ``Pool.index`` of the pool that holds the entry under

@@ -56,6 +56,15 @@ GLOBAL_UPDATE = "tests/test_gene.py::TestGlobalUpdate::"
 PARAMETER_BUFFER = ("tests/test_forecasters.py::TestParameterBuffer::"
                     "test_a_clone_owns_its_buffer_and_trains_like_a_fresh_model")
 
+# the warm step's lines, moved or dropped by the warm-up's mutants
+WARM_STEP = (
+    "            try:\n"
+    "                train_step(series[t:t + lookback], series[t + lookback:t + span], lr_raw)\n"
+    "                absorb_instance(entry, mu, sigma)\n"
+    "            except NumericError as exc:\n"
+    "                raise NumericError(f\"{exc} at t={t} in warm-up epoch {epoch}\") from exc\n")
+WARM_COUNT = "            entry.n_pred += 1  # a lone entry never idles: the serve clock need not move\n"
+
 MUTANTS = (
     Mutant("record-template-fields-swapped", "src/driftpool/manifest.py",
            '"gene_mu": %r,\n      "gene_sigma": %r,', '"gene_sigma": %r,\n      "gene_mu": %r,',
@@ -181,6 +190,10 @@ MUTANTS = (
     Mutant("plain-column-final-line-kept", "src/driftpool/data.py",
            "        lines.pop()  # the final line end", "        pass",
            tests=("tests/test_data.py::TestLoadCsv::test_plain_text_is_parsed_in_bulk",)),
+    # compare names each manifest's row once
+    Mutant("compare-names-zipped-loosely", "src/driftpool/cli.py",
+           "zip(names, manifests, series, strict=True)", "zip(names, manifests, series)",
+           tests=("tests/test_cli.py::TestCmdCompare::test_one_name_per_manifest",)),
     # purity's documented tie and safety rules
     Mutant("purity-entry-tie-to-largest-label", "src/driftpool/cli.py",
            "key=lambda kv: (-kv[1], kv[0])", "key=lambda kv: (-kv[1], -kv[0])",
@@ -194,36 +207,30 @@ MUTANTS = (
     Mutant("purity-records-unsorted", "src/driftpool/cli.py",
            'for rec in sorted(records, key=lambda r: r["t"]):', "for rec in records:",
            tests=(PURITY_RULE,)),
-    # the warm-up's one loop: each step trains, then folds its window
+    # the warm-up's one loop: each step trains, absorbs its window, then counts
     Mutant("warm-up-fold-before-training", "src/driftpool/engine.py",
            "                train_step(series[t:t + lookback], series[t + lookback:t + span], "
            "lr_raw)\n"
-           "                g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)\n",
-           "                g_mu, g_sigma = fold_moments(g_mu, g_sigma, n, mu)\n"
+           "                absorb_instance(entry, mu, sigma)\n",
+           "                absorb_instance(entry, mu, sigma)\n"
            "                train_step(series[t:t + lookback], series[t + lookback:t + span], "
            "lr_raw)\n",
            tests=(WARM_UP + "test_a_training_failure_wins_on_the_fold_failures_step",)),
-    Mutant("warm-up-count-not-advanced", "src/driftpool/engine.py",
-           "            n += 1\n", "",
+    Mutant("warm-up-fold-outside-try", "src/driftpool/engine.py",
+           "                absorb_instance(entry, mu, sigma)\n"
+           "            except NumericError as exc:\n"
+           "                raise NumericError(f\"{exc} at t={t} in warm-up epoch {epoch}\") "
+           "from exc\n",
+           "            except NumericError as exc:\n"
+           "                raise NumericError(f\"{exc} at t={t} in warm-up epoch {epoch}\") "
+           "from exc\n"
+           "            absorb_instance(entry, mu, sigma)\n",
+           tests=(WARM_UP + "test_raises_the_first_failing_step",)),
+    Mutant("warm-up-count-not-advanced", "src/driftpool/engine.py", WARM_COUNT, "",
            tests=(WARM_UP + "test_fold_equals_absorbing_step_by_step",)),
-    Mutant("warm-up-predictions-counted-per-step", "src/driftpool/engine.py",
-           "            l_sigma = blend(tau_l, sigma, l_sigma)\n\n"
-           "    entry.n_pred += n - entry.n",
-           "            l_sigma = blend(tau_l, sigma, l_sigma)\n"
-           "            entry.n_pred += 1\n\n"
-           "    entry.n_pred += 0",
-           tests=(WARM_UP + "test_a_failed_warm_up_leaves_the_seed_entry_as_it_was",)),
-    Mutant("warm-up-predictions-counted-after-write-back", "src/driftpool/engine.py",
-           "    entry.n_pred += n - entry.n  # a lone entry never idles: the serve clock need "
-           "not move\n"
-           "    entry.global_mu, entry.global_sigma, entry.local_mu, entry.local_sigma, "
-           "entry.n = (\n"
-           "        g_mu, g_sigma, l_mu, l_sigma, n)\n",
-           "    entry.global_mu, entry.global_sigma, entry.local_mu, entry.local_sigma, "
-           "entry.n = (\n"
-           "        g_mu, g_sigma, l_mu, l_sigma, n)\n"
-           "    entry.n_pred += n - entry.n\n",
-           tests=(WARM_UP + "test_counts_toward_safety_period",)),
+    Mutant("warm-up-prediction-counted-before-training", "src/driftpool/engine.py",
+           WARM_STEP + WARM_COUNT, WARM_COUNT + WARM_STEP,
+           tests=(WARM_UP + "test_a_failed_warm_up_keeps_every_step_before_the_failure",)),
     # an online step's error names its step
     Mutant("online-step-error-not-re-raised-with-t", "src/driftpool/engine.py",
            'raise NumericError(f"{exc} at t={t}") from exc', "raise",

@@ -94,8 +94,11 @@ def test_traced_run_counts_warm_and_online_train_steps():
     # the pool's per-layer numbers come from spans the engine's calls pass through
     calls = [names[s[0]] for s in spans]
     assert calls.count("pool.nearest") == len(online)
-    # the warm-up folds its windows in one pass: only trained online steps absorb
-    assert calls.count("pool.absorb_instance") == trained
+    # every warm step and every trained online step absorbs its window
+    assert calls.count("pool.absorb_instance") == trained + 2 * len(warm)
+    absorbs = [parent(s) for s in spans if names[s[0]] == "pool.absorb_instance"]
+    assert absorbs.count("engine.warm_up") == 2 * len(warm)
+    assert absorbs.count("engine.online_step") == trained
     assert calls.count("pool.mark_selected") == len(online)
     assert calls.count("pool.should_evolve") >= len(online)
     # windows are signed in one pass per instance set, never one at a time per step;

@@ -388,9 +388,14 @@ class TestWriteBundle:
             for r in records]
 
 
+def compare(manifests, **kwargs):
+    """``cmd_compare`` with each manifest named by its position."""
+    return cmd_compare(manifests, [f"m{i}" for i in range(len(manifests))], **kwargs)
+
+
 class TestCmdCompare:
     def test_identical_manifests_zero_delta(self, capsys):
-        rows = cmd_compare([synthetic_manifest(), synthetic_manifest()])
+        rows = compare([synthetic_manifest(), synthetic_manifest()])
         out = capsys.readouterr().out
         assert rows[1]["delta_pct"] == 0.0
         assert "+0.00%" in out
@@ -413,7 +418,7 @@ class TestCmdCompare:
         assert reread[0] == pytest.approx(rows[0]["mean_mse"])
 
     def test_three_rows_against_first(self, capsys):
-        rows = cmd_compare(
+        rows = compare(
             [synthetic_manifest(), synthetic_manifest(seed=1), synthetic_manifest(seed=2)]
         )
         assert len(rows) == 3
@@ -425,7 +430,7 @@ class TestCmdCompare:
         for b in (synthetic_manifest(lookback=20),
                   dataclasses.replace(a, normalize="warm_segment")):
             with pytest.raises(ValidationError, match="differs from the baseline"):
-                cmd_compare([a, b])
+                compare([a, b])
 
     def test_same_series_compares_across_omitted_defaults(self, tmp_path, capsys):
         # has_header defaults to true and a synthetic seed to 0; config_hash still
@@ -436,7 +441,7 @@ class TestCmdCompare:
         for data, spelled in ((csv_data, {"has_header": True}), (synthetic, {"seed": 0})):
             a, b = synthetic_manifest(data=data), synthetic_manifest(data={**data, **spelled})
             assert a.config_hash() != b.config_hash()
-            assert cmd_compare([a, b])[1]["delta_pct"] == 0.0
+            assert compare([a, b])[1]["delta_pct"] == 0.0
 
     def test_same_csv_compares_across_spellings(self, tmp_path, monkeypatch, capsys):
         # a column by name or by index, a path relative or absolute: one series
@@ -447,11 +452,11 @@ class TestCmdCompare:
         base = {"kind": "csv", "path": "s.csv", "column": "v"}
         for spelled in ({"column": "0"}, {"path": str(tmp_path / "s.csv")}):
             a, b = synthetic_manifest(data=base), synthetic_manifest(data={**base, **spelled})
-            assert cmd_compare([a, b])[1]["delta_pct"] == 0.0
+            assert compare([a, b])[1]["delta_pct"] == 0.0
         for other in ({"column": "w"}, {"column": "1"}):
             b = synthetic_manifest(data={**base, **other})
             with pytest.raises(ValidationError, match="differs from the baseline"):
-                cmd_compare([synthetic_manifest(data=base), b])
+                compare([synthetic_manifest(data=base), b])
 
     def test_csv_written_by_generate_compares_equal_to_its_spec(self, tmp_path, capsys):
         # one series, generated from the spec or read back from the file it wrote
@@ -461,15 +466,15 @@ class TestCmdCompare:
         for normalize in ("off", "warm_segment"):
             a, b = (dataclasses.replace(synthetic_manifest(data=data), normalize=normalize)
                     for data in (spec, csv_data))
-            assert cmd_compare([a, b])[1]["delta_pct"] == 0.0
+            assert compare([a, b])[1]["delta_pct"] == 0.0
         other_seed = synthetic_manifest(data={**spec, "seed": 4})
         with pytest.raises(ValidationError, match="manifest #2 differs from the baseline"):
-            cmd_compare([synthetic_manifest(data=csv_data), other_seed])
+            compare([synthetic_manifest(data=csv_data), other_seed])
 
     def test_other_horizon_rejected(self):
         # one series cut into other windows
         with pytest.raises(ValidationError, match="manifest #2 differs from the baseline"):
-            cmd_compare([synthetic_manifest(), synthetic_manifest(horizon=4)])
+            compare([synthetic_manifest(), synthetic_manifest(horizon=4)])
 
     def test_colliding_names_fall_back_to_the_paths_as_given(self, tmp_path, capsys):
         paths = [str(tmp_path / top / "x" / "m.json") for top in ("a", "b")]
@@ -510,7 +515,14 @@ class TestCmdCompare:
 
     def test_needs_two(self):
         with pytest.raises(ValidationError, match="at least 2"):
-            cmd_compare([synthetic_manifest()])
+            compare([synthetic_manifest()])
+
+    def test_one_name_per_manifest(self, capsys):
+        # a name short or over for the manifests raises before any row is printed
+        for names in (["a", "b"], ["a", "b", "c", "d"]):
+            with pytest.raises(ValueError):
+                cmd_compare([synthetic_manifest()] * 3, names)
+        assert capsys.readouterr().out == ""
 
 
 class TestCmdGenerate:

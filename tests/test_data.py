@@ -239,6 +239,7 @@ class TestLoadCsv:
     @example(("a,b\n1,2\r3,4\n", "a", True))  # csv ends a row at a bare CR
     @example(('a,b,c\n"x,y",2,3\n', "c", True))  # a quoted comma shifts the split
     @example(("\n1\n", "", True))  # csv reads a blank first line as no cells, not one
+    @example(("1\n2\n", "1", False))  # comma-free rows hold no column 1
     def test_load_matches_the_checked_loop(self, file):
         text, column, has_header = file
         limit = csv.field_size_limit(40)

@@ -187,6 +187,7 @@ class TestSignatures:
     @settings(max_examples=60, deadline=None)
     @given(signature_runs(), st.floats(0.0, 1.0, exclude_max=True),
            st.sampled_from([np.nan, np.inf, -np.inf]))
+    @example((np.zeros(400), EngineConfig(8, 4), 64), 0.24875, np.nan)  # t=99, warm truth only
     def test_non_finite_inside_covered_windows_raises(self, drawn, where, bad):
         series, config, chunk = drawn
         _, online = split_instances(series, config)
@@ -315,7 +316,7 @@ class TestWarmUp:
              parts=(True, True), scope=3, seed=1)
     def test_fold_equals_absorbing_step_by_step(self, offset, spread, n_windows, epochs,
                                                 tau_l, tau_gene, parts, scope, seed):
-        # the one-pass fold against absorb_instance + mark_selected per warm step
+        # the warm-up's absorb and count against absorb_instance + mark_selected per step
         cep = CepConfig(tau_l=tau_l, tau_gene=tau_gene, scope_s=scope,
                         use_local_gene=parts[0], use_global_gene=parts[1])
         series = offset + spread * np.random.default_rng(seed).normal(size=60)
@@ -384,24 +385,29 @@ class TestWarmUp:
             warm_up(pool, warm, 1)
 
     @pytest.mark.parametrize("fail_at", [None, 40, 157], ids=["fold", "training", "same-step"])
-    def test_a_failed_warm_up_leaves_the_seed_entry_as_it_was(self, fail_at):
+    def test_a_failed_warm_up_keeps_every_step_before_the_failure(self, fail_at):
         # RAMP at scope 1 fails the fold at t=157; a planted training failure fails earlier
-        # or on that step. The forecaster trained up to the failure, but the signatures,
-        # their count, the prediction total and the cached mixed signature did not move.
+        # or on that step. Like the forecaster's training, the signatures, their count, the
+        # prediction total and the cached mixed signature hold every step before the failing
+        # one, and nothing of the failing step.
         config = EngineConfig(lookback=8, horizon=4, forecaster="naive", warm_epochs=1,
                               cep=CepConfig(scope_s=1))
         warm, _ = split_instances(self.RAMP, config)
         forecaster = NaiveForecaster(8, 4) if fail_at is None else self.FailsOnCall(8, 4, fail_at)
         pool = Pool(forecaster, 0.01, config.cep)
-        entry = pool.entries[0]
+        failing = 157 if fail_at is None else fail_at  # warm step t is the set's t-th
+        with pytest.raises(NumericError, match=f"at t={failing} in warm-up epoch 1$"):
+            warm_up(pool, warm, 1)
+        stepped = Pool(NaiveForecaster(8, 4), 0.01, config.cep)
+        for mu, sigma in zip(warm.x_mu[:failing], warm.x_sigma[:failing]):
+            absorb_instance(stepped.entries[0], mu, sigma)
+            stepped.mark_selected(stepped.entries[0])
 
-        def state():
+        def state(entry):
             return repr((genes_of(entry), entry.n_pred, entry.mu, entry.sigma))
 
-        before = state()
-        with pytest.raises(NumericError, match=f"at t={fail_at or 157} in warm-up epoch 1$"):
-            warm_up(pool, warm, 1)
-        assert state() == before
+        assert state(pool.entries[0]) == state(stepped.entries[0])
+        assert pool.entries[0].n_pred == failing
 
     def test_training_failure_names_its_step_and_epoch(self):
         # just past the stable rate, the weights outgrow a float in the second epoch
