@@ -88,7 +88,7 @@ def _manifest_from_args(args) -> RunManifest:
     return manifest_from_settings(settings, out_dir=args.out)
 
 
-def _run_command(args) -> int:
+def _run_command(args) -> None:
     if args.manifest:
         given = [flag for dest, flag in args.setting_flags.items()
                  if getattr(args, dest) is not None]
@@ -98,7 +98,6 @@ def _run_command(args) -> int:
     else:
         manifest = _manifest_from_args(args)
     cmd_run(manifest, out_dir=args.out, log_forecasts=args.log_forecasts)
-    return EXIT_OK
 
 
 # --- compare ------------------------------------------------------------------
@@ -139,7 +138,7 @@ def cmd_compare(manifests: list[RunManifest], names: list[str],
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with atomic_open(out / "compare.csv", newline="") as fh:
+        with atomic_open(out / "compare.csv") as fh:
             writer = csv.writer(fh, lineterminator="\n")  # quotes a name holding a comma
             writer.writerow(["manifest", "mean_mse", "delta_pct"])
             for row in rows:
@@ -148,13 +147,12 @@ def cmd_compare(manifests: list[RunManifest], names: list[str],
     return rows
 
 
-def _compare_command(args) -> int:
+def _compare_command(args) -> None:
     manifests = [load_manifest(p) for p in args.manifests]
     names = [Path(p).stem for p in args.manifests]
     if len(set(names)) != len(names):  # colliding file stems: name each row by its path
         names = list(args.manifests)
     cmd_compare(manifests, names=names, out_dir=args.out)
-    return EXIT_OK
 
 
 # --- generate -----------------------------------------------------------------
@@ -182,7 +180,7 @@ def cmd_generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
     return {"values": values_path, "labels": labels_path, "n": len(values)}
 
 
-def _generate_command(args) -> int:
+def _generate_command(args) -> None:
     if args.spec:
         if args.noise is not None:
             raise ValidationError("--noise sets the built-in stream's noise; drop it beside --spec")
@@ -193,7 +191,6 @@ def _generate_command(args) -> int:
         given = {"noise_sigma": args.noise, "seed": args.seed}
         spec = default_stream_spec(**{k: v for k, v in given.items() if v is not None})
     cmd_generate(spec, args.out)
-    return EXIT_OK
 
 
 # --- purity -------------------------------------------------------------------
@@ -259,15 +256,11 @@ def cmd_purity(results_path: str | Path, labels_path: str | Path,
     """Score how cleanly a labeled synthetic run routed instances to entries."""
     bundle = read_bundle(results_path)
     values = load_csv(labels_path, "label", has_header=True)
-    fractional = values != np.round(values)
-    if fractional.any():
-        raise ValidationError(
-            f"{labels_path}: labels must be integers, got {float(values[fractional.argmax()])!r}")
-    # beyond int64, astype would send every label to the same minimum value
-    outside = (values < -2.0**63) | (values >= 2.0**63)
-    if outside.any():
-        raise ValidationError(f"{labels_path}: labels must fit a 64-bit integer, "
-                              f"got {float(values[outside.argmax()])!r}")
+    # below 2**53 in magnitude, distinct integers read as distinct floats
+    bad = (values != np.round(values)) | (np.abs(values) >= 2.0**53)
+    if bad.any():
+        raise ValidationError(f"{labels_path}: labels must be integers below 2**53 in "
+                              f"magnitude, got {float(values[bad.argmax()])!r}")
     labels = values.astype(np.int64)
     n_points = bundle.get("n_points")
     if n_points is not None and len(labels) != n_points:
@@ -289,11 +282,6 @@ def cmd_purity(results_path: str | Path, labels_path: str | Path,
             f"matches={info['matches']}"
         )
     return report
-
-
-def _purity_command(args) -> int:
-    cmd_purity(args.results, args.labels, skip_safety=args.skip_safety)
-    return EXIT_OK
 
 
 # --- parser -------------------------------------------------------------------
@@ -363,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pur.add_argument("--labels", required=True, help="labels.csv of the same stream")
     p_pur.add_argument("--skip-safety", action="store_true",
                        help="ignore each entry's first tau_safe served instances")
-    p_pur.set_defaults(func=_purity_command)
+    p_pur.set_defaults(func=lambda a: cmd_purity(a.results, a.labels, a.skip_safety))
 
     return parser
 
@@ -381,11 +369,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (DriftpoolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_VALIDATION if isinstance(exc, ValidationError)
                 else EXIT_IO if isinstance(exc, (FileFormatError, OSError)) else EXIT_RUNTIME)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

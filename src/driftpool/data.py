@@ -134,11 +134,12 @@ def open_text(path: str | Path, newline: str | None = None):
 
 
 @contextmanager
-def atomic_open(path: str | Path, newline: str | None = None):
-    """Write ``path`` through a temporary file beside it, moved into place on success."""
+def atomic_open(path: str | Path):
+    """Write UTF-8 text to ``path``, line ends untranslated on every platform, through a
+    temporary file beside it, moved into place on success."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -281,7 +282,7 @@ def write_column_csv(path: str | Path, values: np.ndarray, name: str = "value",
     integer labels.
     """
     line = fmt + "\n"
-    with atomic_open(path, newline="") as fh:
+    with atomic_open(path) as fh:
         fh.writelines([f"{name}\n", *map(line.__mod__, np.asarray(values).tolist())])
 
 

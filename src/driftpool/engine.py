@@ -34,9 +34,10 @@ class InstanceSet:
     ``split_instances`` builds a run's two sets. The window starts and the input
     windows' ``x_mu``/``x_sigma`` are lists of Python floats, converted once, so
     a step does no numpy indexing. ``y_mu`` holds the ground-truth windows'
-    means if signed, else None; either way each truth window is scanned once, a
-    window holding a non-finite value raises NumericError, and a ground-truth
-    window's error names its step ``t``, not its own start.
+    means if signed (their stds are never computed), else None; either way each
+    truth window is scanned once, a window holding a non-finite value raises
+    NumericError, and a ground-truth window's error names its step ``t``, not its
+    own start.
     """
 
     def __init__(self, series: np.ndarray, starts: np.ndarray, lookback: int,
@@ -45,7 +46,8 @@ class InstanceSet:
         self.starts = starts.tolist()
         self.x_mu, self.x_sigma = (a.tolist() for a in window_genes(series, starts, lookback, scope))
         if sign_truth:
-            self.y_mu = window_genes(series, starts, horizon, scope, lookback)[0].tolist()
+            self.y_mu = window_genes(series, starts, horizon, scope, lookback,
+                                     stds=False)[0].tolist()
         else:
             reject_non_finite(series, starts, horizon, lookback)
             self.y_mu = None

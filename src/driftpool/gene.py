@@ -60,16 +60,17 @@ def reject_non_finite(series: np.ndarray, starts: np.ndarray, length: int,
 
 
 def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int,
-                 offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                 offset: int = 0, stds: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """``compute_gene(series[s + offset:s + offset + length], scope)`` for every s in
     ``starts``, as arrays.
 
-    Returns the means and the stds. The tails are gathered GENE_CHUNK at a
-    time and reduced row-wise, which matches the 1-D reductions of
-    compute_gene bit for bit. Like compute_gene, it raises NumericError on a
-    window with a non-finite value anywhere in it or with a signature that
-    overflows, naming the first such window's s: a step's ground truth,
-    signed at ``offset=lookback``, is named by the step.
+    Returns the means and the stds, or the means and None without ``stds``.
+    The tails are gathered GENE_CHUNK at a time and reduced row-wise, which
+    matches the 1-D reductions of compute_gene bit for bit. Like compute_gene,
+    it raises NumericError on a window with a non-finite value anywhere in it
+    or with a signature (of those computed) that overflows, naming the first
+    such window's s: a step's ground truth, signed at ``offset=lookback``, is
+    named by the step.
     """
     if scope < 1:
         raise ValidationError(f"scope must be >= 1, got {scope}")
@@ -77,7 +78,7 @@ def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int
         raise ValidationError("empty window")
     series = np.asarray(series, dtype=float)
     starts = np.asarray(starts, dtype=np.intp)
-    mu, sigma = np.empty(len(starts)), np.empty(len(starts))
+    mu, sigma = np.empty(len(starts)), np.empty(len(starts)) if stds else None
     if not len(starts):
         return mu, sigma
     reject_non_finite(series, starts, length, offset)
@@ -87,8 +88,9 @@ def window_genes(series: np.ndarray, starts: np.ndarray, length: int, scope: int
     for lo in range(0, len(starts), GENE_CHUNK):
         block = tails[first[lo:lo + GENE_CHUNK]]
         mu[lo:lo + GENE_CHUNK] = block.mean(axis=1)
-        sigma[lo:lo + GENE_CHUNK] = block.std(axis=1)
-    finite = np.isfinite(mu) & np.isfinite(sigma)
+        if stds:
+            sigma[lo:lo + GENE_CHUNK] = block.std(axis=1)
+    finite = np.isfinite(mu) if sigma is None else np.isfinite(mu) & np.isfinite(sigma)
     if not finite.all():
         raise NumericError(f"non-finite window signature at t={starts[finite.argmin()]}")
     return mu, sigma

@@ -87,6 +87,9 @@ MUTANTS = (
     Mutant("read-json-recursion-error-dropped", "src/driftpool/manifest.py",
            "except (ValueError, RecursionError) as exc:", "except ValueError as exc:",
            tests=("tests/test_cli.py::TestMainExitCodes::test_deeply_nested_json_exits_2",)),
+    Mutant("open-text-newline-untranslated", "src/driftpool/data.py",
+           "newline: str | None = None", 'newline: str | None = ""',
+           tests=("tests/test_cli.py::TestManifest::test_line_ends_read_as_newlines",)),
     Mutant("open-text-utf-8-sig-reverted", "src/driftpool/data.py",
            'encoding="utf-8-sig"', 'encoding="utf-8"',
            tests=("tests/test_cli.py::TestConfigFile::test_a_byte_order_mark_is_dropped",
@@ -191,6 +194,13 @@ MUTANTS = (
            "        lines.pop()  # the final line end", "        pass",
            tests=("tests/test_data.py::TestLoadCsv::test_plain_text_is_parsed_in_bulk",)),
     # compare names each manifest's row once
+    # main alone returns success; purity's one label rule
+    Mutant("main-success-unreturned", "src/driftpool/cli.py", "    return EXIT_OK\n", "",
+           tests=("tests/test_cli.py::TestMainExitCodes::test_ok",
+                  "tests/test_cli.py::TestMainExitCodes::test_non_integer_labels")),
+    Mutant("purity-label-bound-inclusive", "src/driftpool/cli.py",
+           "np.abs(values) >= 2.0**53", "np.abs(values) > 2.0**53",
+           tests=("tests/test_cli.py::TestMainExitCodes::test_labels_below_two_to_the_53",)),
     Mutant("compare-names-zipped-loosely", "src/driftpool/cli.py",
            "zip(names, manifests, series, strict=True)", "zip(names, manifests, series)",
            tests=("tests/test_cli.py::TestCmdCompare::test_one_name_per_manifest",)),
@@ -316,6 +326,9 @@ MUTANTS = (
     Mutant("check-fields-domain-dropped", "src/driftpool/errors.py",
            '*types[f.name], f.metadata.get("domain"))', "*types[f.name])",
            tests=(CEP_RANGES, "tests/test_engine.py::TestInstances::test_config_validation")),
+    Mutant("within-domain-undeclared", "src/driftpool/errors.py",
+           'metadata={"domain": domain}', "metadata={}",
+           tests=(CEP_RANGES, "tests/test_settings.py::test_every_setting_declares_its_domain")),
     Mutant("field-types-generic-kept", "src/driftpool/errors.py",
            "        if isinstance(kind, type):\n", "        if True:\n",
            tests=("tests/test_settings.py::test_a_generic_field_is_left_to_its_class",)),
@@ -332,8 +345,15 @@ MUTANTS = (
            tests=(SIGNATURES + "test_pass_equals_compute_gene",
                   SIGNATURES + "test_real_chunk_boundary")),
     Mutant("window-genes-sigma-unchecked", "src/driftpool/gene.py",
-           "finite = np.isfinite(mu) & np.isfinite(sigma)", "finite = np.isfinite(mu)",
+           "else np.isfinite(mu) & np.isfinite(sigma)", "else np.isfinite(mu)",
            tests=(SIGNATURES + "test_overflowing_signature_raises_naming_its_window",)),
+    Mutant("window-genes-truth-std-computed", "src/driftpool/engine.py",
+           "stds=False)[0].tolist()", "stds=True)[0].tolist()",
+           tests=(SIGNATURES + "test_a_truth_is_signed_for_its_mean_only",)),
+    Mutant("compute-gene-head-of-the-window", "src/driftpool/gene.py",
+           "tail = arr[-scope:]", "tail = arr[:scope]",
+           tests=("tests/test_gene.py::TestComputeGene::test_scope_takes_most_recent_values",
+                  SIGNATURES + "test_pass_equals_compute_gene")),
     Mutant("blend-weights-swapped", "src/driftpool/gene.py",
            "return w * a + (1.0 - w) * b", "return w * b + (1.0 - w) * a",
            tests=("tests/test_gene.py::TestEmaUpdate::test_direct_substitution",

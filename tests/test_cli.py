@@ -150,6 +150,22 @@ class TestManifest:
         with pytest.raises(ValidationError, match="kind"):
             synthetic_manifest(data={"path": "x.csv"})
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_as_newlines(self, tmp_path, end):
+        # a manifest, and a JSON error's line, column and char, read as with "\n"
+        text = json.dumps(synthetic_manifest().to_dict(), indent=2)
+        broken = text.replace('"horizon": 8', '"horizon": 8,,')
+        for name, body in (("m", text), ("bad", broken)):
+            (tmp_path / f"{name}.json").write_bytes(body.encode())
+            (tmp_path / f"{name}-ends.json").write_bytes(body.replace("\n", end).encode())
+        assert load_manifest(tmp_path / "m-ends.json") == load_manifest(tmp_path / "m.json")
+        errors = []
+        for name in ("bad.json", "bad-ends.json"):
+            with pytest.raises(ValidationError) as info:
+                load_manifest(tmp_path / name)
+            errors.append(str(info.value).removeprefix(str(tmp_path / name)))
+        assert errors[0] == errors[1] and "line" in errors[0]
+
 
 class TestConfigFile:
     def test_parse_types_and_comments(self, tmp_path):
@@ -184,6 +200,16 @@ class TestConfigFile:
         path.write_text("tau_mu = 3\ntau_safe = soon\n")
         with pytest.raises(ValidationError, match="line 2"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_as_newlines(self, tmp_path, end):
+        text = "# thresholds\ntau_mu = 2.5\ntau_safe = 10  # short\n\nforecaster = naive\n"
+        (tmp_path / "lf.cfg").write_bytes(text.encode())
+        (tmp_path / "ends.cfg").write_bytes(text.replace("\n", end).encode())
+        assert parse_config_file(tmp_path / "ends.cfg") == parse_config_file(tmp_path / "lf.cfg")
+        (tmp_path / "bad.cfg").write_bytes(f"tau_mu = 3{end}{end}tau_safe = soon{end}".encode())
+        with pytest.raises(ValidationError, match=r"bad\.cfg line 3: "):
+            parse_config_file(tmp_path / "bad.cfg")
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         series_dir = tmp_path / "gen"
@@ -821,7 +847,7 @@ class TestMainExitCodes:
          "non-finite training loss at t=287 in warm-up epoch 1"),
         (spiked(1199, 1e155), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
                                "--horizon", "4"],
-         "non-finite window signature at t=1188"),
+         "non-finite mse at t=1188"),
         (spiked(1000, 1e150), ["--forecaster", "naive", "--warm-epochs", "1", "--lookback", "8",
                                "--horizon", "4", "--score", "mle"],
          re.escape("non-finite likelihood score for (1.25e+149, 3.307189138830738e+149)"
@@ -841,7 +867,9 @@ class TestMainExitCodes:
         # A finite spike whose square overflows fails the abandoned step's mse at
         # t=400, or, at 1e155, the std of online step t=300's input window. At
         # row 298 it lies only in warm ground truths, first in t=287's; at row
-        # 1199, only in the ground truth of the last step, t=1188. At 1e150 in
+        # 1199, only in the ground truth of the last step, t=1188, whose mean is
+        # finite (its std is never computed), so the step is abandoned and the
+        # forecast's MSE overflows. At 1e150 in
         # row 1000, the likelihood score of t=996's window overflows in retrieval.
         # On the online square wave of 5e153 every step's MSE (2.5e307) is
         # finite, but their sum, and so np.mean, overflows.
@@ -1148,7 +1176,8 @@ class TestMainExitCodes:
         capsys.readouterr()
         assert main(argv + [str(tmp_path / "frac.csv")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err == f"error: {tmp_path / 'frac.csv'}: labels must be integers, got -0.1\n"
+        assert err == (f"error: {tmp_path / 'frac.csv'}: labels must be integers below 2**53 "
+                       "in magnitude, got -0.1\n")
 
     @pytest.mark.parametrize("scale", [1e19, -1e19])
     def test_labels_beyond_int64(self, scale, tmp_path, capsys):
@@ -1162,8 +1191,38 @@ class TestMainExitCodes:
         assert main(["purity", "--results", str(tmp_path / "results.json"),
                      "--labels", str(tmp_path / "huge.csv")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err == (f"error: {tmp_path / 'huge.csv'}: labels must fit a 64-bit integer, "
-                       f"got {huge[0]!r}\n")
+        assert err == (f"error: {tmp_path / 'huge.csv'}: labels must be integers below 2**53 "
+                       f"in magnitude, got {huge[0]!r}\n")
+
+    @pytest.mark.parametrize("top, accepted", [
+        (2**53 - 1, True), (2**53, False), (2**53 + 1, False),
+        (-(2**53 - 1), True), (-(2**53), False), (2**60 + 1, False),
+    ])
+    def test_labels_below_two_to_the_53(self, top, accepted, tmp_path, capsys):
+        # the two concepts labeled top - 1 and top (or top and top + 1, for a negative
+        # top): past 2**53, distinct labels may read as one float, and 2**60 and
+        # 2**60 + 1 did read as one concept
+        save_manifest(synthetic_manifest(), tmp_path / "m.json")
+        assert main(["run", "--manifest", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        labels = load_csv(tmp_path / "labels.csv", "label").astype(int).tolist()
+        shift = top - 1 if top > 0 else top
+        capsys.readouterr()
+        (tmp_path / "far.csv").write_text("label\n" + "".join(f"{v + shift}\n" for v in labels))
+        argv = ["purity", "--results", str(tmp_path / "results.json"), "--labels"]
+        assert main(argv + [str(tmp_path / "labels.csv")]) == EXIT_OK
+        near = capsys.readouterr().out
+        rc = main(argv + [str(tmp_path / "far.csv")])
+        out, err = capsys.readouterr()
+        if accepted:
+            assert (rc, err) == (EXIT_OK, "")
+            assert out == re.sub(r"majority=(\d+)", lambda m: f"majority={int(m[1]) + shift}",
+                                 near)
+        else:
+            first = next(v + shift for v in labels if abs(v + shift) >= 2**53)
+            assert (rc, out) == (EXIT_VALIDATION, "")
+            assert err == (f"error: {tmp_path / 'far.csv'}: labels must be integers below "
+                           f"2**53 in magnitude, got {float(first)!r}\n")
 
     @pytest.mark.parametrize("where, content, argv", [
         ("csv", b"value\n\xff\n1.0\n",

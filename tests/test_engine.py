@@ -222,17 +222,25 @@ class TestSignatures:
                 compute_gene(series[299:303], 4)
 
     @pytest.mark.parametrize("last, message", [
-        (1e155, "non-finite window signature at t=1188"),
+        (1.7e308, "non-finite window signature at t=1188"),
         (np.inf, "non-finite input in the window at t=1188"),
     ])
     def test_truth_window_error_names_its_step(self, last, message):
-        # the last value lies only in the ground truth of the last step, t=1188,
-        # whose window starts at 1196
+        # the last two values lie only in the ground truth of the last step,
+        # t=1188, whose window starts at 1196; two of 1.7e308 overflow its mean
         series = np.zeros(1200)
-        series[-1] = last
+        series[-2:] = last
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=f"^{message}$"):
                 split_instances(series, EngineConfig(lookback=8, horizon=4))
+
+    def test_a_truth_is_signed_for_its_mean_only(self):
+        # the last truth's std would overflow, but its mean does not, and only the
+        # mean is computed: no overflow warning (an error under pytest) is raised
+        series = np.zeros(1200)
+        series[-1] = 1e155
+        _, online = split_instances(series, EngineConfig(lookback=8, horizon=4))
+        assert online.y_mu[-1] == float(series[-4:].mean()) == 2.5e154
 
     def test_offset_windows_equal_the_shifted_starts(self):
         series = 1e3 + np.random.default_rng(8).normal(size=500)
