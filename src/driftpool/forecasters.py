@@ -41,16 +41,15 @@ def _mean_square(err: np.ndarray) -> float:
 class Forecaster(ABC):
     """predict / train_step / deep_clone contract for pool members.
 
-    A model supplies ``_forward(x) -> (forecast, cache)`` and, if it has
-    parameters, lays them out with ``_lay_out`` and supplies
-    ``_gradient(x, err, cache)``, which writes the raw gradient into the
-    views of ``_grads`` given ``err = forecast - truth`` and whatever its
-    forward pass cached. ``train_step`` then takes one SGD step over the
-    whole buffer at ``lr * _lr_scale``. Parameters are views into that
-    buffer: write them in place (``f.weights[:] = ...``), since rebinding
-    the attribute detaches it and training no longer reaches it.
-    ``_lay_out`` lays out the buffer it is given. A clone is a copy of the
-    parent's buffer laid out the same way; it shares the immutable settings.
+    A model supplies ``_forward(x) -> (forecast, cache)`` and, if it has parameters, lays
+    them out with ``_lay_out`` and supplies ``_gradient(x, err, cache)``, which writes the
+    raw gradient into the views of ``_grads`` given ``err = forecast - truth`` and whatever
+    its forward pass cached. ``train_step`` then takes one SGD step over the whole buffer
+    at ``lr * _lr_scale``. Parameters are views into that buffer: write them in place
+    (``f.weights[:] = ...``), since rebinding the attribute detaches it and training no
+    longer reaches it. ``_lay_out`` lays out the buffer it is given. The gradient buffer is
+    scratch, written whole by every ``_gradient`` before it is read, so ``deep_clone`` may
+    hand back a spare model with its old gradient buffer.
     """
 
     _layout: dict[str, tuple[int, ...]] = {}  # parameter name -> shape, in buffer order
@@ -101,11 +100,19 @@ class Forecaster(ABC):
         np.subtract(self._theta, g, out=self._theta)
         return loss
 
-    def deep_clone(self) -> "Forecaster":
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone._lay_out(self._theta.copy(), **self._layout)
-        return clone
+    def deep_clone(self, spare: "Forecaster | None" = None) -> "Forecaster":
+        """This model's parameters copied into ``spare``, another model of its type and shapes,
+        or else into a new model sharing its settings, with a zeroed gradient buffer."""
+        if spare is None:
+            clone = object.__new__(type(self))
+            clone.__dict__.update(self.__dict__)
+            clone._lay_out(self._theta.copy(), **self._layout)
+            return clone
+        if spare is self or (type(spare), spare.lookback, spare.horizon, spare._layout) != (
+                type(self), self.lookback, self.horizon, self._layout):
+            raise ValidationError(f"a spare must be another {type(self).__name__} of its shapes")
+        np.copyto(spare._theta, self._theta)
+        return spare
 
     def __deepcopy__(self, memo) -> "Forecaster":
         return self.deep_clone()  # a member-wise copy would copy each view off the buffer

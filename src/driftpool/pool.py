@@ -74,7 +74,7 @@ class PoolEntry:
     the pool's serve clock (``Pool.served``) when the entry last served a
     step, or when it was created; its idle count is ``Pool.served - last_served``.
     ``index`` is the ``Pool.index`` of the pool that holds the entry under
-    the euclidean score, else None.
+    the euclidean score, else None, and ``forecaster`` is None once removed.
     """
 
     __slots__ = ("forecaster", "id", "config", "n_pred", "last_served", "lr_current",
@@ -175,7 +175,8 @@ class Pool:
     ``(means, ranked)``, for ``nearest`` to search: the cached ``mu`` of
     every live entry, sorted (equal means in any order), and the entries in
     the same order. ``evolve`` and the removals add and drop entries, and
-    ``PoolEntry._refresh`` moves them. Under ``mle`` it is None.
+    ``PoolEntry._refresh`` moves them. Under ``mle`` it is None. ``_spares``
+    holds the forecasters of removed entries, for ``evolve`` to reuse.
     """
 
     def __init__(self, first: Forecaster, lr_raw: float, config: CepConfig):
@@ -186,6 +187,7 @@ class Pool:
         self.index = ([], []) if config.retrieval_score == "euclidean" else None
         self._next_id = 0
         self.served = 0
+        self._spares = []
         self._add(first, 0.0, 0.0, self.lr_raw)
 
     def __len__(self) -> int:
@@ -239,30 +241,33 @@ class Pool:
             _insert(*self.index, entry.mu, entry)
         return entry
 
-    def _unindex(self, removed: list[PoolEntry]) -> None:
-        """Drop entries that left ``entries`` from the index."""
+    def _retire(self, removed: list[PoolEntry]) -> None:
+        """Unindex entries that left ``entries``, and move their forecasters to the spares."""
         for entry in removed:
             if entry.index is not None:
                 means, ranked = entry.index
                 k = _rank(means, ranked, entry)
                 del means[k], ranked[k]
                 entry.index = None
+            self._spares.append(entry.forecaster)
+            entry.forecaster = None
 
     def evolve(self, parent: PoolEntry, mu: float, sigma: float
                ) -> tuple[PoolEntry, list[int]]:
         """Split the parent: clone its forecaster, seed both genes with (mu, sigma).
 
-        With optimizer adjustment on, the child starts at tau_lr * lr_raw
-        and warms back over t_lr training steps. A configured size cap
-        evicts the oldest entry, the list's first (FIFO). Returns the child
-        and the ids evicted.
+        The clone reuses a spare, a removed entry's forecaster, if there is one.
+        With optimizer adjustment on, the child starts at tau_lr * lr_raw and
+        warms back over t_lr training steps. A configured size cap evicts the
+        oldest entry, the list's first (FIFO). Returns the child and the ids evicted.
         """
         cfg = self.config
         lr0 = cfg.tau_lr * self.lr_raw if cfg.optimizer_adjustment else self.lr_raw
-        child = self._add(parent.forecaster.deep_clone(), mu, sigma, lr0)
+        spare = self._spares.pop() if self._spares else None
+        child = self._add(parent.forecaster.deep_clone(spare), mu, sigma, lr0)
         if cfg.max_pool_size is not None and len(self.entries) > cfg.max_pool_size:
             oldest = self.entries.pop(0)
-            self._unindex([oldest])
+            self._retire([oldest])
             return child, [oldest.id]
         return child, []
 
@@ -274,7 +279,7 @@ class Pool:
         selected.last_served = self.served
 
     def eliminate_stale(self) -> list[int]:
-        """Drop entries idle beyond tau_e times their prediction count.
+        """Retire entries idle beyond tau_e times their prediction count (``_retire``).
 
         The most recently selected entry always survives, and so the pool
         never empties: ``mark_selected`` leaves it idle for 0 steps, a split's
@@ -287,6 +292,6 @@ class Pool:
         stale = [e for e in self.entries if served - e.last_served > tau_e * e.n_pred]
         if not stale:
             return []
-        self._unindex(stale)
+        self._retire(stale)
         self.entries = [e for e in self.entries if e not in stale]
         return [e.id for e in stale]

@@ -55,6 +55,10 @@ SIGNATURES = "tests/test_engine.py::TestSignatures::"
 GLOBAL_UPDATE = "tests/test_gene.py::TestGlobalUpdate::"
 PARAMETER_BUFFER = ("tests/test_forecasters.py::TestParameterBuffer::"
                     "test_a_clone_owns_its_buffer_and_trains_like_a_fresh_model")
+SPARE_REUSE = ("tests/test_pool.py::TestEvolve::"
+               "test_a_split_after_a_removal_takes_the_removed_forecaster")
+DELAYED_FEEDBACK = ("tests/test_engine.py::TestDelayedFeedback::"
+                    "test_a_record_reads_no_point_after_its_truth")
 
 # the warm step's lines, moved or dropped by the warm-up's mutants
 WARM_STEP = (
@@ -156,6 +160,14 @@ MUTANTS = (
            "        absorb_instance(current, mu, sigma)\n",
            tests=("tests/test_engine.py::TestOnlineStep::"
                   "test_abandoned_step_changes_nothing_but_counters", DIFFERENTIAL)),
+    Mutant("abandonment-reads-the-next-truth", "src/driftpool/engine.py",
+           "should_evolve(current, online.y_mu[i])",
+           "should_evolve(current, online.y_mu[min(i + 1, len(online) - 1)])",
+           tests=(DELAYED_FEEDBACK,)),
+    Mutant("input-window-signed-one-past-its-end", "src/driftpool/engine.py",
+           "window_genes(series, starts, lookback, scope)",
+           "window_genes(series, starts + 1, lookback, scope)",
+           tests=(DELAYED_FEEDBACK,)),
     Mutant("stale-at-the-boundary", "src/driftpool/pool.py",
            "served - e.last_served > tau_e * e.n_pred",
            "served - e.last_served >= tau_e * e.n_pred",
@@ -285,6 +297,19 @@ MUTANTS = (
            "clone._lay_out(self._theta.copy(), **self._layout)",
            "clone._lay_out(self._theta, **self._layout)",
            tests=(PARAMETER_BUFFER,)),
+    # a split reuses a removed entry's forecaster
+    Mutant("spare-parameters-not-copied", "src/driftpool/forecasters.py",
+           "        np.copyto(spare._theta, self._theta)\n", "",
+           tests=("tests/test_golden.py::test_c11_mlp_digest", SPARE_REUSE,
+                  "tests/test_forecasters.py::TestParameterBuffer::"
+                  "test_a_spare_takes_the_parameters_and_trains_like_a_fresh_clone")),
+    Mutant("removed-entry-keeps-its-forecaster", "src/driftpool/pool.py",
+           "            entry.forecaster = None\n", "",
+           tests=(SPARE_REUSE,)),
+    Mutant("fifo-eviction-spares-the-child", "src/driftpool/pool.py",
+           "            self._retire([oldest])\n",
+           "            self._retire([oldest])\n            self._spares[-1] = child.forecaster\n",
+           tests=(SPARE_REUSE,)),
     Mutant("forecaster-gradient-laid-over-the-parameters", "src/driftpool/forecasters.py",
            "shapes, theta, np.zeros(theta.size)", "shapes, theta, theta",
            tests=(PARAMETER_BUFFER, "tests/test_forecasters.py::TestContract::"

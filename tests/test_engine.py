@@ -1,7 +1,8 @@
 """Engine orchestration tests: splits, warm-up, online semantics, determinism."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from driftpool.forecasters import (
 )
 from driftpool.gene import compute_gene
 from driftpool.manifest import RunManifest, build_bundle
-from driftpool.pool import CepConfig, Pool, absorb_instance
+from driftpool.pool import RETRIEVAL_SCORES, CepConfig, Pool, absorb_instance
 from reference import Gene, genes_of, n_wait, parameter_checksum, run_bare, set_genes
 
 
@@ -731,12 +732,91 @@ class TestLifecycleMetamorphic:
         assert self.decisions(shifted, score) == base
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 1: the seed entry starts from a phantom (0, 0) signature, so its "
-        "global sigma grows with the offset and the run stops splitting"))
+        "the seed entry starts from a phantom (0, 0) signature, so its global sigma "
+        "grows with the offset and the run stops splitting"))
     @pytest.mark.parametrize("offset", [1e4, 1e6])
     def test_a_raw_offset_keeps_every_decision(self, default_stream, score, offset):
         base = self.decisions(default_stream, score)
         assert self.decisions(default_stream + offset, score) == base
+
+
+class CutRun(NamedTuple):
+    """A stream of level shifts, the config of a run on it, and a cut point in its
+    online segment."""
+
+    levels: list[float]
+    segment: int
+    seed: int
+    config: EngineConfig
+    cut: int
+
+    def series(self):
+        return shifted_series(self.levels, self.segment, seed=self.seed)
+
+
+def cut_run(levels, segment, seed, lookback, horizon, forecaster="linear", window=0, back=0,
+            **cep):
+    """The CutRun whose cut is the end of the online input window ``window`` plus ``back``."""
+    config = EngineConfig(lookback, horizon, cep=CepConfig(**cep), forecaster=forecaster,
+                          hidden=4, warm_epochs=1, lr_raw=1e-5)
+    n = len(levels) * segment
+    starts = enumerate_windows(n, warm_split_index(n), n, horizon, lookback, horizon)
+    return CutRun(levels, segment, seed, config, starts[window] + lookback - 1 + back)
+
+
+@st.composite
+def cut_runs(draw):
+    """A CutRun over every config switch. Its cut is the end of an online input
+    window plus 0 to horizon - 1 points, so any point of the online segment from
+    the first window's end on can be drawn, and a cut at a window's end is the
+    shrunk case."""
+    levels = draw(st.lists(st.sampled_from([0.0, 6.0, -6.0, 2.0]), min_size=2, max_size=6))
+    segment, seed = draw(st.integers(60, 150)), draw(st.integers(0, 99))
+    lookback, horizon = draw(st.integers(2, 10)), draw(st.integers(1, 4))
+    n = len(levels) * segment
+    windows = len(enumerate_windows(n, warm_split_index(n), n, horizon, lookback, horizon))
+    window, back = draw(st.integers(0, windows - 1)), draw(st.integers(0, horizon - 1))
+    local, global_ = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    flags = ("evolution", "elimination", "gradient_abandonment", "optimizer_adjustment")
+    return cut_run(levels, segment, seed, lookback, horizon, window=window, back=back,
+                   forecaster=draw(st.sampled_from(FORECASTER_KINDS)),
+                   tau_safe=draw(st.integers(0, 15)),
+                   retrieval_score=draw(st.sampled_from(RETRIEVAL_SCORES)),
+                   max_pool_size=draw(st.none() | st.integers(1, 4)),
+                   use_local_gene=local, use_global_gene=global_,
+                   **{flag: draw(st.booleans()) for flag in flags})
+
+
+class TestDelayedFeedback:
+    """No record depends on a point after its own ground truth, and no forecast
+    on a point after its input window: replacing the series after a cut point
+    ``c`` leaves every record whose truth ends by ``c`` as it was, and every
+    forecast whose input ends by ``c``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=cut_runs(), shift=st.floats(-30.0, 30.0), seed=st.integers(0, 99))
+    # a record whose abandonment test read the next step's truth mean would change here:
+    @example(case=cut_run([0.0, 0.0], 60, 0, 2, 1, forecaster="naive", window=1, tau_safe=0,
+                          elimination=False, optimizer_adjustment=False), shift=0.0, seed=1)
+    # and here the forecast of an input window signed one point past its end:
+    @example(case=cut_run([0.0] * 3, 119, 0, 2, 1, window=92, tau_safe=0, elimination=False,
+                          gradient_abandonment=False, optimizer_adjustment=False),
+             shift=-1.0, seed=0)
+    def test_a_record_reads_no_point_after_its_truth(self, case, shift, seed):
+        series, config, cut = case.series(), case.config, case.cut
+        other = series.copy()
+        other[cut + 1:] = np.random.default_rng(seed).normal(shift, 1.0, len(series) - cut - 1)
+        base = run(series, config, log_forecasts=True).log
+        changed = run(other, config, log_forecasts=True).log
+        lookback, horizon = config.lookback, config.horizon
+        columns = [f.name for f in fields(StepLog) if f.name != "forecast"]
+        for i, t in enumerate(base.t):
+            if t + lookback - 1 > cut:
+                break
+            assert changed.forecast[i] == base.forecast[i], t
+            if t + lookback + horizon - 1 <= cut:
+                for name in columns:
+                    assert getattr(changed, name)[i] == getattr(base, name)[i], (t, name)
 
 
 class TestInstances:

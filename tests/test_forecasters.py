@@ -362,6 +362,39 @@ class TestParameterBuffer:
         assert parameter_checksum(clone) == parameter_checksum(fresh)
         assert parameter_checksum(f) == parent_sum
 
+    @pytest.mark.parametrize("kind", ["naive", "linear", "mlp"])
+    def test_a_spare_takes_the_parameters_and_trains_like_a_fresh_clone(self, kind):
+        rng = np.random.default_rng(17)
+        steps = [(rng.normal(size=7), rng.normal(size=3)) for _ in range(12)]
+        f = make_forecaster(kind, 7, 3, hidden=5, seed=4)
+        spare = make_forecaster(kind, 7, 3, hidden=5, seed=8)
+        for x, y in steps[:5]:
+            f.train_step(x, y, 0.05)
+            spare.train_step(y[[0, 1, 2, 0, 1, 2, 0]], x[:3], 0.05)  # a stale gradient buffer
+        parent_sum, fresh = parameter_checksum(f), f.deep_clone()
+        assert f.deep_clone(spare) is spare
+        assert spare._theta.tobytes() == f._theta.tobytes()
+        assert not np.shares_memory(spare._theta, f._theta)
+        for x, y in steps[5:]:
+            assert spare.train_step(x, y, 0.05) == fresh.train_step(x, y, 0.05)
+        assert parameter_checksum(spare) == parameter_checksum(fresh)
+        assert parameter_checksum(f) == parent_sum
+
+    @pytest.mark.parametrize("model, spare", [
+        (LinearForecaster(7, 3), None),
+        (LinearForecaster(7, 3), MlpForecaster(7, 3, hidden=5)),
+        (LinearForecaster(7, 3), LinearForecaster(6, 3)),
+        (LinearForecaster(7, 3), LinearForecaster(7, 2)),
+        (MlpForecaster(7, 3, hidden=5), MlpForecaster(7, 3, hidden=4)),
+        (NaiveForecaster(7, 3), NaiveForecaster(6, 3)),
+        (NaiveForecaster(7, 3), NaiveForecaster(7, 2)),
+    ], ids=["itself", "another_type", "another_lookback", "another_horizon", "another_width",
+            "naive_another_lookback", "naive_another_horizon"])
+    def test_a_spare_of_another_type_or_shape_is_refused(self, model, spare):
+        name = type(model).__name__
+        with pytest.raises(ValidationError, match=f"^a spare must be another {name} of its shapes$"):
+            model.deep_clone(model if spare is None else spare)
+
 
 class TestDeterminism:
     def test_same_seed_same_init(self):

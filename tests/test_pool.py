@@ -283,6 +283,25 @@ class TestEvolve:
         assert ids == sorted(ids)
         assert len(set(ids)) == 5
 
+    @pytest.mark.parametrize("removal", ["eliminated", "evicted"])
+    def test_a_split_after_a_removal_takes_the_removed_forecaster(self, removal):
+        pool = Pool(LinearForecaster(4, 2), 0.01, CepConfig(max_pool_size=2))
+        a = pool.entries[0]
+        b, _ = pool.evolve(a, 1.0, 1.0)
+        b.forecaster.train_step(np.ones(4), np.zeros(2), 0.1)  # b's parameters now differ from a's
+        if removal == "eliminated":
+            gone, parent = b, a
+            pool.mark_selected(a)  # b idles 1 step after 0 predictions: stale
+            spare, removed = b.forecaster, pool.eliminate_stale()
+        else:
+            gone, spare = a, a.forecaster
+            parent, removed = pool.evolve(b, 2.0, 1.0)  # the cap evicts a
+        assert removed == [gone.id] and gone.forecaster is None
+        parent.forecaster.train_step(np.full(4, 2.0), np.ones(2), 0.1)
+        child, _ = pool.evolve(parent, 5.0, 1.0)
+        assert child.forecaster is spare
+        assert child.forecaster._theta.tobytes() == parent.forecaster._theta.tobytes()
+
 
 class TestLrTick:
     def test_restores_exactly_after_t_lr_ticks(self):
@@ -529,7 +548,9 @@ def pool_machine(caps):
     """State machine over the pool's public operations, its cap drawn from ``caps``.
 
     A shadow dict keeps (n_pred, n_wait) per live entry id, updated by the
-    rules' own arithmetic, not the pool's.
+    rules' own arithmetic, not the pool's. The forecasters are linear, so each
+    has a parameter buffer, and a rule trains them apart; every entry the pool
+    removed is kept to check that it holds no forecaster.
     """
 
     class PoolMachine(RuleBasedStateMachine):
@@ -555,8 +576,9 @@ def pool_machine(caps):
                 use_local_gene=parts[0], use_global_gene=parts[1], tau_l=tau_l,
             )
             self.lr_raw = 0.01
-            self.pool = Pool(NaiveForecaster(4, 2), self.lr_raw, self.config)
+            self.pool = Pool(LinearForecaster(4, 2), self.lr_raw, self.config)
             self.shadow = {0: (0, 0)}
+            self.removed = []
             self.last = None  # the id mark_selected chose last
 
         def pick(self, i):
@@ -570,9 +592,12 @@ def pool_machine(caps):
         @rule(i=_PICK, gene=_GENES)
         def evolve(self, i, gene):
             parent = self.pick(i)
-            before = [e.id for e in self.pool.entries]
+            model, entries = parent.forecaster, list(self.pool.entries)
+            before = [e.id for e in entries]
             child, reported = self.pool.evolve(parent, gene.mu, gene.sigma)
             assert child.id > max(before)
+            assert child.forecaster._theta.tobytes() == model._theta.tobytes()
+            self.removed += [e for e in entries if e.id in reported]
             assert (child.n_pred, n_wait(self.pool, child), child.n) == (0, 0, 1)
             cap = self.config.max_pool_size
             evicted = before[:1] if cap is not None and len(before) + 1 > cap else []
@@ -595,8 +620,10 @@ def pool_machine(caps):
 
         @rule()
         def eliminate_stale(self):
-            live = [e.id for e in self.pool.entries]
+            entries = list(self.pool.entries)
+            live = [e.id for e in entries]
             removed = self.pool.eliminate_stale()
+            self.removed += [e for e in entries if e.id in removed]
             if self.last in live:
                 assert self.last in [e.id for e in self.pool.entries]
             cfg = self.config
@@ -617,6 +644,12 @@ def pool_machine(caps):
             entry = self.pick(i)
             set_genes(entry, state)
             assert genes_of(entry) == state
+
+        @rule(i=_PICK, x=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+              y=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+        def train_step(self, i, x, y):
+            entry = self.pick(i)
+            entry.forecaster.train_step(np.array(x), np.array(y), entry.lr_current)
 
         @rule(i=_PICK)
         def lr_tick(self, i):
@@ -641,6 +674,11 @@ def pool_machine(caps):
             for e in entries:
                 assert cache_matches_reference(e, self.config)
             assert_index_holds_live_entries(self.pool)
+            for k, e in enumerate(entries):  # no two live entries share a parameter
+                for other in entries[k + 1:]:
+                    assert e.forecaster is not other.forecaster
+                    assert not np.shares_memory(e.forecaster._theta, other.forecaster._theta)
+            assert all(e.forecaster is None for e in self.removed)
 
     return PoolMachine
 
