@@ -6,8 +6,12 @@ full-batch SGD step on MSE per train_step call, and support deep cloning
 so a pool can split them without sharing parameters. A model states only
 its forward pass and, if it learns, its parameter shapes and gradient.
 Each model keeps its parameters as views into one flat buffer, so one
-fused update moves them all. Gradients are written out by hand; the
-models are small enough that numpy is all we need.
+fused update moves them all. Gradients are written out by hand and go
+through BLAS: every matrix-vector product is an ``ndarray.dot`` (gemv)
+and every outer product a k=1 ``np.dot`` (gemm) into its gradient view,
+since numpy's dispatch for ``@`` and for a broadcast multiply costs more
+than the arithmetic at these sizes. ``Forecaster`` states the zero-sign
+rule that keeps the bytes those of a broadcast multiply.
 """
 
 from __future__ import annotations
@@ -50,6 +54,16 @@ class Forecaster(ABC):
     longer reaches it. ``_lay_out`` lays out the buffer it is given. The gradient buffer is
     scratch, written whole by every ``_gradient`` before it is read, so ``deep_clone`` may
     hand back a spare model with its old gradient buffer.
+
+    An outer-product gradient is a k=1 gemm: each entry is one exact product, as a
+    broadcast multiply gives, except that gemm adds it to +0.0, so an exactly-zero entry
+    is +0.0 whatever its product's sign. That sign reaches a parameter only if the
+    parameter is -0.0, since ``p - (+0.0)`` and ``p - (-0.0)`` differ for no other ``p``.
+    No parameter the package builds is -0.0: the linear model starts at zeros, the MLP at
+    ``(-1 + 2u) / sqrt(fan-in)`` with zero biases, a rounded ``p - g`` is -0.0 only when
+    ``p`` is, and clones and spares copy the buffer exactly. So a run's bytes are those of
+    the broadcast kernel; a parameter a caller writes as -0.0 may keep that sign where the
+    broadcast kernel would have flipped it to +0.0.
     """
 
     _layout: dict[str, tuple[int, ...]] = {}  # parameter name -> shape, in buffer order
@@ -140,11 +154,11 @@ class LinearForecaster(Forecaster):
         self._lr_scale = 2.0 / self.horizon
 
     def _forward(self, x):
-        return self.weights @ x + self.bias, None
+        return self.weights.dot(x) + self.bias, None
 
     def _gradient(self, x, err, cache):
         g_weights, g_bias = self._grads
-        np.multiply(err[:, None], x, out=g_weights)
+        np.dot(err[:, None], x[None, :], out=g_weights)
         g_bias[:] = err
 
 
@@ -164,15 +178,15 @@ class MlpForecaster(Forecaster):
             raise ValidationError(f"hidden must fit in memory, got {self.hidden}") from None
 
     def _forward(self, x):
-        h = np.tanh(self.w1 @ x + self.b1)
-        return self.w2 @ h + self.b2, h
+        h = np.tanh(self.w1.dot(x) + self.b1)
+        return self.w2.dot(h) + self.b2, h
 
     def _gradient(self, x, err, h):
         g_w1, g_b1, g_w2, g_b2 = self._grads
         np.divide(2.0 * err, self.horizon, out=g_b2)  # d_pred
-        np.multiply(g_b2[:, None], h, out=g_w2)
-        np.multiply(self.w2.T @ g_b2, 1.0 - h * h, out=g_b1)  # d_pre
-        np.multiply(g_b1[:, None], x, out=g_w1)
+        np.dot(g_b2[:, None], h[None, :], out=g_w2)
+        np.multiply(g_b2.dot(self.w2), 1.0 - h * h, out=g_b1)  # d_pre
+        np.dot(g_b1[:, None], x[None, :], out=g_w1)
 
 
 class Kind(NamedTuple):

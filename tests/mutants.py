@@ -57,6 +57,11 @@ PARAMETER_BUFFER = ("tests/test_forecasters.py::TestParameterBuffer::"
                     "test_a_clone_owns_its_buffer_and_trains_like_a_fresh_model")
 SPARE_REUSE = ("tests/test_pool.py::TestEvolve::"
                "test_a_split_after_a_removal_takes_the_removed_forecaster")
+LINEAR_STEP = ("tests/test_forecasters.py::TestContract::"
+               "test_linear_update_matches_the_written_out_step")
+MLP_STEP = "tests/test_forecasters.py::TestContract::test_mlp_update_matches_the_written_out_step"
+ANY_SHAPE_STEP = ("tests/test_forecasters.py::TestContract::"
+                  "test_the_fused_update_is_the_written_out_step_at_any_shape")
 DELAYED_FEEDBACK = ("tests/test_engine.py::TestDelayedFeedback::"
                     "test_a_record_reads_no_point_after_its_truth")
 
@@ -312,8 +317,7 @@ MUTANTS = (
            tests=(SPARE_REUSE,)),
     Mutant("forecaster-gradient-laid-over-the-parameters", "src/driftpool/forecasters.py",
            "shapes, theta, np.zeros(theta.size)", "shapes, theta, theta",
-           tests=(PARAMETER_BUFFER, "tests/test_forecasters.py::TestContract::"
-                                    "test_linear_update_matches_the_written_out_step")),
+           tests=(PARAMETER_BUFFER, LINEAR_STEP)),
     Mutant("forecaster-lr-only-negative-refused", "src/driftpool/forecasters.py",
            "if not 0 <= lr < math.inf:", "if lr < 0:",
            tests=("tests/test_forecasters.py::TestTrainStep::"
@@ -321,17 +325,33 @@ MUTANTS = (
     Mutant("forecaster-lr-and-scale-two-multiplies", "src/driftpool/forecasters.py",
            "np.multiply(g, lr * self._lr_scale, out=g)",
            "np.multiply(g, lr, out=g)\n        np.multiply(g, self._lr_scale, out=g)",
-           tests=("tests/test_forecasters.py::TestContract::"
-                  "test_linear_update_matches_the_written_out_step",
-                  "tests/test_forecasters.py::TestContract::"
-                  "test_the_fused_update_is_the_written_out_step_at_any_shape")),
+           tests=(LINEAR_STEP, ANY_SHAPE_STEP)),
     Mutant("mlp-d-pred-by-a-reciprocal", "src/driftpool/forecasters.py",
            "np.divide(2.0 * err, self.horizon, out=g_b2)",
            "np.multiply(err, 2.0 / self.horizon, out=g_b2)",
-           tests=("tests/test_forecasters.py::TestContract::"
-                  "test_mlp_update_matches_the_written_out_step",
-                  "tests/test_forecasters.py::TestContract::"
-                  "test_the_fused_update_is_the_written_out_step_at_any_shape")),
+           tests=(MLP_STEP, ANY_SHAPE_STEP)),
+    # the BLAS kernels: gemv for each matrix-vector product, a k=1 gemm for each outer one
+    Mutant("linear-forward-on-the-reversed-window", "src/driftpool/forecasters.py",
+           "self.weights.dot(x)", "self.weights.dot(x[::-1])",
+           tests=("tests/test_forecasters.py::TestPredict::test_constructed_selector_weights",
+                  LINEAR_STEP)),
+    Mutant("linear-gradient-rows-reversed", "src/driftpool/forecasters.py",
+           "np.dot(err[:, None], x[None, :], out=g_weights)",
+           "np.dot(err[::-1, None], x[None, :], out=g_weights)",
+           tests=(LINEAR_STEP, ANY_SHAPE_STEP)),
+    Mutant("mlp-w1-gradient-on-the-reversed-window", "src/driftpool/forecasters.py",
+           "np.dot(g_b1[:, None], x[None, :], out=g_w1)",
+           "np.dot(g_b1[:, None], x[None, ::-1], out=g_w1)",
+           tests=(MLP_STEP, ANY_SHAPE_STEP, "tests/test_forecasters.py::TestGradientCheck::"
+                                            "test_matches_central_differences")),
+    Mutant("mlp-d-pre-through-the-reversed-w2", "src/driftpool/forecasters.py",
+           "g_b2.dot(self.w2)", "g_b2.dot(self.w2[::-1])",
+           tests=(MLP_STEP, ANY_SHAPE_STEP)),
+    Mutant("parameters-laid-out-at-negative-zero", "src/driftpool/forecasters.py",
+           "np.zeros(sum(map(math.prod, shapes.values())))",
+           "-np.zeros(sum(map(math.prod, shapes.values())))",
+           tests=("tests/test_forecasters.py::TestZeroSign::"
+                  "test_package_built_parameters_hold_no_negative_zero",)),
     # the one settings checker (errors.py)
     Mutant("check-value-int-for-float-unbounded", "src/driftpool/errors.py",
            "ok = abs(value) <= sys.float_info.max", "ok = True",
